@@ -87,7 +87,7 @@ def _fmt(value: Fraction, decimal: bool) -> str:
     return text
 
 
-def _rational_map(values, keys=None) -> dict:
+def _rational_map(values) -> dict:
     items = values.items() if hasattr(values, "items") else values.values.items()
     return {str(k): format_rational(v) for k, v in sorted(items)}
 

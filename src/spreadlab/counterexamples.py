@@ -1,7 +1,7 @@
 """Markets where the terminal bound fails to propagate.
 
 Two constructions, both with every advertised constant recomputed and
-asserted at build time.  The deterministic one dips the price to 1 - fee
+checked at build time.  The deterministic one dips the price to 1 - fee
 and back while a leveraged long position rides through; the stochastic one
 first resolves a fair bet, then runs the same dip at a lower cost level on
 the branch where the position is redeployed.  Each instance ships with the
@@ -57,6 +57,12 @@ class CounterexampleReport:
     literal_sale: bool = False
 
 
+def _require(condition: bool, what: str) -> None:
+    """Check an advertised constant; a failure is a broken construction."""
+    if not condition:
+        raise RuntimeError(f"counterexample construction broken: {what}")
+
+
 def _post_trade_liquidation(market: Market, strategy: Strategy, node: NodeId) -> Fraction:
     return liquidation_value(market, strategy.bond[node], strategy.stock[node], node)
 
@@ -97,8 +103,8 @@ def deterministic_counterexample(fee, steps: int = 2) -> CounterexampleReport:
         stock=AdaptedProcess.constant(tree, shares),
     )
     sf = check_self_financing(market, strategy)
-    assert sf.ok, sf.violations
-    assert sf.slack[tree.root] == 0
+    _require(sf.ok, f"strategy not self-financing at nodes {list(sf.violations)}")
+    _require(sf.slack[tree.root] == 0, f"root slack {sf.slack[tree.root]}, expected 0")
 
     witness = ConsistentPriceSystem(
         shadow_price={n: 1 - fee for n in tree.nodes},
@@ -106,17 +112,18 @@ def deterministic_counterexample(fee, steps: int = 2) -> CounterexampleReport:
         fee=fee,
     )
     ok, violations = verify_cps(market, witness, fee=fee, epsilon=DEFAULT_EPSILON)
-    assert ok, violations
+    _require(ok, f"witness system fails: {violations}")
 
     mid = steps // 2
     terminal = _post_trade_liquidation(market, strategy, tree.leaves[0])
     midtime = _post_trade_liquidation(market, strategy, mid)
-    assert terminal == -1, terminal
-    assert midtime == fee - 2, midtime
+    _require(terminal == -1, f"terminal value {terminal}, expected -1")
+    _require(midtime == fee - 2, f"dip value {midtime}, expected {fee - 2}")
 
     # the level is sharp: feasible at the fee, infeasible a hair below
-    assert find_cps(market, CpsQuery(fee)).feasible
-    assert not find_cps(market, CpsQuery(fee * Fraction(1023, 1024))).feasible
+    _require(find_cps(market, CpsQuery(fee)).feasible, f"no price system at the fee {fee}")
+    below = fee * Fraction(1023, 1024)
+    _require(not find_cps(market, CpsQuery(below)).feasible, f"price system below the fee, at {below}")
 
     return CounterexampleReport(
         variant=DETERMINISTIC,
@@ -203,8 +210,8 @@ def stochastic_counterexample(
     market = make_market(tree, AdaptedProcess(price), fee)
 
     # fair bet: the price is a martingale through both phase-one jumps
-    assert p_up * up_price + p_down * Fraction(1, 2) == 1
-    assert (top + 1) / 2 == up_price
+    _require(p_up * up_price + p_down * Fraction(1, 2) == 1, "first jump is not fair")
+    _require((top + 1) / 2 == up_price, "second jump is not fair")
 
     sale_factor = 1 - (witness_fee if literal_sale else fee)
     sale_wealth = -1 + up_price * sale_factor
@@ -222,9 +229,9 @@ def stochastic_counterexample(
 
     sf = check_self_financing(market, strategy)
     if literal_sale and witness_fee < fee:
-        assert not sf.ok and sf.violations == (1,), sf.violations
+        _require(sf.violations == (1,), f"literal sale overdraws at nodes {list(sf.violations)}, expected [1]")
     else:
-        assert sf.ok, sf.violations
+        _require(sf.ok, f"strategy not self-financing at nodes {list(sf.violations)}")
 
     # shadow price: scaled price frozen after the second jump
     shadow = {}
@@ -239,17 +246,20 @@ def stochastic_counterexample(
         fee=witness_fee,
     )
     ok, violations = verify_cps(market, witness, fee=witness_fee, epsilon=DEFAULT_EPSILON)
-    assert ok, violations
+    _require(ok, f"witness system fails: {violations}")
 
     midtime_value = _post_trade_liquidation(market, strategy, 7)
     expected = sale_wealth - (sale_wealth + 1) * (1 + witness_fee * (1 / fee - 1))
-    assert midtime_value == expected, (midtime_value, expected)
+    _require(midtime_value == expected, f"dip value {midtime_value}, expected {expected}")
 
     for leaf in tree.leaves:
-        assert _post_trade_liquidation(market, strategy, leaf) >= -1
-    assert _post_trade_liquidation(market, strategy, 10) == -1
+        value = _post_trade_liquidation(market, strategy, leaf)
+        _require(value >= -1, f"terminal value {value} below -1 at leaf {leaf}")
+    value = _post_trade_liquidation(market, strategy, 10)
+    _require(value == -1, f"terminal value {value} at leaf 10, expected -1")
     for n in (2, 5, 8, 11):
-        assert _post_trade_liquidation(market, strategy, n) == -1 + (1 - fee) / 2
+        value = _post_trade_liquidation(market, strategy, n)
+        _require(value == -1 + (1 - fee) / 2, f"value {value} at node {n}, expected {-1 + (1 - fee) / 2}")
 
     return CounterexampleReport(
         variant=STOCHASTIC,

@@ -2,22 +2,40 @@
 
 A consistent price system at cost level lambda' is a pair (S-tilde, Q):
 a shadow price lying inside every node's spread together with a measure
-under which it is a martingale.  Parametrizing Q by its density process Z
-and substituting Y = Z * S-tilde turns the bilinear search into a linear
-feasibility problem, solved exactly; infeasibility comes back with a
-checkable certificate.
+under which it is a martingale.  Q is carried by its density process Z
+against the reference measure; with Y = Z * S-tilde the conditions are
+linear in (Z, Y), and `_cps_constraints` writes them out as rows.
 
-Equivalence of Q and the reference measure is approximated by the leaf
-floor Z(leaf) >= epsilon (strict inequalities are not expressible in a
-linear program); epsilon = 0 switches to the absolutely continuous mode
-where Z may die out and the shadow price is only defined on the support.
+On a tree the shadow prices a node can carry form an interval, so
+existence is decided exactly by one backward pass (the recursion of
+Roux & Zastawniak).  Each leaf starts at its spread [(1 - lambda') S, S];
+an internal node intersects its own spread with the hull of its
+children's intervals.  In the equivalent mode every child keeps positive
+mass, so an end of the hull is attained only if every child attains it,
+and one empty child empties the parent.  In the absolutely continuous
+mode Z may die out, so empty children are dropped and an end is attained
+if any child attains it.
+
+A nonempty root interval is turned into a witness top down: each node's
+value is placed inside its children's intervals, and the one-step
+weights maximize the minimum leaf density.  An empty interval is turned
+into a Farkas certificate over the same rows, read off the intervals, so
+infeasibility stays checkable independently of how it was found.
+
+Equivalence is approximated by the leaf floor Z(leaf) >= epsilon.  The
+recursion decides whether a strictly positive density exists; the floor
+can still fail when the best achievable minimum leaf density is below
+epsilon.  Only in that band, when an equivalent system exists but the
+constructed witness's minimum leaf density is below epsilon, does the
+exact rational simplex decide.  epsilon = 0 switches to the absolutely
+continuous mode, where the shadow price is only defined on the support.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import simplex
 from .market import Market, MarketError, validate_market
@@ -166,16 +184,389 @@ def _system_from_solution(
     return cps, AdaptedProcess(mass_price)
 
 
+class _Box(NamedTuple):
+    """The shadow prices a node can carry: an interval with, for each end,
+    whether it is attained and whether it is the node's own quote (rather
+    than the hull of its children's intervals)."""
+
+    lo: Fraction
+    lo_closed: bool
+    lo_own: bool
+    hi: Fraction
+    hi_closed: bool
+    hi_own: bool
+
+    def is_empty(self) -> bool:
+        return self.lo > self.hi or (
+            self.lo == self.hi and not (self.lo_closed and self.hi_closed)
+        )
+
+    def contains(self, v: Fraction) -> bool:
+        return (self.lo < v or (v == self.lo and self.lo_closed)) and (
+            v < self.hi or (v == self.hi and self.hi_closed)
+        )
+
+    def nearest(self, v: Fraction) -> Fraction:
+        """v itself when inside, else the end next to it, or the midpoint
+        when that end is open."""
+        if v < self.lo or (v == self.lo and not self.lo_closed):
+            return self.lo if self.lo_closed else (self.lo + self.hi) / 2
+        if v > self.hi or (v == self.hi and not self.hi_closed):
+            return self.hi if self.hi_closed else (self.lo + self.hi) / 2
+        return v
+
+    def low_point(self, u: Fraction) -> Fraction:
+        """The lowest attained value, or halfway down from u to an open end."""
+        return self.lo if self.lo_closed else (self.lo + u) / 2
+
+    def high_point(self, u: Fraction) -> Fraction:
+        return self.hi if self.hi_closed else (u + self.hi) / 2
+
+
+def _shadow_intervals(
+    market: Market, fee: Fraction, equivalent: bool
+) -> "tuple[dict[NodeId, _Box], dict[NodeId, _Box | None]]":
+    """Backward pass over the tree: the interval of each node.
+
+    Returns (live, dead).  ``live`` maps nodes with a nonempty interval to
+    it.  ``dead`` maps a node that can carry no mass to its empty interval,
+    or to None when every child is dead.  In the equivalent mode the pass
+    stops at the first empty node, since every ancestor is empty too, so
+    ``dead`` holds at most that node.
+    """
+    tree = market.tree
+    keep = 1 - fee
+    attained = all if equivalent else any
+    live: dict[NodeId, _Box] = {}
+    dead: dict[NodeId, "_Box | None"] = {}
+    for n in reversed(tree.nodes):
+        hi = market.price[n]
+        lo = keep * hi
+        kids = [live[c] for c in tree.children[n] if c in live]
+        if not tree.children[n]:
+            box = _Box(lo, True, True, hi, True, True)
+        elif not kids:
+            dead[n] = None
+            continue
+        else:
+            bottom = min(b.lo for b in kids)
+            bottom_closed = attained(b.lo == bottom and b.lo_closed for b in kids)
+            top = max(b.hi for b in kids)
+            top_closed = attained(b.hi == top and b.hi_closed for b in kids)
+            if lo > bottom or (lo == bottom and bottom_closed):
+                low = (lo, True, True)
+            else:
+                low = (bottom, bottom_closed, False)
+            if hi < top or (hi == top and top_closed):
+                high = (hi, True, True)
+            else:
+                high = (top, top_closed, False)
+            box = _Box(*low, *high)
+        if box.is_empty():
+            dead[n] = box
+            if equivalent:
+                break
+        else:
+            live[n] = box
+    return live, dead
+
+
+def _place(v: Fraction, boxes: list, probs: list) -> list:
+    """Child values inside the children's intervals that v is an average
+    of, with weights proportional to P when the intervals allow it.
+
+    Every child takes the value of its interval nearest to v; the values
+    then slide toward the far ends of the intervals until their P-mean
+    reaches v.  When even the far ends do not reach it, they are returned
+    and the weights must lean toward them.  v is then strictly between
+    the lowest and the highest value, or equal to all of them, whenever
+    v is in the intervals' equivalent-mode hull.
+    """
+    if all(b.contains(v) for b in boxes):
+        return [v] * len(boxes)
+    near = [b.nearest(v) for b in boxes]
+    total = sum(probs)
+    mean = sum(p * u for p, u in zip(probs, near)) / total
+    if mean == v:
+        return near
+    if mean > v:
+        far = [b.low_point(u) for b, u in zip(boxes, near)]
+    else:
+        far = [b.high_point(u) for b, u in zip(boxes, near)]
+    far_mean = sum(p * u for p, u in zip(probs, far)) / total
+    if (far_mean - v) * (mean - v) > 0:
+        return far
+    s = (mean - v) / (mean - far_mean)
+    return [u + s * (f - u) for u, f in zip(near, far)]
+
+
+def _max_min_density(
+    tree: EventTree, shadow: Mapping[NodeId, Fraction]
+) -> tuple[dict[NodeId, Fraction], Fraction]:
+    """Density for fixed shadow values that maximizes the minimum leaf
+    density; returns the density at every node and that minimum.
+
+    Children without a shadow value get no mass.  Bottom up, with the
+    subtree margins m_c already fixed, a node's margin is
+    min_c (q_c / p_c) m_c, maximized over one-step weights q >= 0 summing
+    to 1 that average the children's values to the node's; the optimum of
+    that one-dimensional problem has a closed form in the three bounds
+    computed below.  A subtree that already loses mass (margin 0) is
+    weighted as if its margin were 1.
+    """
+    margin: dict[NodeId, Fraction] = {}
+    weights: dict[NodeId, dict[NodeId, Fraction]] = {}
+    for n in reversed(tree.nodes):
+        if n not in shadow:
+            continue
+        if not tree.children[n]:
+            margin[n] = Fraction(1)
+            continue
+        kids = [c for c in tree.children[n] if c in shadow]
+        sub = [margin[c] for c in kids]
+        lost = len(kids) < len(tree.children[n]) or min(sub) == 0
+        if lost:
+            sub = [Fraction(1)] * len(kids)
+        v = shadow[n]
+        u = [shadow[c] for c in kids]
+        beta = [tree.cond_prob[c] / m for c, m in zip(kids, sub)]
+        umin, umax = min(u), max(u)
+        bounds = [Fraction(1) / sum(beta)]
+        d_lo = sum(b * (ui - umin) for b, ui in zip(beta, u))
+        d_hi = sum(b * (umax - ui) for b, ui in zip(beta, u))
+        if d_lo > 0:
+            bounds.append((v - umin) / d_lo)
+        if d_hi > 0:
+            bounds.append((umax - v) / d_hi)
+        t = min(bounds)
+        q = [t * b for b in beta]
+        if umax > umin:
+            # residual mass goes to the extreme children; the split is the
+            # unique one preserving both the total and the mean
+            sigma = 1 - sum(q)
+            tau = v - sum(qc * uc for qc, uc in zip(q, u))
+            r_hi = (tau - sigma * umin) / (umax - umin)
+            r_lo = sigma - r_hi
+            q[u.index(umin)] += r_lo
+            q[u.index(umax)] += r_hi
+        else:
+            total = sum(q)
+            q = [qc / total for qc in q]
+        weights[n] = dict(zip(kids, q))
+        low = min(qc * mc / tree.cond_prob[c] for c, qc, mc in zip(kids, q, sub))
+        margin[n] = Fraction(0) if lost else low
+    density: dict[NodeId, Fraction] = {}
+    for n in tree.nodes:
+        up = tree.parent[n]
+        if up is None:
+            density[n] = Fraction(1)
+        elif up in weights:
+            density[n] = density[up] * weights[up].get(n, 0) / tree.cond_prob[n]
+        else:
+            density[n] = Fraction(0)
+    return density, margin[tree.root]
+
+
+def _interval_witness(
+    tree: EventTree, live: Mapping[NodeId, _Box], fee: Fraction
+) -> tuple[ConsistentPriceSystem, AdaptedProcess, Fraction]:
+    """System built top down inside the intervals: the root takes its
+    interval's midpoint, each node places its children's values with
+    `_place`, and `_max_min_density` weighs them.  Returns the system, the
+    mass process y = z * S-tilde and the minimum leaf density."""
+    root = live[tree.root]
+    shadow = {tree.root: (root.lo + root.hi) / 2}
+    for n in tree.nodes:
+        if n not in shadow:
+            continue
+        kids = [c for c in tree.children[n] if c in live]
+        if kids:
+            values = _place(shadow[n], [live[c] for c in kids], [tree.cond_prob[c] for c in kids])
+            shadow.update(zip(kids, values))
+    density, margin = _max_min_density(tree, shadow)
+    cps = ConsistentPriceSystem(
+        shadow_price={n: s for n, s in shadow.items() if density[n] > 0},
+        density=AdaptedProcess(density),
+        fee=fee,
+        off_support=tuple(n for n in tree.nodes if density[n] == 0),
+    )
+    mass = {n: density[n] * shadow[n] if density[n] > 0 else Fraction(0) for n in tree.nodes}
+    return cps, AdaptedProcess(mass), margin
+
+
+class _Derivation:
+    """A derived inequality: a combination of constraint rows, given as
+    (label, multiplier) pairs, plus nonnegative multiples of earlier
+    derivations."""
+
+    __slots__ = ("rows", "parts")
+
+    def __init__(self, rows, parts):
+        self.rows = rows
+        self.parts = parts
+
+
+def _interval_certificate(
+    market: Market,
+    query: CpsQuery,
+    live: Mapping[NodeId, _Box],
+    dead: "Mapping[NodeId, _Box | None]",
+) -> CpsInfeasibility:
+    """Farkas certificate over `_cps_constraints`, read off the intervals.
+
+    Every row is used in its "<=" direction (">=" rows with a negative
+    multiplier), and a derivation stands for the inequality the combined
+    rows imply; extra terms with nonnegative coefficients are allowed,
+    since every variable is nonnegative.  Per node n with interval [a, b]:
+
+    * lower(n): a z_n - y_n <= 0, from the bid row when a is the node's
+      own quote, else from the drift rows plus lower(c) of the live
+      children and a p_c gone(c) of the dead ones;
+    * upper(n): y_n - b z_n <= 0, from the ask row, or symmetrically with
+      p_c cap(c) for the dead children;
+    * floor(n): -z_n <= -epsilon, from the leaf floors and mass drifts.
+      Adding p_c (a_c - a) floor(c) for each child strictly above an open
+      end cancels that child's surplus and makes the inequality strict;
+    * gone(n): z_n <= 0 for a dead node (absolutely continuous mode),
+      from its crossed ends, or from its children all being dead, and
+      cap(n): y_n <= 0, from its ask row and gone(n).
+
+    The contradiction closes at the first empty node (equivalent mode):
+    lower + upper (+ (a - b) floor when the ends cross) leaves a
+    nonnegative row with a negative right-hand side; or at the root
+    (absolutely continuous mode), where gone(root) meets unit_root_mass.
+    """
+    tree = market.tree
+    equivalent = query.mode == EQUIVALENT
+    made: list[_Derivation] = []
+
+    def derive(rows, parts=()) -> _Derivation:
+        d = _Derivation(rows, parts)
+        made.append(d)
+        return d
+
+    if equivalent:
+        (failed,) = dead
+        scope, frontier = [], [failed]
+        while frontier:
+            scope.extend(frontier)
+            frontier = [c for n in frontier for c in tree.children[n]]
+        scope.reverse()
+    else:
+        scope = list(reversed(tree.nodes))
+
+    lower: dict[NodeId, _Derivation] = {}
+    upper: dict[NodeId, _Derivation] = {}
+    floor: dict[NodeId, _Derivation] = {}
+    gone: dict[NodeId, _Derivation] = {}
+    cap: dict[NodeId, _Derivation] = {}
+    prob = tree.cond_prob
+    for n in scope:
+        kids = tree.children[n]
+        if equivalent:
+            if kids:
+                floor[n] = derive([(f"mass_drift:{n}", 1)], [(prob[c], floor[c]) for c in kids])
+            else:
+                floor[n] = derive([(f"floor:{n}", -1)])
+        box = live.get(n, dead.get(n))
+        if box is not None:
+            if box.lo_own:
+                lower[n] = derive([(f"bid:{n}", -1)])
+            else:
+                bottom = box.lo
+                parts = []
+                for c in kids:
+                    if c in live:
+                        parts.append((prob[c], lower[c]))
+                        if equivalent and live[c].lo > bottom:
+                            parts.append((prob[c] * (live[c].lo - bottom), floor[c]))
+                    else:
+                        parts.append((bottom * prob[c], gone[c]))
+                lower[n] = derive([(f"price_drift:{n}", 1), (f"mass_drift:{n}", -bottom)], parts)
+            if box.hi_own:
+                upper[n] = derive([(f"ask:{n}", 1)])
+            else:
+                top = box.hi
+                parts = []
+                for c in kids:
+                    if c in live:
+                        parts.append((prob[c], upper[c]))
+                        if equivalent and live[c].hi < top:
+                            parts.append((prob[c] * (top - live[c].hi), floor[c]))
+                    else:
+                        parts.append((prob[c], cap[c]))
+                upper[n] = derive([(f"price_drift:{n}", -1), (f"mass_drift:{n}", top)], parts)
+        if n in dead and not equivalent:
+            if box is None:
+                gone[n] = derive([(f"mass_drift:{n}", -1)], [(prob[c], gone[c]) for c in kids])
+            else:
+                w = 1 / (box.lo - box.hi)
+                gone[n] = derive([], [(w, lower[n]), (w, upper[n])])
+            cap[n] = derive([(f"ask:{n}", 1)], [(market.price[n], gone[n])])
+
+    if equivalent:
+        box = dead[failed]
+        parts = [(Fraction(1), lower[failed]), (Fraction(1), upper[failed])]
+        if box.lo > box.hi:
+            parts.append((box.lo - box.hi, floor[failed]))
+        final = derive([], parts)
+    else:
+        final = derive([("unit_root_mass", -1)], [(Fraction(1), gone[tree.root])])
+
+    num_vars, cons, _ = _cps_constraints(market, query.fee, query.epsilon)
+    index = {con.label: i for i, con in enumerate(cons)}
+    multipliers = [Fraction(0)] * len(cons)
+    weight = {final: Fraction(1)}
+    # parts are made before the derivations that use them, so walking
+    # backwards settles each derivation's total weight before it is spread
+    for d in reversed(made):
+        w = weight.pop(d, None)
+        if w is None:
+            continue
+        for label, mu in d.rows:
+            multipliers[index[label]] += w * mu
+        for coef, part in d.parts:
+            weight[part] = weight.get(part, 0) + w * coef
+    return CpsInfeasibility(
+        fee=query.fee,
+        epsilon=query.epsilon,
+        certificate=FarkasCertificate(tuple(multipliers)),
+        num_vars=num_vars,
+        constraints=tuple(cons),
+    )
+
+
 def find_cps(market: Market, query: CpsQuery) -> FindCpsResult:
-    """Search for a price system at the queried cost level.
+    """Decide whether a price system exists at the queried cost level.
 
     Feasible outcomes carry the system plus the raw price-weighted mass
-    process y = z * S-tilde; infeasible outcomes carry an exact
-    certificate over the very constraints that were solved.
+    process y = z * S-tilde; infeasible outcomes carry an exact Farkas
+    certificate over the constraints of `_cps_constraints`.  The interval
+    recursion decides; the simplex runs only in the floor band, where an
+    equivalent system exists but the constructed one's minimum leaf
+    density is below epsilon.
     """
     problems = validate_market(market)
     if problems:
         raise MarketError(problems)
+    equivalent = query.mode == EQUIVALENT
+    live, dead = _shadow_intervals(market, query.fee, equivalent)
+    if market.tree.root not in live:
+        return FindCpsResult(
+            feasible=False, infeasibility=_interval_certificate(market, query, live, dead)
+        )
+    cps, price_mass, margin = _interval_witness(market.tree, live, query.fee)
+    if equivalent and margin < query.epsilon:
+        return _lp_find_cps(market, query)
+    return FindCpsResult(feasible=True, cps=cps, price_mass=price_mass)
+
+
+def _lp_find_cps(market: Market, query: CpsQuery) -> FindCpsResult:
+    """The same decision by the exact simplex over `_cps_constraints`.
+
+    Exact in the floor band that the interval recursion cannot settle,
+    and the reference the tests compare `find_cps` against.
+    """
     num_vars, cons, pos = _cps_constraints(market, query.fee, query.epsilon)
     result = simplex.solve(num_vars, cons)
     if result.status == simplex.INFEASIBLE:
@@ -510,55 +901,7 @@ def brute_force_cps(
     # prefer the root value with the roomiest bracket; ties to the middle
     assign(tree.root, sorted(root_values)[len(root_values) // 2])
 
-    weights: dict[NodeId, dict[NodeId, Fraction]] = {}
-
-    def weigh(n: NodeId) -> Fraction:
-        """Pick one-step weights below n maximizing the minimum relative
-        leaf density of the subtree; returns that minimum (for Z(n) = 1).
-
-        With subtree margins m_c already fixed, the node's contribution is
-        min_c (q_c / p_c) m_c, maximized subject to q > 0 summing to 1 and
-        matching the shadow value; the optimum of that one-dimensional
-        problem has a closed form in the three bounds computed below."""
-        kids = tree.children[n]
-        if not kids:
-            return Fraction(1)
-        sub = [weigh(c) for c in kids]
-        v = shadow[n]
-        u = [shadow[c] for c in kids]
-        beta = [tree.cond_prob[c] / m for c, m in zip(kids, sub)]
-        umin, umax = min(u), max(u)
-        bounds = [Fraction(1) / sum(beta)]
-        d_lo = sum(b * (ui - umin) for b, ui in zip(beta, u))
-        d_hi = sum(b * (umax - ui) for b, ui in zip(beta, u))
-        if d_lo > 0:
-            bounds.append((v - umin) / d_lo)
-        if d_hi > 0:
-            bounds.append((umax - v) / d_hi)
-        t = min(bounds)
-        q = [t * b for b in beta]
-        if umax > umin:
-            # residual mass goes to the extreme children; the split is the
-            # unique one preserving both the total and the mean
-            sigma = 1 - sum(q)
-            tau = v - sum(qc * uc for qc, uc in zip(q, u))
-            r_hi = (tau - sigma * umin) / (umax - umin)
-            r_lo = sigma - r_hi
-            q[u.index(umin)] += r_lo
-            q[u.index(umax)] += r_hi
-        else:
-            total = sum(q)
-            q = [qc / total for qc in q]
-        weights[n] = dict(zip(kids, q))
-        return min(qc * mc / tree.cond_prob[c] for c, qc, mc in zip(kids, q, sub))
-
-    margin = weigh(tree.root)
-    density: dict[NodeId, Fraction] = {tree.root: Fraction(1)}
-    for n in tree.nodes:
-        if n == tree.root:
-            continue
-        up = tree.parent[n]
-        density[n] = density[up] * weights[up][n] / tree.cond_prob[n]
+    density, margin = _max_min_density(tree, shadow)
     witness = ConsistentPriceSystem(
         shadow_price=dict(shadow),
         density=AdaptedProcess(density),
@@ -577,10 +920,17 @@ def load_cps(document: Mapping, tree: EventTree) -> tuple[ConsistentPriceSystem,
     text, "lambda_prime", "epsilon".  "S_tilde" may omit nodes (taken as
     off-support); "Z" must cover every node.
     """
+    if not isinstance(document, Mapping):
+        raise CpsError(["price-system document must be a JSON object"])
     problems: list[str] = []
     for key in ("S_tilde", "Z", "lambda_prime", "epsilon"):
         if key not in document:
             problems.append(f"missing '{key}'")
+    if problems:
+        raise CpsError(problems)
+    for key in ("S_tilde", "Z"):
+        if not isinstance(document[key], Mapping):
+            problems.append(f"'{key}' must be an object, got {type(document[key]).__name__}")
     if problems:
         raise CpsError(problems)
 

@@ -166,6 +166,8 @@ def load_strategy(document: Mapping, tree: EventTree) -> Strategy:
     problems: list[str] = []
     if not isinstance(document, Mapping) or "holdings" not in document:
         raise StrategyError(["strategy document must be an object with 'holdings'"])
+    if not isinstance(document["holdings"], list):
+        raise StrategyError([f"'holdings' must be a list, got {type(document['holdings']).__name__}"])
 
     given: dict[NodeId, tuple[Fraction, Fraction]] = {}
     for i, spec in enumerate(document["holdings"]):
@@ -173,6 +175,9 @@ def load_strategy(document: Mapping, tree: EventTree) -> Strategy:
             problems.append(f"holdings[{i}]: each entry needs a 'node'")
             continue
         node = spec["node"]
+        if not isinstance(node, int) or isinstance(node, bool):
+            problems.append(f"holdings[{i}]: 'node' must be an integer id, got {node!r}")
+            continue
         if node not in tree.node_set:
             problems.append(f"node {node}: not in tree")
             continue

@@ -216,7 +216,10 @@ def shadow_decomposition(
             cost[n] = cost[p] + d_bond + s[n] * d_stock
             transform[n] = transform[p] + strategy.stock[p] * (s[n] - s[p])
         value[n] = strategy.bond[n] + s[n] * strategy.stock[n]
-        assert value[n] == cost[n] + transform[n]
+        if value[n] != cost[n] + transform[n]:
+            raise RuntimeError(
+                f"node {n}: marked value {value[n]} != cost {cost[n]} + transform {transform[n]}"
+            )
     return ShadowDecomposition(
         cost=AdaptedProcess(cost),
         transform=AdaptedProcess(transform),

@@ -258,6 +258,11 @@ def load_tree(document: Mapping) -> EventTree:
         problems.append("missing 'nodes'")
     if problems:
         raise TreeError(problems)
+    for key in ("times", "nodes"):
+        if not isinstance(document[key], list):
+            problems.append(f"'{key}' must be a list, got {type(document[key]).__name__}")
+    if problems:
+        raise TreeError(problems)
 
     times = []
     for i, t in enumerate(document["times"]):
@@ -273,6 +278,9 @@ def load_tree(document: Mapping) -> EventTree:
             continue
         node = spec["id"]
         par = spec.get("parent")
+        if par is not None and (not isinstance(par, int) or isinstance(par, bool)):
+            problems.append(f"node {node!r}: parent must be an integer id or null, got {par!r}")
+            continue
         raw_prob = spec.get("prob", "1" if par is None else None)
         if raw_prob is None:
             problems.append(f"node {node}: missing 'prob'")

@@ -127,6 +127,59 @@ class TestValidate:
         assert "not valid JSON" in result.human_summary
 
 
+class TestMalformedShapes:
+    @pytest.mark.parametrize("key, value", [("times", 3), ("nodes", 5)])
+    def test_market_key_of_wrong_type(self, det_files, key, value):
+        doc = read_json(det_files / "market.json")
+        doc[key] = value
+        (det_files / "bad.json").write_text(json.dumps(doc))
+        result = run_command(["validate", "--market", "det/bad.json"])
+        assert result.exit_code == 2
+        report = read_json(result.report_path)
+        assert report["market_problems"] == [f"'{key}' must be a list, got int"]
+
+    def test_parent_of_wrong_type(self, det_files):
+        doc = read_json(det_files / "market.json")
+        doc["nodes"][1]["parent"] = [0]
+        (det_files / "bad.json").write_text(json.dumps(doc))
+        result = run_command(["validate", "--market", "det/bad.json"])
+        assert result.exit_code == 2
+        problems = read_json(result.report_path)["market_problems"]
+        assert problems == ["node 1: parent must be an integer id or null, got [0]"]
+
+    def test_holdings_node_of_wrong_type_in_validate(self, det_files):
+        (det_files / "s.json").write_text(json.dumps(
+            {"holdings": [{"node": [1], "phi0": "0", "phi1": "0"}]}
+        ))
+        result = run_command([
+            "validate", "--market", "det/market.json", "--strategy", "det/s.json",
+        ])
+        assert result.exit_code == 2
+        report = read_json(result.report_path)
+        assert report["strategy_problems"] == ["holdings[0]: 'node' must be an integer id, got [1]"]
+
+    def test_holdings_node_of_wrong_type_in_check_strategy(self, det_files):
+        (det_files / "s.json").write_text(json.dumps(
+            {"holdings": [{"node": [1], "phi0": "0", "phi1": "0"}]}
+        ))
+        result = run_command([
+            "check-strategy", "--market", "det/market.json", "--strategy", "det/s.json",
+        ])
+        assert result.exit_code == 2
+        assert result.human_summary == "error: holdings[0]: 'node' must be an integer id, got [1]"
+
+    def test_price_system_of_wrong_shape_in_decompose(self, det_files):
+        (det_files / "c.json").write_text(json.dumps(
+            {"S_tilde": 5, "Z": {}, "lambda_prime": "1/2", "epsilon": "0"}
+        ))
+        result = run_command([
+            "decompose", "--market", "det/market.json", "--strategy", "det/strategy.json",
+            "--cps", "det/c.json",
+        ])
+        assert result.exit_code == 2
+        assert result.human_summary == "error: 'S_tilde' must be an object, got int"
+
+
 class TestCheckStrategy:
     def test_modes_report_their_bounds(self, det_files):
         result = run_command([

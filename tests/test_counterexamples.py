@@ -184,3 +184,16 @@ class TestDocs:
                                      market.tree)
             assert strategy.bond.values == report.strategy.bond.values
             assert strategy.stock.values == report.strategy.stock.values
+
+
+class TestSelfChecks:
+    def test_broken_sharpness_check_raises(self, monkeypatch):
+        # the generator re-decides its advertised threshold; a wrong
+        # answer must stop it even under python -O, where asserts vanish
+        from spreadlab import FindCpsResult, counterexamples
+
+        monkeypatch.setattr(
+            counterexamples, "find_cps", lambda market, query: FindCpsResult(feasible=False)
+        )
+        with pytest.raises(RuntimeError, match="no price system at the fee 1/2"):
+            deterministic_counterexample(F(1, 2))

@@ -23,6 +23,7 @@ from spreadlab import (
     stochastic_counterexample,
     verify_cps,
 )
+from spreadlab import cps as cps_module
 
 from helpers import random_market
 
@@ -424,3 +425,104 @@ class TestAbsolutelyContinuousMode:
         assert set(doc["S_tilde"]) == {"0", "2", "4"}
         cps, _ = load_cps(doc, market.tree)
         assert cps.off_support == (1, 3)
+
+
+class TestIntervalDecider:
+    """find_cps decides by the interval recursion; the simplex over the
+    same constraints is the independent reference.  Outside the floor
+    band the recursion must settle every query without the simplex: a
+    fallback would hide a wrong interval behind a correct verdict."""
+
+    LEVELS = (F(0), F(1, 32), F(1, 16), F(1, 8), F(1, 4), F(1, 2))
+    LP = staticmethod(cps_module._lp_find_cps)
+
+    @pytest.fixture(autouse=True)
+    def lp_calls(self, monkeypatch):
+        calls = []
+
+        def counted(market, query):
+            calls.append(query.epsilon)
+            return self.LP(market, query)
+
+        monkeypatch.setattr(cps_module, "_lp_find_cps", counted)
+        return calls
+
+    def check_against_lp(self, market, level, mode):
+        epsilon = DEFAULT_EPSILON if mode == EQUIVALENT else F(0)
+        query = CpsQuery(level, epsilon, mode)
+        result = find_cps(market, query)
+        assert result.feasible == self.LP(market, query).feasible
+        if result.feasible:
+            ok, violations = verify_cps(market, result.cps, epsilon=epsilon)
+            assert ok, violations
+        else:
+            assert result.infeasibility.verify()
+        return result
+
+    def test_agrees_with_lp_on_random_markets(self, lp_calls):
+        rng = random.Random(97)
+        for _ in range(30):
+            market = random_market(rng)
+            for level in self.LEVELS:
+                for mode in (EQUIVALENT, ABSOLUTELY_CONTINUOUS):
+                    self.check_against_lp(market, level, mode)
+        assert lp_calls == []
+
+    def test_ac_node_whose_children_all_die(self, lp_calls):
+        # at lambda' = 0 node 2 cannot sit at 1 inside its children's
+        # [9/8, 9/4]; node 1 then has no live child, and neither has the root
+        market = load_market({
+            "times": ["0", "1", "2", "3"],
+            "lambda": "0",
+            "nodes": [
+                {"id": 0, "parent": None, "prob": "1", "S": "5/2"},
+                {"id": 1, "parent": 0, "prob": "1", "S": "7/2"},
+                {"id": 2, "parent": 1, "prob": "1", "S": "1"},
+                {"id": 3, "parent": 2, "prob": "4/7", "S": "9/4"},
+                {"id": 4, "parent": 2, "prob": "3/7", "S": "9/8"},
+            ],
+        })
+        for mode in (EQUIVALENT, ABSOLUTELY_CONTINUOUS):
+            assert not self.check_against_lp(market, F(0), mode).feasible
+        cert = find_cps(market, CpsQuery(F(0), F(0), ABSOLUTELY_CONTINUOUS)).infeasibility
+        used = {c.label for c, mu in zip(cert.constraints, cert.certificate.multipliers) if mu}
+        assert "unit_root_mass" in used
+        assert not any(label.startswith("floor:") for label in used)
+        assert lp_calls == []
+
+    @pytest.mark.parametrize("root, other", [("2", "1"), ("1", "2")])
+    def test_equivalent_empty_interval_with_open_meeting_ends(self, lp_calls, root, other):
+        # the root's own quote pins it to an end of its children's hull
+        # that only child 1 attains: any mass on child 2 pulls the average
+        # off it
+        market = load_market({
+            "times": ["0", "1"],
+            "lambda": "0",
+            "nodes": [
+                {"id": 0, "parent": None, "prob": "1", "S": root},
+                {"id": 1, "parent": 0, "prob": "1/3", "S": root},
+                {"id": 2, "parent": 0, "prob": "2/3", "S": other},
+            ],
+        })
+        result = self.check_against_lp(market, F(0), EQUIVALENT)
+        assert not result.feasible
+        cert = result.infeasibility
+        used = {c.label for c, mu in zip(cert.constraints, cert.certificate.multipliers) if mu}
+        assert "floor:2" in used
+        result = self.check_against_lp(market, F(0), ABSOLUTELY_CONTINUOUS)
+        assert result.feasible
+        assert result.cps.off_support == (2,)
+        assert lp_calls == []
+
+    def test_floor_band_is_decided_by_the_lp(self, lp_calls):
+        # the maximal margin is 2/3 (see TestMargin), so an equivalent
+        # system exists but none clears a floor of 3/4
+        market = binary_market(p_up="1/2")
+        result = find_cps(market, CpsQuery(F(0), F(2, 3)))
+        assert result.feasible and lp_calls == []
+        ok, violations = verify_cps(market, result.cps, epsilon=F(2, 3))
+        assert ok, violations
+        result = find_cps(market, CpsQuery(F(0), F(3, 4)))
+        assert not result.feasible
+        assert result.infeasibility.verify()
+        assert lp_calls == [F(3, 4)]
