@@ -26,18 +26,17 @@ from .cps import (
     ABSOLUTELY_CONTINUOUS,
     DEFAULT_EPSILON,
     EQUIVALENT,
-    CpsError,
     CpsQuery,
-    cps_threshold,
+    _threshold,
     cps_to_doc,
     find_cps,
     load_cps,
 )
-from .market import MarketError, load_market, market_to_doc
+from .market import load_market, market_to_doc
 from .rationals import format_rational, parse_rational
-from .strategy import StrategyError, check_self_financing, load_strategy, strategy_to_doc
+from .strategy import check_self_financing, load_strategy, strategy_to_doc
 from .theorems import check_admissibility_theorem, check_ossm, doob_decompose, shadow_decomposition
-from .tree import TreeError
+from .tree import InputError
 from .valuation import NUMERAIRE_BASED, NUMERAIRE_FREE, admissibility_bound
 
 EPSILON_ENV = "SPREADLAB_EPSILON"
@@ -100,7 +99,7 @@ def _cmd_validate(args) -> CommandResult:
         market = load_market(_load_json(args.market))
         report["market_ok"] = True
         lines.append(f"market {args.market}: ok")
-    except (TreeError, MarketError) as exc:
+    except InputError as exc:
         report["market_problems"] = exc.problems
         lines.append(f"market {args.market}: INVALID")
         lines.extend(f"  {p}" for p in exc.problems)
@@ -116,7 +115,7 @@ def _cmd_validate(args) -> CommandResult:
                 load_strategy(_load_json(args.strategy), market.tree)
                 report["strategy_ok"] = True
                 lines.append(f"strategy {args.strategy}: ok")
-            except StrategyError as exc:
+            except InputError as exc:
                 report["strategy_problems"] = exc.problems
                 lines.append(f"strategy {args.strategy}: INVALID")
                 lines.extend(f"  {p}" for p in exc.problems)
@@ -206,18 +205,18 @@ def _cmd_find_cps(args) -> CommandResult:
 def _cmd_cps_threshold(args) -> CommandResult:
     market = load_market(_load_json(args.market))
     epsilon = _default_epsilon()
-    threshold = cps_threshold(market, epsilon=epsilon, resolution=args.resolution)
+    threshold, attained = _threshold(market, epsilon > 0)
     report = {
         "threshold": format_rational(threshold),
-        "resolution": format_rational(args.resolution),
+        "attained": attained,
         "epsilon": format_rational(epsilon),
     }
     path = _write_report(args.report, report)
-    summary = (
-        f"smallest feasible cost level: {_fmt(threshold, args.decimal)}"
-        f" (resolution {_fmt(args.resolution, args.decimal)})\n"
-        f"report: {path}"
-    )
+    if attained:
+        line = f"smallest feasible cost level: {_fmt(threshold, args.decimal)}"
+    else:
+        line = f"infimum of feasible cost levels: {_fmt(threshold, args.decimal)} (not attained)"
+    summary = f"{line}\nreport: {path}"
     return CommandResult(0, path, summary)
 
 
@@ -256,9 +255,8 @@ def _cmd_theorem(args) -> CommandResult:
     market = load_market(_load_json(args.market))
     strategy = load_strategy(_load_json(args.strategy), market.tree)
     mode = NUMERAIRE_FREE if args.numeraire_free else NUMERAIRE_BASED
-    grid = args.grid if args.grid else None
     verdict = check_admissibility_theorem(
-        market, strategy, args.x, lambda_grid=grid, mode=mode, epsilon=_default_epsilon()
+        market, strategy, args.x, mode=mode, epsilon=_default_epsilon()
     )
     report = {
         "holds": verdict.holds,
@@ -363,9 +361,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="absolutely continuous mode: allow the measure to die out")
     common(p, "find-cps")
 
-    p = sub.add_parser("cps-threshold", help="bisect for the smallest feasible cost level")
+    p = sub.add_parser("cps-threshold", help="exact smallest feasible cost level")
     p.add_argument("--market", required=True)
-    p.add_argument("--resolution", type=parse_rational, default=Fraction(1, 1024))
     common(p, "cps-threshold")
 
     p = sub.add_parser("decompose", help="marked-value decomposition under a price system")
@@ -378,8 +375,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--market", required=True)
     p.add_argument("--strategy", required=True)
     p.add_argument("--x", type=parse_rational, required=True, help="terminal bound is -x")
-    p.add_argument("--grid", nargs="+", type=parse_rational,
-                   help="cost levels for the hypothesis (default: market level halved ten times)")
     p.add_argument("--numeraire-free", action="store_true",
                    help="report the numeraire-free admissibility bound")
     common(p, "theorem")
@@ -403,6 +398,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
 _HANDLERS = {
     "validate": _cmd_validate,
     "check-strategy": _cmd_check_strategy,
@@ -415,9 +412,8 @@ _HANDLERS = {
 
 
 def run_command(argv) -> CommandResult:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return CommandResult(code, None, "")
@@ -426,7 +422,7 @@ def run_command(argv) -> CommandResult:
             args.fee = Fraction(1, 2)
     try:
         return _HANDLERS[args.command](args)
-    except (TreeError, MarketError, StrategyError, CpsError, ValueError) as exc:
+    except ValueError as exc:
         return CommandResult(2, None, f"error: {exc}")
 
 

@@ -13,13 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cps import (
-    DEFAULT_EPSILON,
-    ConsistentPriceSystem,
-    CpsQuery,
-    find_cps,
-    verify_cps,
-)
+from .cps import DEFAULT_EPSILON, ConsistentPriceSystem, _threshold, verify_cps
 from .market import Market, make_market
 from .rationals import format_rational
 from .strategy import Strategy, check_self_financing
@@ -120,10 +114,12 @@ def deterministic_counterexample(fee, steps: int = 2) -> CounterexampleReport:
     _require(terminal == -1, f"terminal value {terminal}, expected -1")
     _require(midtime == fee - 2, f"dip value {midtime}, expected {fee - 2}")
 
-    # the level is sharp: feasible at the fee, infeasible a hair below
-    _require(find_cps(market, CpsQuery(fee)).feasible, f"no price system at the fee {fee}")
-    below = fee * Fraction(1023, 1024)
-    _require(not find_cps(market, CpsQuery(below)).feasible, f"price system below the fee, at {below}")
+    # the level is sharp: a price system exists at the fee and at no level below it
+    threshold, attained = _threshold(market, True)
+    _require(
+        (threshold, attained) == (fee, True),
+        f"smallest feasible cost level {threshold} (attained: {attained}), expected the fee {fee}",
+    )
 
     return CounterexampleReport(
         variant=DETERMINISTIC,

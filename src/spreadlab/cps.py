@@ -41,7 +41,7 @@ from . import simplex
 from .market import Market, MarketError, validate_market
 from .rationals import format_rational, parse_rational
 from .simplex import Constraint, FarkasCertificate
-from .tree import AdaptedProcess, EventTree, NodeId
+from .tree import AdaptedProcess, EventTree, InputError, NodeId, density_problems
 
 EQUIVALENT = "equivalent"
 ABSOLUTELY_CONTINUOUS = "absolutely_continuous"
@@ -49,14 +49,8 @@ ABSOLUTELY_CONTINUOUS = "absolutely_continuous"
 DEFAULT_EPSILON = Fraction(1, 10**6)
 
 
-class CpsError(ValueError):
+class CpsError(InputError):
     """An invalid price-system description or query."""
-
-    def __init__(self, problems):
-        if isinstance(problems, str):
-            problems = [problems]
-        self.problems = list(problems)
-        super().__init__("; ".join(self.problems))
 
 
 @dataclass(frozen=True)
@@ -600,17 +594,9 @@ def verify_cps(
     tree = market.tree
     if fee is None:
         fee = cps.fee
-    violations: list[str] = []
-
-    missing = [n for n in tree.nodes if n not in cps.density]
-    if missing:
-        return False, [f"density missing at nodes {missing}"]
-
-    if cps.density[tree.root] != 1:
-        violations.append(f"node {tree.root}: density at root is {cps.density[tree.root]}, expected 1")
-    for n in tree.nodes:
-        if cps.density[n] < 0:
-            violations.append(f"node {n}: density {cps.density[n]} is negative")
+    violations = density_problems(tree, cps.density)
+    if not all(n in cps.density for n in tree.nodes):
+        return False, violations
 
     mass_price: dict[NodeId, Fraction] = {}
     for n in tree.nodes:
@@ -631,13 +617,7 @@ def verify_cps(
             mass_price[n] = Fraction(0)
 
     for n in tree.internal:
-        kids = tree.children[n]
-        z_next = sum(tree.cond_prob[c] * cps.density[c] for c in kids)
-        if z_next != cps.density[n]:
-            violations.append(
-                f"node {n}: density drift {z_next - cps.density[n]} (martingale property fails)"
-            )
-        y_next = sum(tree.cond_prob[c] * mass_price[c] for c in kids)
+        y_next = sum(tree.cond_prob[c] * mass_price[c] for c in tree.children[n])
         if y_next != mass_price[n]:
             violations.append(
                 f"node {n}: shadow price drift under Q (weighted drift {y_next - mass_price[n]})"
@@ -680,40 +660,66 @@ def max_equivalence_margin(
     return result.objective, cps
 
 
-def cps_threshold(
-    market: Market,
-    epsilon: Fraction = DEFAULT_EPSILON,
-    resolution: Fraction = Fraction(1, 1024),
-) -> Fraction:
-    """Smallest feasible cost level, located by bisection.
+def _threshold(market: Market, equivalent: bool) -> tuple[Fraction, bool]:
+    """The threshold, the infimum of the cost levels with a price system,
+    and whether a system exists at the threshold itself.
 
-    Returns 0 immediately when level 0 is feasible.  Otherwise bisects
-    over [0, 1); the returned value is the smallest midpoint found
-    feasible, and the true threshold lies within ``resolution`` below it.
-    Some feasible level always exists: once the widest spread covers the
-    price range a constant shadow price works.
+    Every interval end of the backward pass is a bid (1 - lambda') S_x or
+    an ask S_y of a node in the subtree, and a node's interval can only
+    empty where one end is its own quote.  So the root's emptiness changes
+    only at levels 1 - S_d / S_a with one node an ancestor of the other
+    and S_d < S_a.  Feasibility grows with the level, so a binary search
+    over those candidates, one backward pass per probe, finds the first
+    feasible one; one more pass between it and the last infeasible one
+    tells which of the two is the threshold.  Close enough to 1 every
+    level is feasible, since one constant shadow price then sits in every
+    spread.
     """
-    resolution = Fraction(resolution)
-    if resolution <= 0:
-        raise ValueError(f"resolution must be positive, got {resolution}")
-    epsilon = Fraction(epsilon)
-    mode = EQUIVALENT if epsilon > 0 else ABSOLUTELY_CONTINUOUS
+    problems = validate_market(market)
+    if problems:
+        raise MarketError(problems)
+    tree, price = market.tree, market.price
 
     def feasible(fee: Fraction) -> bool:
-        return find_cps(market, CpsQuery(fee, epsilon, mode)).feasible
+        return tree.root in _shadow_intervals(market, fee, equivalent)[0]
 
     if feasible(Fraction(0)):
-        return Fraction(0)
-    lo = Fraction(0)
-    hi = Fraction(1)
-    hi_ok = False
-    while (not hi_ok) or hi - lo > resolution:
-        mid = (lo + hi) / 2
-        if feasible(mid):
-            hi, hi_ok = mid, True
+        return Fraction(0), True
+    ratios = set()
+    for d in tree.nodes:
+        a = tree.parent[d]
+        while a is not None:
+            lo, hi = sorted((price[a], price[d]))
+            if lo < hi:
+                ratios.add(lo / hi)
+            a = tree.parent[a]
+    levels = [Fraction(0)] + [1 - r for r in sorted(ratios, reverse=True)]
+    below, first = 0, len(levels)
+    while first - below > 1:
+        mid = (below + first) // 2
+        if feasible(levels[mid]):
+            first = mid
         else:
-            lo = mid
-    return hi
+            below = mid
+    upper = levels[first] if first < len(levels) else Fraction(1)
+    if feasible((levels[below] + upper) / 2):
+        return levels[below], False
+    return upper, True
+
+
+def cps_threshold(market: Market, epsilon: Fraction = DEFAULT_EPSILON) -> Fraction:
+    """The threshold: the infimum of the cost levels at which a price
+    system exists, computed exactly.
+
+    epsilon > 0 asks for an equivalent system and epsilon = 0 for an
+    absolutely continuous one; the size of the floor does not move the
+    threshold.  The infimum need not be attained: a market can admit a
+    system at every positive level but not at 0.
+    """
+    epsilon = Fraction(epsilon)
+    if epsilon < 0:
+        raise CpsError([f"epsilon must be nonnegative, got {epsilon}"])
+    return _threshold(market, epsilon > 0)[0]
 
 
 def scale_cps(

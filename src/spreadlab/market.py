@@ -12,17 +12,11 @@ from fractions import Fraction
 from typing import Mapping
 
 from .rationals import format_rational, parse_rational
-from .tree import AdaptedProcess, EventTree, TreeError, ensure_adapted, load_tree
+from .tree import AdaptedProcess, EventTree, InputError, TreeError, ensure_adapted, load_tree
 
 
-class MarketError(ValueError):
+class MarketError(InputError):
     """An invalid market description."""
-
-    def __init__(self, problems):
-        if isinstance(problems, str):
-            problems = [problems]
-        self.problems = list(problems)
-        super().__init__("; ".join(self.problems))
 
 
 @dataclass(frozen=True)

@@ -18,17 +18,11 @@ from typing import Mapping
 
 from .market import Market
 from .rationals import format_rational, parse_rational
-from .tree import AdaptedProcess, EventTree, NodeId, TreeError, ensure_adapted
+from .tree import AdaptedProcess, EventTree, InputError, NodeId, ensure_adapted
 
 
-class StrategyError(ValueError):
+class StrategyError(InputError):
     """An invalid strategy description."""
-
-    def __init__(self, problems):
-        if isinstance(problems, str):
-            problems = [problems]
-        self.problems = list(problems)
-        super().__init__("; ".join(self.problems))
 
 
 @dataclass(frozen=True)

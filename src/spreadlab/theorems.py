@@ -11,18 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .cps import (
-    ABSOLUTELY_CONTINUOUS,
-    DEFAULT_EPSILON,
-    EQUIVALENT,
-    ConsistentPriceSystem,
-    CpsQuery,
-    find_cps,
-    scale_cps,
-    verify_cps,
-)
+from .cps import DEFAULT_EPSILON, ConsistentPriceSystem, CpsError, _threshold, scale_cps, verify_cps
 from .market import Market
 from .strategy import Strategy, check_self_financing, ensure_strategy, pre_trade_holdings
 from .tree import (
@@ -31,6 +21,7 @@ from .tree import (
     NodeId,
     PredictableProcess,
     conditional_expectation,
+    density_problems,
     ensure_adapted,
     ensure_predictable,
 )
@@ -38,23 +29,6 @@ from .valuation import NUMERAIRE_BASED, NUMERAIRE_FREE, admissibility_bound, liq
 
 LONG = "long"
 SHORT = "short"
-
-
-def _density_problems(tree: EventTree, density: AdaptedProcess) -> list[str]:
-    missing = [n for n in tree.nodes if n not in density]
-    if missing:
-        return [f"density missing at nodes {missing}"]
-    problems = []
-    if density[tree.root] != 1:
-        problems.append(f"density at root is {density[tree.root]}, expected 1")
-    for n in tree.nodes:
-        if density[n] < 0:
-            problems.append(f"node {n}: density {density[n]} is negative")
-    for n in tree.internal:
-        step = sum(tree.cond_prob[c] * density[c] for c in tree.children[n])
-        if step != density[n]:
-            problems.append(f"node {n}: density has drift {step - density[n]}")
-    return problems
 
 
 def _support_drift(
@@ -85,7 +59,7 @@ def check_ossm(tree: EventTree, process: AdaptedProcess, density: AdaptedProcess
     """Is the process a supermartingale under the measure given by the
     density?  Only nodes charged by that measure are examined."""
     ensure_adapted(tree, process, "process")
-    problems = _density_problems(tree, density)
+    problems = density_problems(tree, density)
     if problems:
         raise ValueError("invalid density: " + "; ".join(problems))
     violations = []
@@ -116,7 +90,7 @@ def doob_decompose(tree: EventTree, process: AdaptedProcess, density: AdaptedPro
     compensator is frozen (the measure never sees those nodes).
     """
     ensure_adapted(tree, process, "process")
-    problems = _density_problems(tree, density)
+    problems = density_problems(tree, density)
     if problems:
         raise ValueError("invalid density: " + "; ".join(problems))
     compensator: dict[NodeId, Fraction] = {tree.root: Fraction(0)}
@@ -246,8 +220,9 @@ class TheoremVerdict:
 
     ``holds`` speaks only about the conclusion; an unmet hypothesis with a
     violated conclusion is reported as both (the statement is then silent,
-    not wrong).  ``cps_levels`` lists each probed cost level with its
-    feasibility.
+    not wrong).  ``cps_levels`` holds the one pair (t, attained): t is the
+    infimum of the cost levels with a price system, and ``attained`` says
+    whether a system exists at t itself.
     """
 
     holds: bool
@@ -260,25 +235,10 @@ class TheoremVerdict:
     admissibility_bound: "Fraction | None" = None
 
 
-def default_fee_grid(fee: Fraction) -> tuple[Fraction, ...]:
-    """Geometric sample of cost levels: fee halved ten times.
-
-    Thresholds live near zero, so a grid accumulating there is the
-    informative default.
-    """
-    levels = []
-    for k in range(11):
-        lv = Fraction(fee) / 2**k
-        if lv not in levels:
-            levels.append(lv)
-    return tuple(levels)
-
-
 def check_admissibility_theorem(
     market: Market,
     strategy: Strategy,
     x,
-    lambda_grid: "Sequence | None" = None,
     mode: str = NUMERAIRE_BASED,
     epsilon: Fraction = DEFAULT_EPSILON,
 ) -> TheoremVerdict:
@@ -286,10 +246,12 @@ def check_admissibility_theorem(
 
     Hypotheses checked: the strategy is self-financing, its pre-trade
     liquidation value at every leaf is >= -x, and a price system exists at
-    every cost level in the grid (default: the market's level halved ten
-    times).  The conclusion asks the same bound node-wise, always against
-    pre-trade holdings: the bound protects the position one is carrying,
-    not the one after a repair trade.
+    every cost level in (0, lambda), equivalent when epsilon > 0 and
+    absolutely continuous when epsilon = 0.  That holds exactly when the
+    threshold is 0, and at lambda = 0 it must also be attained.  The
+    conclusion asks the same bound node-wise, always against pre-trade
+    holdings: the bound protects the position one is carrying, not the
+    one after a repair trade.
 
     The two admissibility notions share this conclusion; the mode picks
     which notion's minimal bound is reported alongside.
@@ -298,6 +260,9 @@ def check_admissibility_theorem(
     x = Fraction(x)
     if mode not in (NUMERAIRE_BASED, NUMERAIRE_FREE):
         raise ValueError(f"unknown admissibility mode {mode!r}")
+    epsilon = Fraction(epsilon)
+    if epsilon < 0:
+        raise CpsError([f"epsilon must be nonnegative, got {epsilon}"])
     ensure_strategy(tree, strategy)
 
     failures: list[str] = []
@@ -307,18 +272,11 @@ def check_admissibility_theorem(
 
     bound = admissibility_bound(market, strategy, mode).minimal_bound
 
-    if lambda_grid is None:
-        grid = default_fee_grid(market.fee)
-    else:
-        grid = tuple(Fraction(v) for v in lambda_grid)
-    epsilon = Fraction(epsilon)
-    query_mode = EQUIVALENT if epsilon > 0 else ABSOLUTELY_CONTINUOUS
-    levels = []
-    for lv in grid:
-        feasible = find_cps(market, CpsQuery(lv, epsilon, query_mode)).feasible
-        levels.append((lv, feasible))
-        if not feasible:
-            failures.append(f"no consistent price system at cost level {lv}")
+    threshold, attained = _threshold(market, epsilon > 0)
+    if threshold > 0:
+        failures.append(f"no consistent price system at cost levels below {threshold}")
+    elif market.fee == 0 and not attained:
+        failures.append(f"no consistent price system at cost level {threshold}")
 
     for leaf in tree.leaves:
         bond, stock = pre_trade_holdings(tree, strategy, leaf)
@@ -344,7 +302,7 @@ def check_admissibility_theorem(
         witness=witness,
         hypothesis_ok=not failures,
         hypothesis_failures=tuple(failures),
-        cps_levels=tuple(levels),
+        cps_levels=((threshold, attained),),
         mode=mode,
         admissibility_bound=bound,
     )
@@ -375,9 +333,12 @@ def frictionless_check(market: Market, positions: PredictableProcess, x) -> Theo
             gains[n] = gains[p] + positions[n] * (market.price[n] - market.price[p])
 
     failures: list[str] = []
-    feasible = find_cps(market, CpsQuery(Fraction(0))).feasible
-    if not feasible:
-        failures.append("no equivalent martingale measure (price system search infeasible at level 0)")
+    threshold, attained = _threshold(market, True)
+    if threshold > 0 or not attained:
+        failures.append(
+            f"no equivalent martingale measure (no consistent price system at cost level 0,"
+            f" threshold {threshold})"
+        )
     for leaf in tree.leaves:
         if gains[leaf] < -x:
             failures.append(f"terminal bound fails at leaf {leaf}: {gains[leaf]} < {-x}")
@@ -398,7 +359,7 @@ def frictionless_check(market: Market, positions: PredictableProcess, x) -> Theo
         witness=witness,
         hypothesis_ok=not failures,
         hypothesis_failures=tuple(failures),
-        cps_levels=((Fraction(0), feasible),),
+        cps_levels=((threshold, attained),),
     )
 
 

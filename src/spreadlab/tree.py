@@ -23,14 +23,18 @@ from .rationals import parse_rational
 NodeId = int
 
 
-class TreeError(ValueError):
-    """A structurally invalid tree or a malformed tree document."""
+class InputError(ValueError):
+    """An invalid input, with every problem found listed in ``problems``."""
 
     def __init__(self, problems):
         if isinstance(problems, str):
             problems = [problems]
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
+
+
+class TreeError(InputError):
+    """A structurally invalid tree or a malformed tree document."""
 
 
 class NullEventError(ValueError):
@@ -366,6 +370,25 @@ def conditional_expectation(
         return Fraction(total)
     total = sum(w * density[n] * process[n] for n, w in weights.items())
     return Fraction(total) / density[node]
+
+
+def density_problems(tree: EventTree, density: AdaptedProcess) -> list[str]:
+    """Everything that keeps ``density`` from being a density process: a
+    nonnegative martingale under the reference measure with Z(root) = 1."""
+    missing = [n for n in tree.nodes if n not in density]
+    if missing:
+        return [f"density missing at nodes {missing}"]
+    problems = []
+    if density[tree.root] != 1:
+        problems.append(f"node {tree.root}: density at root is {density[tree.root]}, expected 1")
+    for n in tree.nodes:
+        if density[n] < 0:
+            problems.append(f"node {n}: density {density[n]} is negative")
+    for n in tree.internal:
+        step = sum(tree.cond_prob[c] * density[c] for c in tree.children[n])
+        if step != density[n]:
+            problems.append(f"node {n}: density drift {step - density[n]} (martingale property fails)")
+    return problems
 
 
 def one_step_drift(

@@ -1,7 +1,7 @@
 """Acceptance gate: one printed verdict line per criterion.
 
 Run with -s to see the lines; every check is exact rational arithmetic,
-no tolerances beyond the stated bisection resolution.
+with no tolerance anywhere.
 """
 
 import functools
@@ -69,8 +69,7 @@ def test_criterion_1_deterministic_counterexample():
     assert all(v == F(1, 2) for v in report.cps_witness.shadow_price.values())
     ok, violations = verify_cps(market, report.cps_witness)
     assert ok, violations
-    threshold = cps_threshold(market, resolution=F(1, 2**20))
-    assert abs(threshold - F(1, 2)) <= F(1, 2**20)
+    assert cps_threshold(market) == F(1, 2)
 
 
 @criterion(2)
@@ -174,11 +173,7 @@ def test_criterion_5_bound_propagation():
             )
             for leaf in market.tree.leaves
         )
-        grid = []
-        for lv in (market.fee, market.fee / 2, market.fee / 4):
-            if lv not in grid:
-                grid.append(lv)
-        verdict = check_admissibility_theorem(market, strategy, x, lambda_grid=grid)
+        verdict = check_admissibility_theorem(market, strategy, x)
         assert verdict.holds, verdict.witness
         assert verdict.hypothesis_ok, verdict.hypothesis_failures
 
@@ -191,9 +186,9 @@ def test_criterion_5_bound_propagation():
         assert verdict.witness.node == dip_node
         assert verdict.witness.classification == LONG
         assert not verdict.hypothesis_ok
-        infeasible_levels = [lv for lv, ok in verdict.cps_levels if not ok]
-        assert infeasible_levels
-        assert all(lv < report.fee for lv in infeasible_levels)
+        t = cps_threshold(report.market)
+        assert 0 < t <= report.fee
+        assert verdict.cps_levels == ((t, True),)
         assert any(
             "no consistent price system" in msg for msg in verdict.hypothesis_failures
         )

@@ -14,6 +14,11 @@ def read_json(path):
         return json.load(handle)
 
 
+def write_json(path, doc):
+    with open(path, "w") as handle:
+        json.dump(doc, handle)
+
+
 @pytest.fixture
 def det_files(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -295,13 +300,7 @@ class TestThreshold:
         assert result.exit_code == 0
         report = read_json(result.report_path)
         assert report["threshold"] == "1/2"
-        assert report["resolution"] == "1/1024"
-
-    def test_resolution_recorded(self, det_files):
-        result = run_command([
-            "cps-threshold", "--market", "det/market.json", "--resolution", "1/64",
-        ])
-        assert read_json(result.report_path)["resolution"] == "1/64"
+        assert report["attained"] is True
 
     def test_decimal_summary(self, det_files):
         result = run_command([
@@ -351,16 +350,59 @@ class TestTheorem:
         assert report["witness"] == {"node": 1, "classification": "long", "value": "-3/2"}
         assert report["hypothesis_ok"] is False
 
-    def test_holds_with_tight_grid(self, det_files):
+    def test_holds_on_martingale_market(self, tmp_path, monkeypatch):
+        # S = 1 over 2 and 1/2 is a martingale at p = 1/3; one share bought
+        # at the root liquidates to 1/2 and -5/8 at the leaves
+        monkeypatch.chdir(tmp_path)
+        write_json("market.json", {
+            "times": ["0", "1"],
+            "lambda": "1/4",
+            "nodes": [
+                {"id": 0, "parent": None, "prob": "1", "S": "1"},
+                {"id": 1, "parent": 0, "prob": "1/3", "S": "2"},
+                {"id": 2, "parent": 0, "prob": "2/3", "S": "1/2"},
+            ],
+        })
+        write_json("strategy.json", {"holdings": [
+            {"node": n, "phi0": "-1", "phi1": "1"} for n in range(3)
+        ]})
         result = run_command([
-            "theorem", "--market", "det/market.json",
-            "--strategy", "det/strategy.json", "--x", "3/2", "--grid", "1/2",
+            "theorem", "--market", "market.json", "--strategy", "strategy.json", "--x", "5/8",
         ])
         assert result.exit_code == 0
         report = read_json(result.report_path)
         assert report["holds"] and report["hypothesis_ok"]
-        assert report["cps_levels"] == [{"lambda_prime": "1/2", "feasible": True}]
-        assert report["admissibility_bound"] == "3/2"
+        assert report["cps_levels"] == [{"lambda_prime": "0", "feasible": True}]
+        assert report["admissibility_bound"] == "5/8"
+
+    def test_threshold_below_every_halving_exits_1(self, tmp_path, monkeypatch):
+        # the dip to 9999/10000 breaks -2 at node 1; no price system exists
+        # below 1/10000, so the hypothesis fails and the theorem is silent
+        monkeypatch.chdir(tmp_path)
+        write_json("market.json", {
+            "times": ["0", "1", "2"],
+            "lambda": "1/2",
+            "nodes": [
+                {"id": 0, "parent": None, "prob": "1", "S": "1"},
+                {"id": 1, "parent": 0, "prob": "1", "S": "9999/10000"},
+                {"id": 2, "parent": 1, "prob": "1", "S": "1"},
+            ],
+        })
+        write_json("strategy.json", {"holdings": [
+            {"node": n, "phi0": "-4", "phi1": "4"} for n in range(3)
+        ]})
+        result = run_command([
+            "theorem", "--market", "market.json", "--strategy", "strategy.json", "--x", "2",
+        ])
+        assert result.exit_code == 1
+        report = read_json(result.report_path)
+        assert report["holds"] is False and report["hypothesis_ok"] is False
+        assert report["witness"]["node"] == 1
+        assert report["cps_levels"] == [{"lambda_prime": "1/10000", "feasible": True}]
+        result = run_command(["cps-threshold", "--market", "market.json"])
+        assert read_json(result.report_path) == {
+            "threshold": "1/10000", "attained": True, "epsilon": "1/1000000",
+        }
 
     def test_hypothesis_only_failure_exits_3(self, det_files):
         result = run_command([
@@ -375,7 +417,7 @@ class TestTheorem:
     def test_numeraire_free_bound(self, det_files):
         result = run_command([
             "theorem", "--market", "det/market.json",
-            "--strategy", "det/strategy.json", "--x", "3/2", "--grid", "1/2",
+            "--strategy", "det/strategy.json", "--x", "3/2",
             "--numeraire-free",
         ])
         report = read_json(result.report_path)

@@ -190,10 +190,8 @@ class TestSelfChecks:
     def test_broken_sharpness_check_raises(self, monkeypatch):
         # the generator re-decides its advertised threshold; a wrong
         # answer must stop it even under python -O, where asserts vanish
-        from spreadlab import FindCpsResult, counterexamples
+        from spreadlab import counterexamples
 
-        monkeypatch.setattr(
-            counterexamples, "find_cps", lambda market, query: FindCpsResult(feasible=False)
-        )
-        with pytest.raises(RuntimeError, match="no price system at the fee 1/2"):
+        monkeypatch.setattr(counterexamples, "_threshold", lambda market, equivalent: (F(1, 2), False))
+        with pytest.raises(RuntimeError, match="attained: False\\), expected the fee 1/2"):
             deterministic_counterexample(F(1, 2))

@@ -210,14 +210,86 @@ class TestThreshold:
 
     def test_stochastic_market_threshold(self):
         market = stochastic_counterexample().market
-        threshold = cps_threshold(market, resolution=F(1, 64))
+        threshold = cps_threshold(market)
         assert threshold <= F(1, 4)
         assert find_cps(market, CpsQuery(threshold)).feasible
 
-    def test_resolution_validated(self):
-        market = increasing_chain()
-        with pytest.raises(ValueError, match="resolution"):
-            cps_threshold(market, resolution=F(0))
+    def test_found_path_market(self):
+        # a single path forces a constant shadow price, so the level must
+        # bridge the dip from 1 to 9999/10000
+        market = load_market({
+            "times": ["0", "1", "2"],
+            "lambda": "1/2",
+            "nodes": [
+                {"id": 0, "parent": None, "prob": "1", "S": "1"},
+                {"id": 1, "parent": 0, "prob": "1", "S": "9999/10000"},
+                {"id": 2, "parent": 1, "prob": "1", "S": "1"},
+            ],
+        })
+        assert cps_module._threshold(market, True) == (F(1, 10000), True)
+        assert cps_threshold(market) == F(1, 10000)
+        assert not find_cps(market, CpsQuery(F(1, 20000))).feasible
+
+    def test_arbitrage_but_delicate_market(self):
+        # the root price 1 is the lower child price: no equivalent measure
+        # at level 0, one at every positive level, and an absolutely
+        # continuous one (all mass on the lower child) already at 0
+        market = binary_market(p_up="1/2", up="1", down="2")
+        assert cps_module._threshold(market, True) == (0, False)
+        assert cps_module._threshold(market, False) == (0, True)
+        assert cps_threshold(market) == 0
+        assert cps_threshold(market, epsilon=0) == 0
+        assert not find_cps(market, CpsQuery(F(0))).feasible
+        assert find_cps(market, CpsQuery(F(1, 1000))).feasible
+        assert find_cps(market, CpsQuery(F(0), F(0), ABSOLUTELY_CONTINUOUS)).feasible
+
+    def test_negative_epsilon_rejected(self):
+        with pytest.raises(CpsError, match="epsilon"):
+            cps_threshold(increasing_chain(), epsilon=F(-1))
+
+    def test_equivalent_threshold_matches_closed_form(self):
+        # L_n = max(S_n, min_c L_c), H_n = min(S_n, max_c H_c): the
+        # equivalent-mode interval of node n is [(1 - level) L_n, H_n]
+        rng = random.Random(4242)
+        unattained = 0
+        for i in range(300):
+            market = random_market(rng)
+            tree, price = market.tree, market.price
+            low, high = {}, {}
+            for n in reversed(tree.nodes):
+                kids = tree.children[n]
+                low[n] = max([price[n]] + ([min(low[c] for c in kids)] if kids else []))
+                high[n] = min([price[n]] + ([max(high[c] for c in kids)] if kids else []))
+            expected = max(max(1 - high[n] / low[n], F(0)) for n in tree.nodes)
+            level, attained = cps_module._threshold(market, True)
+            assert level == expected
+            assert cps_threshold(market) == expected
+            if i % 6 == 0:
+                # attainment against the simplex: an equivalent system exists
+                # at a level exactly when the best minimum leaf density is positive
+                margin, _ = max_equivalence_margin(market, level)
+                assert attained == (margin is not None and margin > 0)
+                unattained += not attained
+        assert unattained > 0
+
+    def test_ac_threshold_matches_simplex(self):
+        rng = random.Random(2424)
+        positive = 0
+        for _ in range(50):
+            market = random_market(rng)
+            level, attained = cps_module._threshold(market, False)
+            assert cps_threshold(market, epsilon=0) == level
+
+            def lp(fee):
+                query = CpsQuery(fee, F(0), ABSOLUTELY_CONTINUOUS)
+                return cps_module._lp_find_cps(market, query).feasible
+
+            assert lp(level) == attained
+            assert lp(level + (1 - level) / 1024)
+            if level > 0:
+                assert not lp(level * F(1023, 1024))
+                positive += 1
+        assert positive > 0
 
 
 class TestBruteForce:

@@ -17,7 +17,6 @@ from spreadlab import (
     Strategy,
     check_admissibility_theorem,
     check_ossm,
-    default_fee_grid,
     derive_bond_account,
     deterministic_counterexample,
     doob_decompose,
@@ -372,18 +371,65 @@ class TestValueCompensatorLink:
             checked += 1
 
 
-class TestFeeGrid:
-    def test_halving_grid(self):
-        grid = default_fee_grid(F(1, 2))
-        assert len(grid) == 11
-        assert grid[0] == F(1, 2) and grid[-1] == F(1, 2048)
-        assert all(grid[i] == 2 * grid[i + 1] for i in range(10))
+def market_doc(fee, *nodes):
+    """Market from (id, parent, prob, S) tuples, one period per depth."""
+    depth = {}
+    for n, parent, _, _ in nodes:
+        depth[n] = 0 if parent is None else depth[parent] + 1
+    return load_market({
+        "times": [str(t) for t in range(max(depth.values()) + 1)],
+        "lambda": str(fee),
+        "nodes": [
+            {"id": n, "parent": parent, "prob": str(prob), "S": str(price)}
+            for n, parent, prob, price in nodes
+        ],
+    })
 
-    def test_zero_fee_collapses(self):
-        assert default_fee_grid(F(0)) == (F(0),)
+
+def constant_strategy(tree, bond, stock):
+    return Strategy(
+        bond=AdaptedProcess.constant(tree, F(bond)),
+        stock=AdaptedProcess.constant(tree, F(stock)),
+    )
 
 
 class TestAdmissibilityTheorem:
+    def test_threshold_below_every_halving(self):
+        # 4 shares bought at the root of the path 1, 9999/10000, 1: the
+        # dip breaks -2 at node 1, and no price system exists below
+        # 1/10000, far under the market level 1/2 halved ten times
+        market = market_doc(
+            F(1, 2), (0, None, 1, 1), (1, 0, 1, F(9999, 10000)), (2, 1, 1, 1)
+        )
+        verdict = check_admissibility_theorem(market, constant_strategy(market.tree, -4, 4), 2)
+        assert not verdict.holds
+        assert verdict.witness.node == 1
+        assert not verdict.hypothesis_ok
+        assert verdict.cps_levels == ((F(1, 10000), True),)
+        assert any(
+            "no consistent price system" in f and "1/10000" in f
+            for f in verdict.hypothesis_failures
+        )
+
+    def test_unattained_threshold_fails_only_without_costs(self):
+        # root 1 over children 1 and 2: an equivalent system exists at every
+        # positive level but not at 0, an absolutely continuous one at 0 too
+        nodes = ((0, None, 1, 1), (1, 0, F(1, 2), 1), (2, 0, F(1, 2), 2))
+        costly = market_doc(F(1, 4), *nodes)
+        idle = constant_strategy(costly.tree, 0, 0)
+        verdict = check_admissibility_theorem(costly, idle, 0)
+        assert verdict.hypothesis_ok, verdict.hypothesis_failures
+        assert verdict.cps_levels == ((0, False),)
+
+        free = market_doc(0, *nodes)
+        verdict = check_admissibility_theorem(free, idle, 0)
+        assert not verdict.hypothesis_ok
+        assert verdict.cps_levels == ((0, False),)
+        assert any("no consistent price system" in f for f in verdict.hypothesis_failures)
+        verdict = check_admissibility_theorem(free, idle, 0, epsilon=0)
+        assert verdict.hypothesis_ok, verdict.hypothesis_failures
+        assert verdict.cps_levels == ((0, True),)
+
     def test_idle_strategy_holds(self):
         rng = random.Random(131)
         market = random_market(rng, fee=F(1, 4), martingale=True)
@@ -404,7 +450,7 @@ class TestAdmissibilityTheorem:
         assert verdict.witness.node == 1
         assert verdict.witness.classification == LONG
         assert verdict.witness.value == F(-3, 2)
-        # the full grid dips below the cost threshold, so the premise fails too
+        # no price system exists below the market's own level, so the premise fails too
         assert not verdict.hypothesis_ok
         assert any("no consistent price system" in f for f in verdict.hypothesis_failures)
         feasible_levels = {lv for lv, ok in verdict.cps_levels if ok}
@@ -429,17 +475,14 @@ class TestAdmissibilityTheorem:
                 liquidation_value(market, *pre_trade_holdings(market.tree, strategy, leaf), leaf)
                 for leaf in market.tree.leaves
             )
-            grid = [market.fee, market.fee / 2, market.fee / 4]
-            verdict = check_admissibility_theorem(market, strategy, x, lambda_grid=grid)
+            verdict = check_admissibility_theorem(market, strategy, x)
             assert verdict.holds, (worst, verdict.witness)
             assert verdict.hypothesis_ok, verdict.hypothesis_failures
 
     def test_mode_only_changes_reported_bound(self):
         report = deterministic_counterexample(F(1, 2))
-        nb = check_admissibility_theorem(report.market, report.strategy, 1, lambda_grid=[F(1, 2)])
-        nf = check_admissibility_theorem(
-            report.market, report.strategy, 1, lambda_grid=[F(1, 2)], mode=NUMERAIRE_FREE
-        )
+        nb = check_admissibility_theorem(report.market, report.strategy, 1)
+        nf = check_admissibility_theorem(report.market, report.strategy, 1, mode=NUMERAIRE_FREE)
         assert nb.admissibility_bound == F(3, 2)
         assert nf.admissibility_bound == F(1)
         assert (nb.holds, nb.witness) == (nf.holds, nf.witness)
@@ -448,6 +491,11 @@ class TestAdmissibilityTheorem:
         report = deterministic_counterexample(F(1, 2))
         with pytest.raises(ValueError, match="unknown admissibility mode"):
             check_admissibility_theorem(report.market, report.strategy, 1, mode="strict")
+
+    def test_negative_epsilon(self):
+        report = deterministic_counterexample(F(1, 2))
+        with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+            check_admissibility_theorem(report.market, report.strategy, 1, epsilon=F(-1))
 
 
 class TestFrictionless:
