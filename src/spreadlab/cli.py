@@ -35,7 +35,7 @@ from .cps import (
 from .market import load_market, market_to_doc
 from .rationals import format_rational, parse_rational
 from .strategy import check_self_financing, load_strategy, strategy_to_doc
-from .theorems import check_admissibility_theorem, check_ossm, doob_decompose, shadow_decomposition
+from .theorems import check_admissibility_theorem, check_ossm, shadow_decomposition
 from .tree import InputError
 from .valuation import NUMERAIRE_BASED, NUMERAIRE_FREE, admissibility_bound
 
@@ -234,9 +234,8 @@ def _cmd_decompose(args) -> CommandResult:
         "drift_violations": {str(n): format_rational(d) for n, d in ossm.violations},
     }
     if ossm.ok:
-        doob = doob_decompose(market.tree, decomposition.value, cps.density)
-        report["martingale"] = _rational_map(doob.martingale)
-        report["compensator"] = _rational_map(doob.compensator)
+        report["martingale"] = _rational_map(ossm.decomposition.martingale)
+        report["compensator"] = _rational_map(ossm.decomposition.compensator)
     path = _write_report(args.report, report)
     root = market.tree.root
     leaves = market.tree.leaves

@@ -41,7 +41,7 @@ from . import simplex
 from .market import Market, MarketError, validate_market
 from .rationals import format_rational, parse_rational
 from .simplex import Constraint, FarkasCertificate
-from .tree import AdaptedProcess, EventTree, InputError, NodeId, density_problems
+from .tree import AdaptedProcess, EventTree, InputError, NodeId, density_problems, one_step_mean
 
 EQUIVALENT = "equivalent"
 ABSOLUTELY_CONTINUOUS = "absolutely_continuous"
@@ -595,29 +595,31 @@ def verify_cps(
     if fee is None:
         fee = cps.fee
     violations = density_problems(tree, cps.density)
-    if not all(n in cps.density for n in tree.nodes):
+    z = cps.density.values
+    if not all(n in z for n in tree.nodes):
         return False, violations
 
+    keep = 1 - fee
+    price, shadow = market.price.values, cps.shadow_price
     mass_price: dict[NodeId, Fraction] = {}
     for n in tree.nodes:
-        z = cps.density[n]
-        if n in cps.shadow_price:
-            s = cps.shadow_price[n]
-            lo = (1 - fee) * market.price[n]
-            hi = market.price[n]
+        if n in shadow:
+            s = shadow[n]
+            hi = price[n]
+            lo = keep * hi
             if not (lo <= s <= hi):
                 violations.append(
                     f"node {n}: shadow price {s} outside spread [{lo}, {hi}]"
                 )
-            mass_price[n] = z * s
-        elif z == 0:
+            mass_price[n] = z[n] * s
+        elif z[n] == 0:
             mass_price[n] = Fraction(0)
         else:
-            violations.append(f"node {n}: shadow price missing on support (density {z})")
+            violations.append(f"node {n}: shadow price missing on support (density {z[n]})")
             mass_price[n] = Fraction(0)
 
     for n in tree.internal:
-        y_next = sum(tree.cond_prob[c] * mass_price[c] for c in tree.children[n])
+        y_next = one_step_mean(tree, mass_price, n)
         if y_next != mass_price[n]:
             violations.append(
                 f"node {n}: shadow price drift under Q (weighted drift {y_next - mass_price[n]})"

@@ -34,9 +34,10 @@ def validate_market(market: Market) -> list[str]:
     except TreeError as exc:
         problems.extend(exc.problems)
         return problems
+    price = market.price.values
     for n in market.tree.nodes:
-        if market.price[n] <= 0:
-            problems.append(f"node {n}: price {market.price[n]} is not positive")
+        if price[n] <= 0:
+            problems.append(f"node {n}: price {price[n]} is not positive")
     if not (0 <= market.fee < 1):
         problems.append(f"lambda must satisfy 0 <= lambda < 1, got {market.fee}")
     return problems

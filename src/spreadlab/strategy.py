@@ -18,7 +18,10 @@ from typing import Mapping
 
 from .market import Market
 from .rationals import format_rational, parse_rational
-from .tree import AdaptedProcess, EventTree, InputError, NodeId, ensure_adapted
+from .tree import AdaptedProcess, EventTree, InputError, NodeId, ensure_adapted, is_mapping
+
+_ZERO = Fraction(0)
+_FLAT = (_ZERO, _ZERO)
 
 
 class StrategyError(InputError):
@@ -61,7 +64,7 @@ def pre_trade_holdings(tree: EventTree, strategy: Strategy, node: NodeId) -> tup
     """Holdings carried into a node before it trades; (0, 0) at the root."""
     parent = tree.parent[node]
     if parent is None:
-        return Fraction(0), Fraction(0)
+        return _FLAT
     return strategy.bond[parent], strategy.stock[parent]
 
 
@@ -82,6 +85,21 @@ def trade_decomposition(tree: EventTree, strategy: Strategy) -> TradeDecompositi
     return TradeDecomposition(buy=AdaptedProcess(buys), sell=AdaptedProcess(sells))
 
 
+def _slack(
+    bond_in: Fraction, stock_in: Fraction, bond: Fraction, stock: Fraction, ask: Fraction, keep: Fraction
+) -> Fraction:
+    """The self-financing formula: the bond ceiling after trading from
+    (bond_in, stock_in) to ``stock`` at quotes [keep * ask, ask], minus
+    ``bond``.  Purchases pay the ask, sales are credited the bid."""
+    slack = bond_in - bond
+    delta = stock - stock_in
+    if delta > 0:
+        slack -= ask * delta
+    elif delta < 0:
+        slack -= keep * ask * delta
+    return slack
+
+
 def trade_slack(market: Market, strategy: Strategy, node: NodeId) -> Fraction:
     """Cash left on the table by the trade at ``node``.
 
@@ -90,23 +108,24 @@ def trade_slack(market: Market, strategy: Strategy, node: NodeId) -> Fraction:
     actual bond increment.  Nonnegative slack everywhere is exactly the
     self-financing property.
     """
-    tree = market.tree
-    bond_in, stock_in = pre_trade_holdings(tree, strategy, node)
-    d = strategy.stock[node] - stock_in
-    ask = market.price[node]
-    bid = (1 - market.fee) * ask
-    ceiling = bid * (-d if d < 0 else Fraction(0)) - ask * (d if d > 0 else Fraction(0))
-    return ceiling - (strategy.bond[node] - bond_in)
+    bond_in, stock_in = pre_trade_holdings(market.tree, strategy, node)
+    return _slack(
+        bond_in, stock_in, strategy.bond[node], strategy.stock[node], market.price[node], 1 - market.fee
+    )
 
 
 def check_self_financing(market: Market, strategy: Strategy) -> SelfFinancingReport:
+    """``trade_slack`` at every node, in one sweep."""
     tree = market.tree
     ensure_strategy(tree, strategy)
+    keep = 1 - market.fee
+    price, bond, stock, parent = market.price.values, strategy.bond.values, strategy.stock.values, tree.parent
     slack: dict[NodeId, Fraction] = {}
     bad: list[NodeId] = []
     for n in tree.nodes:
-        s = trade_slack(market, strategy, n)
-        slack[n] = s
+        p = parent[n]
+        bond_in, stock_in = _FLAT if p is None else (bond[p], stock[p])
+        s = slack[n] = _slack(bond_in, stock_in, bond[n], stock[n], price[n], keep)
         if s < 0:
             bad.append(n)
     return SelfFinancingReport(ok=not bad, slack=AdaptedProcess(slack), violations=tuple(bad))
@@ -118,37 +137,39 @@ def derive_bond_account(market: Market, stock_plan: AdaptedProcess) -> Strategy:
     Every trade settles at its exact quote with zero slack: the bond
     account is credited the full bid proceeds of sales and debited the
     full ask cost of purchases, starting from zero before the root trade.
+    That bond is the slack the same trade would leave with no bond held.
     """
     tree = market.tree
     ensure_adapted(tree, stock_plan, "stock plan")
+    keep = 1 - market.fee
     bond: dict[NodeId, Fraction] = {}
     for n in tree.nodes:
         p = tree.parent[n]
-        bond_in = Fraction(0) if p is None else bond[p]
-        stock_in = Fraction(0) if p is None else stock_plan[p]
-        d = stock_plan[n] - stock_in
-        ask = market.price[n]
-        bid = (1 - market.fee) * ask
-        bond[n] = bond_in + bid * (-d if d < 0 else Fraction(0)) - ask * (d if d > 0 else Fraction(0))
+        bond_in, stock_in = _FLAT if p is None else (bond[p], stock_plan[p])
+        bond[n] = _slack(bond_in, stock_in, _ZERO, stock_plan[n], market.price[n], keep)
     return Strategy(bond=AdaptedProcess(bond), stock=stock_plan)
 
 
 def total_variation(tree: EventTree, strategy: Strategy) -> tuple[Fraction, Fraction]:
     """Componentwise total variation: the largest, over root-to-leaf paths,
     of the summed absolute increments of each account (root trade included).
+
+    One top-down pass carries each node's path sums, so every increment is
+    taken once.
     """
-    tv_bond = Fraction(0)
-    tv_stock = Fraction(0)
-    for leaf in tree.leaves:
-        b = Fraction(0)
-        s = Fraction(0)
-        for n in tree.path(leaf):
-            bond_in, stock_in = pre_trade_holdings(tree, strategy, n)
-            b += abs(strategy.bond[n] - bond_in)
-            s += abs(strategy.stock[n] - stock_in)
-        tv_bond = max(tv_bond, b)
-        tv_stock = max(tv_stock, s)
-    return tv_bond, tv_stock
+    bond, stock, parent = strategy.bond.values, strategy.stock.values, tree.parent
+    path_var: dict[NodeId, tuple[Fraction, Fraction]] = {}
+    for n in tree.nodes:
+        p = parent[n]
+        if p is None:
+            path_var[n] = (abs(bond[n]), abs(stock[n]))
+        else:
+            b, s = path_var[p]
+            path_var[n] = (b + abs(bond[n] - bond[p]), s + abs(stock[n] - stock[p]))
+    return (
+        max(path_var[leaf][0] for leaf in tree.leaves),
+        max(path_var[leaf][1] for leaf in tree.leaves),
+    )
 
 
 def load_strategy(document: Mapping, tree: EventTree) -> Strategy:
@@ -165,7 +186,7 @@ def load_strategy(document: Mapping, tree: EventTree) -> Strategy:
 
     given: dict[NodeId, tuple[Fraction, Fraction]] = {}
     for i, spec in enumerate(document["holdings"]):
-        if not isinstance(spec, Mapping) or "node" not in spec:
+        if not is_mapping(spec) or "node" not in spec:
             problems.append(f"holdings[{i}]: each entry needs a 'node'")
             continue
         node = spec["node"]

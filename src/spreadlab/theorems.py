@@ -24,52 +24,15 @@ from .tree import (
     density_problems,
     ensure_adapted,
     ensure_predictable,
+    support_drift,
 )
-from .valuation import NUMERAIRE_BASED, NUMERAIRE_FREE, admissibility_bound, liquidation_value
+from .valuation import NUMERAIRE_BASED, NUMERAIRE_FREE, admissibility_bound, liquidation_value, shadow_value
 
 LONG = "long"
 SHORT = "short"
 
 
-def _support_drift(
-    tree: EventTree, process: AdaptedProcess, density: AdaptedProcess, node: NodeId
-) -> Fraction:
-    """One-step drift of the process under the tilted measure at an
-    internal node with positive density."""
-    step = sum(
-        tree.cond_prob[c] * density[c] * process[c] for c in tree.children[node]
-    )
-    return step / density[node] - process[node]
-
-
-@dataclass(frozen=True)
-class OssmReport:
-    """Outcome of the one-step supermartingale check.
-
-    Violations are (node, positive drift) pairs.  On a finite tree the
-    one-step criterion is equivalent to the bound over every pair of
-    stopping times, so an empty list certifies the full statement.
-    """
-
-    ok: bool
-    violations: tuple[tuple[NodeId, Fraction], ...]
-
-
-def check_ossm(tree: EventTree, process: AdaptedProcess, density: AdaptedProcess) -> OssmReport:
-    """Is the process a supermartingale under the measure given by the
-    density?  Only nodes charged by that measure are examined."""
-    ensure_adapted(tree, process, "process")
-    problems = density_problems(tree, density)
-    if problems:
-        raise ValueError("invalid density: " + "; ".join(problems))
-    violations = []
-    for n in tree.internal:
-        if density[n] == 0:
-            continue
-        drift = _support_drift(tree, process, density, n)
-        if drift > 0:
-            violations.append((n, drift))
-    return OssmReport(ok=not violations, violations=tuple(violations))
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -81,35 +44,64 @@ class Decomposition:
     compensator: PredictableProcess
 
 
-def doob_decompose(tree: EventTree, process: AdaptedProcess, density: AdaptedProcess) -> Decomposition:
-    """Split a supermartingale into martingale minus rising compensator.
+@dataclass(frozen=True)
+class OssmReport:
+    """Outcome of the one-step supermartingale check.
+
+    Violations are (node, positive drift) pairs.  On a finite tree the
+    one-step criterion is equivalent to the bound over every pair of
+    stopping times, so an empty list certifies the full statement, and
+    ``decomposition`` then carries the Doob split that the drifts give.
+    """
+
+    ok: bool
+    violations: tuple[tuple[NodeId, Fraction], ...]
+    decomposition: "Decomposition | None" = None
+
+
+def check_ossm(tree: EventTree, process: AdaptedProcess, density: AdaptedProcess) -> OssmReport:
+    """Is the process a supermartingale under the measure given by the
+    density?  Only nodes charged by that measure are examined.
 
     The compensator's increment over each child set is the parent's
-    expected one-step drop, which pins the whole decomposition; a positive
-    drift anywhere in the support is rejected.  Outside the support the
-    compensator is frozen (the measure never sees those nodes).
+    expected one-step drop, which pins the whole Doob decomposition.
+    Outside the support the compensator is frozen (the measure never sees
+    those nodes).
     """
     ensure_adapted(tree, process, "process")
     problems = density_problems(tree, density)
     if problems:
         raise ValueError("invalid density: " + "; ".join(problems))
-    compensator: dict[NodeId, Fraction] = {tree.root: Fraction(0)}
+    drift = support_drift(tree, process, density)
+    violations = tuple((n, d) for n, d in drift.items() if d > 0)
+    if violations:
+        return OssmReport(ok=False, violations=violations)
+
+    compensator: dict[NodeId, Fraction] = {tree.root: _ZERO}
     for n in tree.internal:
-        if density[n] == 0:
-            inc = Fraction(0)
-        else:
-            inc = -_support_drift(tree, process, density, n)
-            if inc < 0:
-                raise ValueError(
-                    f"node {n}: positive drift {-inc}, not a supermartingale under this measure"
-                )
+        d = drift.get(n)
+        level = compensator[n] - d if d else compensator[n]
         for c in tree.children[n]:
-            compensator[c] = compensator[n] + inc
+            compensator[c] = level
     martingale = {n: process[n] + compensator[n] for n in tree.nodes}
-    return Decomposition(
+    decomposition = Decomposition(
         martingale=AdaptedProcess(martingale),
         compensator=PredictableProcess(compensator),
     )
+    return OssmReport(ok=True, violations=(), decomposition=decomposition)
+
+
+def doob_decompose(tree: EventTree, process: AdaptedProcess, density: AdaptedProcess) -> Decomposition:
+    """Split a supermartingale into martingale minus rising compensator.
+
+    The split is the one ``check_ossm`` certifies with; a positive drift
+    anywhere in the support is rejected.
+    """
+    report = check_ossm(tree, process, density)
+    if not report.ok:
+        n, d = report.violations[0]
+        raise ValueError(f"node {n}: positive drift {d}, not a supermartingale under this measure")
+    return report.decomposition
 
 
 def shadow_values(
@@ -126,14 +118,9 @@ def shadow_values(
     missing = [n for n in tree.nodes if n not in cps.shadow_price]
     if missing:
         raise ValueError(f"shadow price missing at nodes {missing}")
-    out = {}
-    for n in tree.nodes:
-        if pre_trade:
-            bond, stock = pre_trade_holdings(tree, strategy, n)
-        else:
-            bond, stock = strategy.bond[n], strategy.stock[n]
-        out[n] = bond + stock * cps.shadow_price[n]
-    return AdaptedProcess(out)
+    return AdaptedProcess(
+        {n: shadow_value(tree, strategy, cps.shadow_price, n, pre_trade) for n in tree.nodes}
+    )
 
 
 @dataclass(frozen=True)
@@ -162,7 +149,6 @@ def shadow_decomposition(
     verified against the market's cost level, not its own.
     """
     tree = market.tree
-    ensure_strategy(tree, strategy)
     report = check_self_financing(market, strategy)
     if not report.ok:
         raise ValueError(f"strategy is not self-financing at nodes {list(report.violations)}")
@@ -176,24 +162,22 @@ def shadow_decomposition(
         )
 
     s = cps.shadow_price
+    bond, stock, parent = strategy.bond.values, strategy.stock.values, tree.parent
     cost: dict[NodeId, Fraction] = {}
     transform: dict[NodeId, Fraction] = {}
     value: dict[NodeId, Fraction] = {}
     for n in tree.nodes:
-        p = tree.parent[n]
+        p = parent[n]
+        v = value[n] = bond[n] + s[n] * stock[n]
         if p is None:
-            cost[n] = strategy.bond[n] + s[n] * strategy.stock[n]
-            transform[n] = Fraction(0)
-        else:
-            d_bond = strategy.bond[n] - strategy.bond[p]
-            d_stock = strategy.stock[n] - strategy.stock[p]
-            cost[n] = cost[p] + d_bond + s[n] * d_stock
-            transform[n] = transform[p] + strategy.stock[p] * (s[n] - s[p])
-        value[n] = strategy.bond[n] + s[n] * strategy.stock[n]
-        if value[n] != cost[n] + transform[n]:
-            raise RuntimeError(
-                f"node {n}: marked value {value[n]} != cost {cost[n]} + transform {transform[n]}"
-            )
+            # the root trade comes from the empty position: all of it is cost
+            cost[n] = v
+            transform[n] = _ZERO
+            continue
+        c = cost[n] = cost[p] + (bond[n] - bond[p]) + s[n] * (stock[n] - stock[p])
+        t = transform[n] = transform[p] + stock[p] * (s[n] - s[p])
+        if v != c + t:
+            raise RuntimeError(f"node {n}: marked value {v} != cost {c} + transform {t}")
     return ShadowDecomposition(
         cost=AdaptedProcess(cost),
         transform=AdaptedProcess(transform),
@@ -278,23 +262,21 @@ def check_admissibility_theorem(
     elif market.fee == 0 and not attained:
         failures.append(f"no consistent price system at cost level {threshold}")
 
-    for leaf in tree.leaves:
-        bond, stock = pre_trade_holdings(tree, strategy, leaf)
-        v = liquidation_value(market, bond, stock, leaf)
-        if v < -x:
-            failures.append(f"terminal bound fails at leaf {leaf}: {v} < {-x}")
-
+    # leaves come last in node order, in the order of tree.leaves
     witness = None
+    floor = -x
     for n in tree.nodes:
         bond, stock = pre_trade_holdings(tree, strategy, n)
         v = liquidation_value(market, bond, stock, n)
-        if v < -x:
-            witness = TheoremWitness(
-                node=n,
-                classification=LONG if stock >= 0 else SHORT,
-                value=v,
-            )
-            break
+        if v < floor:
+            if witness is None:
+                witness = TheoremWitness(
+                    node=n,
+                    classification=LONG if stock >= 0 else SHORT,
+                    value=v,
+                )
+            if not tree.children[n]:
+                failures.append(f"terminal bound fails at leaf {n}: {v} < {floor}")
 
     return TheoremVerdict(
         holds=witness is None,

@@ -45,6 +45,20 @@ class NullEventError(ValueError):
         super().__init__(f"node {node} carries zero mass under the given measure")
 
 
+def is_mapping(value) -> bool:
+    """isinstance(value, Mapping), with the common ``dict`` answered first."""
+    return type(value) is dict or isinstance(value, Mapping)
+
+
+def _total(values: Iterable[Fraction]) -> Fraction:
+    """Exact sum of a nonempty iterable, started at its first term."""
+    values = iter(values)
+    total = next(values)
+    for v in values:
+        total += v
+    return total
+
+
 @dataclass(frozen=True)
 class AdaptedProcess:
     """Node-indexed values: the process is revealed exactly at each node."""
@@ -148,7 +162,7 @@ class EventTree:
                 continue
             seen.add(node)
             parent[node] = par
-            cond[node] = Fraction(prob)
+            cond[node] = prob if isinstance(prob, Fraction) else Fraction(prob)
 
         roots = [n for n, p in parent.items() if p is None]
         if len(roots) != 1 or (roots and roots[0] != 0):
@@ -200,13 +214,13 @@ class EventTree:
         for n in parent:
             kids = children[n]
             if kids:
-                total = sum(cond[c] for c in kids)
+                total = _total(cond[c] for c in kids)
                 if total != 1:
                     problems.append(
                         f"node {n}: children probabilities sum to {total}, expected 1"
                     )
 
-        times = tuple(Fraction(t) for t in times)
+        times = tuple(t if isinstance(t, Fraction) else Fraction(t) for t in times)
         if len(times) != horizon + 1:
             problems.append(
                 f"times has {len(times)} entries, expected {horizon + 1} for depth {horizon}"
@@ -223,7 +237,7 @@ class EventTree:
         for n in order:
             p = parent[n]
             node_prob[n] = cond[n] if p is None else node_prob[p] * cond[n]
-        mass = sum(node_prob[n] for n in leaves)
+        mass = _total(node_prob[n] for n in leaves)
         if mass != 1:
             raise TreeError([f"leaf probabilities sum to {mass}, expected 1"])
 
@@ -277,7 +291,7 @@ def load_tree(document: Mapping) -> EventTree:
 
     entries = []
     for i, spec in enumerate(document["nodes"]):
-        if not isinstance(spec, Mapping) or "id" not in spec:
+        if not is_mapping(spec) or "id" not in spec:
             problems.append(f"nodes[{i}]: each node needs at least an 'id'")
             continue
         node = spec["id"]
@@ -372,23 +386,47 @@ def conditional_expectation(
     return Fraction(total) / density[node]
 
 
+def one_step_mean(tree: EventTree, values: Mapping[NodeId, Fraction], node: NodeId) -> Fraction:
+    """E[X_next | node] under the reference measure, at an internal node."""
+    cond = tree.cond_prob
+    return _total(cond[c] * values[c] for c in tree.children[node])
+
+
 def density_problems(tree: EventTree, density: AdaptedProcess) -> list[str]:
     """Everything that keeps ``density`` from being a density process: a
     nonnegative martingale under the reference measure with Z(root) = 1."""
-    missing = [n for n in tree.nodes if n not in density]
+    z = density.values
+    missing = [n for n in tree.nodes if n not in z]
     if missing:
         return [f"density missing at nodes {missing}"]
     problems = []
-    if density[tree.root] != 1:
-        problems.append(f"node {tree.root}: density at root is {density[tree.root]}, expected 1")
+    if z[tree.root] != 1:
+        problems.append(f"node {tree.root}: density at root is {z[tree.root]}, expected 1")
     for n in tree.nodes:
-        if density[n] < 0:
-            problems.append(f"node {n}: density {density[n]} is negative")
+        if z[n] < 0:
+            problems.append(f"node {n}: density {z[n]} is negative")
     for n in tree.internal:
-        step = sum(tree.cond_prob[c] * density[c] for c in tree.children[n])
-        if step != density[n]:
-            problems.append(f"node {n}: density drift {step - density[n]} (martingale property fails)")
+        step = one_step_mean(tree, z, n)
+        if step != z[n]:
+            problems.append(f"node {n}: density drift {step - z[n]} (martingale property fails)")
     return problems
+
+
+def support_drift(
+    tree: EventTree,
+    process: AdaptedProcess,
+    density: "AdaptedProcess | None" = None,
+) -> dict[NodeId, Fraction]:
+    """E[X_next | n] - X(n) at every internal node the measure charges:
+    under the reference measure when ``density`` is None, else under the
+    measure with that density (internal nodes where it vanishes are left
+    out)."""
+    x = process.values
+    if density is None:
+        return {n: one_step_mean(tree, x, n) - x[n] for n in tree.internal}
+    z = density.values
+    mass = {n: z[n] * x[n] for n in tree.nodes}
+    return {n: one_step_mean(tree, mass, n) / z[n] - x[n] for n in tree.internal if z[n]}
 
 
 def one_step_drift(
@@ -402,18 +440,10 @@ def one_step_drift(
     when the drift vanishes everywhere.  Raises NullEventError at internal
     nodes where the density vanishes, as in conditional_expectation.
     """
-    drift: dict[NodeId, Fraction] = {}
-    for n in tree.nodes:
-        kids = tree.children[n]
-        if not kids:
-            drift[n] = Fraction(0)
-            continue
-        if density is None:
-            step = sum(tree.cond_prob[c] * process[c] for c in kids)
-        else:
+    if density is not None:
+        for n in tree.internal:
             if density[n] == 0:
                 raise NullEventError(n)
-            step = sum(tree.cond_prob[c] * density[c] * process[c] for c in kids)
-            step /= density[n]
-        drift[n] = Fraction(step) - process[n]
-    return AdaptedProcess(drift)
+    drift = support_drift(tree, process, density)
+    zero = Fraction(0)
+    return AdaptedProcess({n: drift.get(n, zero) for n in tree.nodes})

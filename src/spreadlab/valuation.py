@@ -24,14 +24,23 @@ from .tree import AdaptedProcess, EventTree, NodeId
 NUMERAIRE_BASED = "numeraire_based"
 NUMERAIRE_FREE = "numeraire_free"
 
+_ZERO = Fraction(0)
+
+
+def _liquidate(bond: Fraction, stock: Fraction, bid: Fraction, ask: Fraction) -> Fraction:
+    """The liquidation formula: long stock sells at the bid, short stock
+    covers at the ask."""
+    if stock > 0:
+        return bond + stock * bid
+    if stock < 0:
+        return bond + stock * ask
+    return bond
+
 
 def liquidation_value(market: Market, bond: Fraction, stock: Fraction, node: NodeId) -> Fraction:
     """Cash left after closing the stock leg at the node's quotes."""
     ask = market.price[node]
-    bid = (1 - market.fee) * ask
-    if stock >= 0:
-        return bond + stock * bid
-    return bond + stock * ask
+    return _liquidate(bond, stock, (1 - market.fee) * ask, ask)
 
 
 def shadow_value(
@@ -71,21 +80,28 @@ def admissibility_bound(market: Market, strategy: Strategy, mode: str = NUMERAIR
         raise ValueError(f"unknown admissibility mode {mode!r}")
     tree = market.tree
     ensure_strategy(tree, strategy)
+    numeraire_free = mode == NUMERAIRE_FREE
+    keep = 1 - market.fee
+    price, bond, stock, parent = market.price.values, strategy.bond.values, strategy.stock.values, tree.parent
     per_node: dict[NodeId, Fraction] = {}
     worst: NodeId = tree.root
-    bound = Fraction(0)
+    bound = _ZERO
     for n in tree.nodes:
-        bond_in, stock_in = pre_trade_holdings(tree, strategy, n)
-        v_pre = liquidation_value(market, bond_in, stock_in, n)
-        v_post = liquidation_value(market, strategy.bond[n], strategy.stock[n], n)
-        need = max(-v_pre, -v_post)
-        if mode == NUMERAIRE_FREE:
-            need /= 1 + market.price[n]
-        need = max(need, Fraction(0))
+        ask = price[n]
+        bid = keep * ask
+        p = parent[n]
+        # the root carries nothing in, and the empty position is worth 0
+        v_pre = _ZERO if p is None else _liquidate(bond[p], stock[p], bid, ask)
+        v_post = _liquidate(bond[n], stock[n], bid, ask)
+        v = v_pre if v_pre < v_post else v_post
+        if v < 0:
+            need = -v / (1 + ask) if numeraire_free else -v
+            if need > bound:
+                bound = need
+                worst = n
+        else:
+            need = _ZERO
         per_node[n] = need
-        if need > bound:
-            bound = need
-            worst = n
     return AdmissibilityReport(
         mode=mode,
         minimal_bound=bound,

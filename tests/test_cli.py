@@ -1,10 +1,27 @@
 import json
+import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from spreadlab import load_cps, load_market, load_strategy
+from spreadlab import (
+    CpsQuery,
+    check_ossm,
+    cps_to_doc,
+    doob_decompose,
+    find_cps,
+    load_cps,
+    load_market,
+    load_strategy,
+    market_to_doc,
+    one_step_drift,
+    shadow_decomposition,
+    strategy_to_doc,
+)
 from spreadlab.cli import main, run_command
+
+from helpers import random_market, random_sf_strategy
 
 F = Fraction
 
@@ -184,6 +201,26 @@ class TestMalformedShapes:
         assert result.exit_code == 2
         assert result.human_summary == "error: 'S_tilde' must be an object, got int"
 
+    def test_overlong_price_gets_a_short_message(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            write_json("m.json", {
+                "times": ["0"], "lambda": "0",
+                "nodes": [{"id": 0, "parent": None, "prob": "1", "S": "7" * 5000}],
+            })
+            result = run_command(["validate", "--market", "m.json"])
+            assert result.exit_code == 2
+            problem = "node 0: rational too long: an integer part has 5000 digits, over the limit of 4300"
+            assert read_json(result.report_path)["market_problems"] == [problem]
+            write_json("s.json", {"holdings": []})
+            result = run_command(["check-strategy", "--market", "m.json", "--strategy", "s.json"])
+            assert result.exit_code == 2
+            assert result.human_summary == f"error: {problem}"
+        finally:
+            sys.set_int_max_str_digits(saved)
+
 
 class TestCheckStrategy:
     def test_modes_report_their_bounds(self, det_files):
@@ -336,6 +373,55 @@ class TestDecompose:
         ])
         assert result.exit_code == 2
         assert "not self-financing" in result.human_summary
+
+    def test_report_matches_library(self, tmp_path, monkeypatch):
+        # random markets, self-financing strategies and the price systems
+        # find_cps builds at the market's own cost level
+        monkeypatch.chdir(tmp_path)
+        rng = random.Random(79)
+        checked = 0
+        for i in range(40):
+            market = random_market(rng, fee=F(0) if i % 4 == 0 else None, martingale=i % 2 == 0)
+            found = find_cps(market, CpsQuery(market.fee))
+            if not found.feasible:
+                continue
+            strategy = random_sf_strategy(rng, market)
+            tree = market.tree
+            write_json("m.json", market_to_doc(market))
+            write_json("s.json", strategy_to_doc(tree, strategy))
+            write_json("c.json", cps_to_doc(found.cps, F(0)))
+            result = run_command([
+                "decompose", "--market", "m.json", "--strategy", "s.json", "--cps", "c.json",
+            ])
+            assert result.exit_code == 0
+            report = read_json(result.report_path)
+
+            def wire(process):
+                return {str(n): str(process[n]) for n in tree.nodes}
+
+            dec = shadow_decomposition(market, strategy, found.cps)
+            assert report["value"] == wire(dec.value)
+            assert report["cost"] == wire(dec.cost)
+            assert report["transform"] == wire(dec.transform)
+            ossm = check_ossm(tree, dec.value, found.cps.density)
+            assert report["supermartingale"] is ossm.ok is True
+            assert report["drift_violations"] == {str(n): str(d) for n, d in ossm.violations}
+            doob = doob_decompose(tree, dec.value, found.cps.density)
+            assert report["martingale"] == wire(doob.martingale)
+            assert report["compensator"] == wire(doob.compensator)
+            # the split itself: martingale part, predictable nondecreasing
+            # compensator from zero, and value = martingale - compensator
+            drift = one_step_drift(tree, doob.martingale, found.cps.density)
+            assert all(drift[n] == 0 for n in tree.nodes)
+            comp = doob.compensator
+            assert comp[tree.root] == 0
+            for n in tree.internal:
+                kids = tree.children[n]
+                assert len({comp[c] for c in kids}) == 1
+                assert comp[kids[0]] >= comp[n]
+            assert all(doob.martingale[n] - comp[n] == dec.value[n] for n in tree.nodes)
+            checked += 1
+        assert checked >= 20, checked
 
 
 class TestTheorem:

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -40,3 +41,16 @@ def test_format_integer_values_drop_denominator():
 @given(st.fractions())
 def test_round_trip(q):
     assert parse_rational(format_rational(q)) == q
+
+
+@pytest.mark.parametrize("text", ["7" * 5000, "1/" + "3" * 5000, "-" + "9" * 5000 + "/2"])
+def test_overlong_integer_part_gets_a_short_message(text):
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("the interpreter's integer digit limit is off")
+    with pytest.raises(ValueError) as info:
+        parse_rational(text)
+    message = str(info.value)
+    assert "5000 digits" in message
+    assert str(limit) in message
+    assert len(message) < 100

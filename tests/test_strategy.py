@@ -98,6 +98,32 @@ class TestSlack:
                 assert trade_slack(market, strat, n) == ceiling - (strat.bond[n] - bond_in)
 
 
+    def test_sweep_matches_trade_slack(self):
+        # check_self_financing's one-pass loop against the per-node
+        # function, on strategies that overdraw at some nodes
+        rng = random.Random(61)
+        overdrawn = 0
+        for i in range(40):
+            market = random_market(rng, fee=F(0) if i % 4 == 0 else None)
+            strat = random_sf_strategy(rng, market)
+            strat = Strategy(
+                bond=AdaptedProcess({
+                    n: strat.bond[n] + rng.choice([F(0), F(0), F(1, 8), F(-1, 8)])
+                    for n in market.tree.nodes
+                }),
+                stock=strat.stock,
+            )
+            report = check_self_financing(market, strat)
+            nodes = market.tree.nodes
+            assert set(report.slack.values) == set(nodes)
+            for n in nodes:
+                assert report.slack[n] == trade_slack(market, strat, n)
+            assert report.violations == tuple(n for n in nodes if report.slack[n] < 0)
+            assert report.ok == (not report.violations)
+            overdrawn += not report.ok
+        assert 5 < overdrawn < 40
+
+
 class TestDeriveBondAccount:
     def test_zero_slack_everywhere(self):
         rng = random.Random(13)
@@ -163,6 +189,27 @@ class TestTotalVariation:
         market = chain_market()
         strat = hold(-2, 2)
         assert total_variation(market.tree, strat) == (F(2), F(2))
+
+    def test_matches_root_path_walk(self):
+        rng = random.Random(67)
+
+        def walk(tree, account):
+            # largest summed absolute increment along a root-to-leaf path,
+            # the root trade counted from zero
+            best = F(0)
+            for leaf in tree.leaves:
+                path = tree.path(leaf)
+                total = abs(account[path[0]])
+                for a, b in zip(path, path[1:]):
+                    total += abs(account[b] - account[a])
+                best = max(best, total)
+            return best
+
+        for i in range(40):
+            market = random_market(rng, fee=F(0) if i % 4 == 0 else None)
+            strat = random_sf_strategy(rng, market)
+            tree = market.tree
+            assert total_variation(tree, strat) == (walk(tree, strat.bond), walk(tree, strat.stock))
 
 
 class TestWireFormat:

@@ -119,6 +119,42 @@ class TestAdmissibilityBound:
             assert nf.minimal_bound <= nb.minimal_bound
             assert all(nf.per_node[n] >= 0 for n in market.tree.nodes)
 
+    def test_sweep_matches_liquidation_value(self):
+        # the one-pass loop against its definition: the worse of the
+        # incoming and the post-trade liquidation value, per 1 + S(n) in
+        # the numeraire-free mode, floored at zero
+        rng = random.Random(71)
+        for i in range(40):
+            market = random_market(rng, fee=F(0) if i % 4 == 0 else None)
+            strat = random_sf_strategy(rng, market)
+            if i % 2:
+                # not self-financing: the incoming position can be the worse one
+                strat = Strategy(
+                    bond=AdaptedProcess({
+                        n: strat.bond[n] + rng.choice([F(0), F(1, 2), F(-1, 2)])
+                        for n in market.tree.nodes
+                    }),
+                    stock=strat.stock,
+                )
+            nodes = market.tree.nodes
+            for mode in (NUMERAIRE_BASED, NUMERAIRE_FREE):
+                expected = {}
+                for n in nodes:
+                    bond_in, stock_in = pre_trade_holdings(market.tree, strat, n)
+                    need = max(
+                        -liquidation_value(market, bond_in, stock_in, n),
+                        -liquidation_value(market, strat.bond[n], strat.stock[n], n),
+                    )
+                    if mode == NUMERAIRE_FREE:
+                        need /= 1 + market.price[n]
+                    expected[n] = max(need, F(0))
+                report = admissibility_bound(market, strat, mode)
+                assert report.mode == mode
+                assert dict(report.per_node.values) == expected
+                assert report.minimal_bound == max(expected.values())
+                first = next(n for n in nodes if expected[n] == report.minimal_bound)
+                assert report.worst_node == first
+
     def test_unknown_mode_rejected(self):
         market = flat_market()
         strat = Strategy(bond=AdaptedProcess({0: F(0)}), stock=AdaptedProcess({0: F(0)}))
