@@ -157,16 +157,12 @@ def _cmd_check_strategy(args) -> CommandResult:
 
 def _cmd_find_cps(args) -> CommandResult:
     market = load_market(_load_json(args.market))
-    if args.epsilon is not None:
-        epsilon = args.epsilon
-    elif args.ac:
-        epsilon = Fraction(0)
-    else:
-        epsilon = _default_epsilon()
     mode = ABSOLUTELY_CONTINUOUS if args.ac else EQUIVALENT
-    query = CpsQuery(args.fee, epsilon, mode)
+    query = CpsQuery(args.fee, Fraction(0) if args.ac else DEFAULT_EPSILON, mode)
     result = find_cps(market, query)
     if result.feasible:
+        # an equivalent system reports the floor it clears: its minimum leaf density
+        epsilon = Fraction(0) if args.ac else min(result.cps.density[leaf] for leaf in market.tree.leaves)
         report = cps_to_doc(result.cps, epsilon)
         report["feasible"] = True
         report["Y"] = _rational_map(result.price_mass)
@@ -185,7 +181,7 @@ def _cmd_find_cps(args) -> CommandResult:
     report = {
         "feasible": False,
         "lambda_prime": format_rational(query.fee),
-        "epsilon": format_rational(epsilon),
+        "epsilon": format_rational(query.epsilon),
         "certificate": {
             "constraints": [c.label for c in cert.constraints],
             "multipliers": [format_rational(m) for m in cert.certificate.multipliers],
@@ -195,7 +191,7 @@ def _cmd_find_cps(args) -> CommandResult:
     path = _write_report(args.report, report)
     summary = (
         f"infeasible: no consistent price system at lambda' = {_fmt(query.fee, args.decimal)}"
-        f" (epsilon = {_fmt(epsilon, args.decimal)}, mode {mode})\n"
+        f" (epsilon = {_fmt(query.epsilon, args.decimal)}, mode {mode})\n"
         f"certificate verified: {report['certificate']['verified']}\n"
         f"report: {path}"
     )
@@ -300,7 +296,7 @@ def _cmd_counterexample(args) -> CommandResult:
         report = counterexamples.deterministic_counterexample(args.fee, args.steps)
     else:
         report = counterexamples.stochastic_counterexample(
-            args.fee if args.fee is not None else Fraction(1, 2),
+            args.fee,
             args.witness_fee,
             args.up_price,
             literal_sale=args.literal_sale,
@@ -312,7 +308,7 @@ def _cmd_counterexample(args) -> CommandResult:
         str(out / "strategy.json"), strategy_to_doc(report.market.tree, report.strategy)
     )
     cps_path = _write_report(
-        str(out / "cps.json"), cps_to_doc(report.cps_witness, _default_epsilon())
+        str(out / "cps.json"), cps_to_doc(report.cps_witness, DEFAULT_EPSILON)
     )
     report_path = _write_report(str(out / "report.json"), counterexamples.report_to_doc(report))
     summary = (
@@ -354,8 +350,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--market", required=True)
     p.add_argument("--lambda", dest="fee", type=parse_rational, required=True,
                    help="cost level lambda' to certify")
-    p.add_argument("--epsilon", type=parse_rational,
-                   help=f"equivalence floor on leaf density (default {DEFAULT_EPSILON}, or ${EPSILON_ENV})")
     p.add_argument("--ac", action="store_true",
                    help="absolutely continuous mode: allow the measure to die out")
     common(p, "find-cps")
@@ -381,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("counterexample", help="generate a bound-propagation failure")
     p.add_argument("--variant", choices=(counterexamples.DETERMINISTIC, counterexamples.STOCHASTIC),
                    required=True)
-    p.add_argument("--lambda", dest="fee", type=parse_rational, default=None,
+    p.add_argument("--lambda", dest="fee", type=parse_rational, default=Fraction(1, 2),
                    help="market cost level (default 1/2)")
     p.add_argument("--lambda-prime", dest="witness_fee", type=parse_rational,
                    default=Fraction(1, 4), help="witness system level (stochastic variant)")
@@ -416,9 +410,6 @@ def run_command(argv) -> CommandResult:
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return CommandResult(code, None, "")
-    if args.command == "counterexample":
-        if args.fee is None:
-            args.fee = Fraction(1, 2)
     try:
         return _HANDLERS[args.command](args)
     except ValueError as exc:

@@ -18,17 +18,17 @@ if any child attains it.
 
 A nonempty root interval is turned into a witness top down: each node's
 value is placed inside its children's intervals, and the one-step
-weights maximize the minimum leaf density.  An empty interval is turned
-into a Farkas certificate over the same rows, read off the intervals, so
-infeasibility stays checkable independently of how it was found.
+weights maximize the minimum leaf density for the values placed.  In the
+equivalent mode that minimum is positive, so the witness is equivalent
+and clears a leaf floor of exactly that minimum; `max_equivalence_margin`
+gives the best floor any system clears.
 
-Equivalence is approximated by the leaf floor Z(leaf) >= epsilon.  The
-recursion decides whether a strictly positive density exists; the floor
-can still fail when the best achievable minimum leaf density is below
-epsilon.  Only in that band, when an equivalent system exists but the
-constructed witness's minimum leaf density is below epsilon, does the
-exact rational simplex decide.  epsilon = 0 switches to the absolutely
-continuous mode, where the shadow price is only defined on the support.
+An empty interval is turned into a Farkas certificate over the same
+rows, read off the intervals, so infeasibility stays checkable
+independently of how it was found.  Its multipliers do not depend on the
+leaf floor epsilon > 0 of the rows, so epsilon only selects the mode:
+epsilon = 0 is the absolutely continuous mode, where the shadow price is
+only defined on the support.
 """
 
 from __future__ import annotations
@@ -55,7 +55,12 @@ class CpsError(InputError):
 
 @dataclass(frozen=True)
 class CpsQuery:
-    """What to search for: cost level, equivalence floor, and mode."""
+    """What to search for: cost level, leaf floor, and mode.
+
+    The floor does not decide feasibility: it selects the mode (epsilon > 0
+    for equivalent, 0 for absolutely continuous) and is the right-hand side
+    of the ``floor:`` rows in an infeasibility certificate.
+    """
 
     fee: Fraction
     epsilon: Fraction = DEFAULT_EPSILON
@@ -533,12 +538,11 @@ def _interval_certificate(
 def find_cps(market: Market, query: CpsQuery) -> FindCpsResult:
     """Decide whether a price system exists at the queried cost level.
 
-    Feasible outcomes carry the system plus the raw price-weighted mass
-    process y = z * S-tilde; infeasible outcomes carry an exact Farkas
-    certificate over the constraints of `_cps_constraints`.  The interval
-    recursion decides; the simplex runs only in the floor band, where an
-    equivalent system exists but the constructed one's minimum leaf
-    density is below epsilon.
+    The interval recursion decides exactly.  Feasible outcomes carry the
+    system plus the raw price-weighted mass process y = z * S-tilde; in
+    the equivalent mode every leaf density of the system is positive.
+    Infeasible outcomes carry an exact Farkas certificate over the
+    constraints of `_cps_constraints`.
     """
     problems = validate_market(market)
     if problems:
@@ -550,16 +554,16 @@ def find_cps(market: Market, query: CpsQuery) -> FindCpsResult:
             feasible=False, infeasibility=_interval_certificate(market, query, live, dead)
         )
     cps, price_mass, margin = _interval_witness(market.tree, live, query.fee)
-    if equivalent and margin < query.epsilon:
-        return _lp_find_cps(market, query)
+    if equivalent and margin <= 0:
+        raise RuntimeError(f"equivalent-mode witness has minimum leaf density {margin}")
     return FindCpsResult(feasible=True, cps=cps, price_mass=price_mass)
 
 
 def _lp_find_cps(market: Market, query: CpsQuery) -> FindCpsResult:
-    """The same decision by the exact simplex over `_cps_constraints`.
-
-    Exact in the floor band that the interval recursion cannot settle,
-    and the reference the tests compare `find_cps` against.
+    """The exact simplex over `_cps_constraints`, with the leaf floor
+    epsilon as a hard constraint: the reference the tests compare
+    `find_cps` against.  It is infeasible wherever the best minimum leaf
+    density is below epsilon, even when an equivalent system exists.
     """
     num_vars, cons, pos = _cps_constraints(market, query.fee, query.epsilon)
     result = simplex.solve(num_vars, cons)
@@ -662,6 +666,15 @@ def max_equivalence_margin(
     return result.objective, cps
 
 
+def _equivalent_mode(epsilon) -> bool:
+    """The mode a leaf floor selects: True (equivalent) for epsilon > 0,
+    False (absolutely continuous) for epsilon = 0."""
+    epsilon = Fraction(epsilon)
+    if epsilon < 0:
+        raise CpsError([f"epsilon must be nonnegative, got {epsilon}"])
+    return epsilon > 0
+
+
 def _threshold(market: Market, equivalent: bool) -> tuple[Fraction, bool]:
     """The threshold, the infimum of the cost levels with a price system,
     and whether a system exists at the threshold itself.
@@ -718,10 +731,7 @@ def cps_threshold(market: Market, epsilon: Fraction = DEFAULT_EPSILON) -> Fracti
     threshold.  The infimum need not be attained: a market can admit a
     system at every positive level but not at 0.
     """
-    epsilon = Fraction(epsilon)
-    if epsilon < 0:
-        raise CpsError([f"epsilon must be nonnegative, got {epsilon}"])
-    return _threshold(market, epsilon > 0)[0]
+    return _threshold(market, _equivalent_mode(epsilon))[0]
 
 
 def scale_cps(

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cps import DEFAULT_EPSILON, ConsistentPriceSystem, CpsError, _threshold, scale_cps, verify_cps
+from .cps import DEFAULT_EPSILON, ConsistentPriceSystem, _equivalent_mode, _threshold, scale_cps, verify_cps
 from .market import Market
-from .strategy import Strategy, check_self_financing, ensure_strategy, pre_trade_holdings
+from .strategy import Strategy, check_self_financing, pre_trade_holdings
 from .tree import (
     AdaptedProcess,
     EventTree,
@@ -104,6 +104,12 @@ def doob_decompose(tree: EventTree, process: AdaptedProcess, density: AdaptedPro
     return report.decomposition
 
 
+def _require_shadow_everywhere(tree: EventTree, cps: ConsistentPriceSystem) -> None:
+    missing = [n for n in tree.nodes if n not in cps.shadow_price]
+    if missing:
+        raise ValueError(f"shadow price missing at nodes {missing}")
+
+
 def shadow_values(
     tree: EventTree,
     strategy: Strategy,
@@ -115,9 +121,7 @@ def shadow_values(
     Needs the shadow price on every node, so absolutely continuous systems
     with dead branches are rejected.
     """
-    missing = [n for n in tree.nodes if n not in cps.shadow_price]
-    if missing:
-        raise ValueError(f"shadow price missing at nodes {missing}")
+    _require_shadow_everywhere(tree, cps)
     return AdaptedProcess(
         {n: shadow_value(tree, strategy, cps.shadow_price, n, pre_trade) for n in tree.nodes}
     )
@@ -152,9 +156,7 @@ def shadow_decomposition(
     report = check_self_financing(market, strategy)
     if not report.ok:
         raise ValueError(f"strategy is not self-financing at nodes {list(report.violations)}")
-    missing = [n for n in tree.nodes if n not in cps.shadow_price]
-    if missing:
-        raise ValueError(f"shadow price missing at nodes {missing}")
+    _require_shadow_everywhere(tree, cps)
     ok, violations = verify_cps(market, cps, fee=market.fee)
     if not ok:
         raise ValueError(
@@ -244,10 +246,7 @@ def check_admissibility_theorem(
     x = Fraction(x)
     if mode not in (NUMERAIRE_BASED, NUMERAIRE_FREE):
         raise ValueError(f"unknown admissibility mode {mode!r}")
-    epsilon = Fraction(epsilon)
-    if epsilon < 0:
-        raise CpsError([f"epsilon must be nonnegative, got {epsilon}"])
-    ensure_strategy(tree, strategy)
+    equivalent = _equivalent_mode(epsilon)
 
     failures: list[str] = []
     sf = check_self_financing(market, strategy)
@@ -256,7 +255,7 @@ def check_admissibility_theorem(
 
     bound = admissibility_bound(market, strategy, mode).minimal_bound
 
-    threshold, attained = _threshold(market, epsilon > 0)
+    threshold, attained = _threshold(market, equivalent)
     if threshold > 0:
         failures.append(f"no consistent price system at cost levels below {threshold}")
     elif market.fee == 0 and not attained:
@@ -385,9 +384,7 @@ def replay_admissibility_argument(
     alpha = fee / 4 if alpha is None else Fraction(alpha)
     x = Fraction(x)
     down_system, up_system = scale_cps(cps, fee, alpha)
-    missing = [n for n in tree.nodes if n not in cps.shadow_price]
-    if missing:
-        raise ValueError(f"shadow price missing at nodes {missing}")
+    _require_shadow_everywhere(tree, cps)
 
     terminal = {n: Fraction(0) for n in tree.nodes}
     for leaf in tree.leaves:

@@ -237,9 +237,6 @@ class EventTree:
         for n in order:
             p = parent[n]
             node_prob[n] = cond[n] if p is None else node_prob[p] * cond[n]
-        mass = _total(node_prob[n] for n in leaves)
-        if mass != 1:
-            raise TreeError([f"leaf probabilities sum to {mass}, expected 1"])
 
         return EventTree(
             times=times,

@@ -2,6 +2,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,7 @@ from spreadlab import (
     one_step_drift,
     shadow_decomposition,
     strategy_to_doc,
+    verify_cps,
 )
 from spreadlab.cli import main, run_command
 
@@ -79,6 +81,17 @@ class TestCounterexampleCommand:
         ])
         assert result.exit_code == 0
         assert read_json(tmp_path / "ls" / "report.json")["literal_sale"] is True
+
+    @pytest.mark.parametrize("variant", ["det", "stoch"])
+    def test_cps_file_verifies_at_its_epsilon(self, tmp_path, monkeypatch, variant):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("SPREADLAB_EPSILON", "2")
+        result = run_command(["counterexample", "--variant", variant, "--out-dir", "out"])
+        assert result.exit_code == 0
+        market = load_market(read_json(tmp_path / "out" / "market.json"))
+        cps, epsilon = load_cps(read_json(tmp_path / "out" / "cps.json"), market.tree)
+        ok, violations = verify_cps(market, cps, epsilon=epsilon)
+        assert ok, violations
 
     def test_bad_parameters_exit_2(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -267,7 +280,7 @@ class TestFindCps:
         assert set(report) >= {"S_tilde", "Z", "lambda_prime", "epsilon", "Y"}
         market = load_market(read_json(det_files / "market.json"))
         cps, epsilon = load_cps(report, market.tree)
-        assert epsilon == F(1, 10**6)
+        assert epsilon == min(cps.density[leaf] for leaf in market.tree.leaves)
         assert all(v == F(1, 2) for v in cps.shadow_price.values())
 
     def test_infeasible_reports_certificate(self, det_files):
@@ -305,30 +318,56 @@ class TestFindCps:
         result = run_command(["find-cps", "--market", "m.json", "--lambda", "0"])
         assert result.exit_code == 3
 
-    def test_epsilon_flag_beats_env(self, det_files, monkeypatch):
-        monkeypatch.setenv("SPREADLAB_EPSILON", "1/3")
-        result = run_command([
-            "find-cps", "--market", "det/market.json", "--lambda", "1/2",
-            "--epsilon", "1/8",
-        ])
+    def test_level_above_an_unattained_threshold_is_feasible(self, tmp_path, monkeypatch):
+        # the threshold is 0 and not attained; every equivalent system at
+        # lambda' = 1/10^9 has a leaf density of the order of the level
+        monkeypatch.chdir(tmp_path)
+        doc = {
+            "times": ["0", "1"],
+            "lambda": "0",
+            "nodes": [
+                {"id": 0, "parent": None, "prob": "1", "S": "1"},
+                {"id": 1, "parent": 0, "prob": "1/2", "S": "1"},
+                {"id": 2, "parent": 0, "prob": "1/2", "S": "2"},
+            ],
+        }
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        result = run_command(["cps-threshold", "--market", "m.json"])
         report = read_json(result.report_path)
-        assert report["epsilon"] == "1/8"
-
-    def test_env_epsilon_used(self, det_files, monkeypatch):
-        monkeypatch.setenv("SPREADLAB_EPSILON", "1/8")
-        result = run_command([
-            "find-cps", "--market", "det/market.json", "--lambda", "1/2",
-        ])
+        assert (report["threshold"], report["attained"]) == ("0", False)
+        result = run_command(["find-cps", "--market", "m.json", "--lambda", "1/1000000000"])
         assert result.exit_code == 0
-        assert read_json(result.report_path)["epsilon"] == "1/8"
+        report = read_json(result.report_path)
+        market = load_market(doc)
+        cps, epsilon = load_cps(report, market.tree)
+        assert epsilon > 0
+        ok, violations = verify_cps(market, cps, epsilon=epsilon)
+        assert ok, violations
 
-    def test_malformed_env_epsilon(self, det_files, monkeypatch):
-        monkeypatch.setenv("SPREADLAB_EPSILON", "0.5")
+    def test_epsilon_flag_removed(self, det_files):
         result = run_command([
-            "find-cps", "--market", "det/market.json", "--lambda", "1/2",
+            "find-cps", "--market", "det/market.json", "--lambda", "1/2", "--epsilon", "1/8",
         ])
         assert result.exit_code == 2
-        assert "SPREADLAB_EPSILON" in result.human_summary
+
+    def test_reports_ignore_env_epsilon(self, det_files, monkeypatch):
+        def outputs():
+            for name, extra in (("feasible", ["1/2"]), ("infeasible", ["1/4"]), ("ac", ["1/4", "--ac"])):
+                run_command([
+                    "find-cps", "--market", "det/market.json", "--lambda", *extra,
+                    "--report", f"out/{name}.json",
+                ])
+            for variant in ("det", "stoch"):
+                run_command(["counterexample", "--variant", variant, "--out-dir", f"out/{variant}"])
+            return {str(p): p.read_text() for p in sorted(Path("out").rglob("*.json"))}
+
+        Path("out").mkdir()
+        monkeypatch.delenv("SPREADLAB_EPSILON", raising=False)
+        unset = outputs()
+        assert len(unset) == 11
+        for value in ("0", "2"):
+            monkeypatch.setenv("SPREADLAB_EPSILON", value)
+            assert outputs() == unset, value
 
 
 class TestThreshold:
@@ -344,6 +383,12 @@ class TestThreshold:
             "cps-threshold", "--market", "det/market.json", "--decimal",
         ])
         assert "~0.5" in result.human_summary
+
+    def test_malformed_env_epsilon(self, det_files, monkeypatch):
+        monkeypatch.setenv("SPREADLAB_EPSILON", "0.5")
+        result = run_command(["cps-threshold", "--market", "det/market.json"])
+        assert result.exit_code == 2
+        assert "SPREADLAB_EPSILON" in result.human_summary
 
 
 class TestDecompose:

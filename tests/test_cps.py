@@ -500,10 +500,12 @@ class TestAbsolutelyContinuousMode:
 
 
 class TestIntervalDecider:
-    """find_cps decides by the interval recursion; the simplex over the
-    same constraints is the independent reference.  Outside the floor
-    band the recursion must settle every query without the simplex: a
-    fallback would hide a wrong interval behind a correct verdict."""
+    """find_cps decides by the interval recursion alone; the simplex over
+    the same constraints is the independent reference.  The recursion
+    must settle every query without the simplex: a fallback would hide a
+    wrong interval behind a correct verdict.  The LP's leaf floor can
+    only reject what the recursion accepts, where the best minimum leaf
+    density is below it; on the markets below it never is."""
 
     LEVELS = (F(0), F(1, 32), F(1, 16), F(1, 8), F(1, 4), F(1, 2))
     LP = staticmethod(cps_module._lp_find_cps)
@@ -586,15 +588,43 @@ class TestIntervalDecider:
         assert result.cps.off_support == (2,)
         assert lp_calls == []
 
-    def test_floor_band_is_decided_by_the_lp(self, lp_calls):
-        # the maximal margin is 2/3 (see TestMargin), so an equivalent
-        # system exists but none clears a floor of 3/4
+    def test_floor_above_the_best_margin_is_feasible(self, lp_calls):
+        # the maximal margin is 2/3 (see TestMargin): no system clears a
+        # floor of 3/4, yet an equivalent one exists
         market = binary_market(p_up="1/2")
-        result = find_cps(market, CpsQuery(F(0), F(2, 3)))
-        assert result.feasible and lp_calls == []
-        ok, violations = verify_cps(market, result.cps, epsilon=F(2, 3))
-        assert ok, violations
+        best, _ = max_equivalence_margin(market, F(0))
         result = find_cps(market, CpsQuery(F(0), F(3, 4)))
-        assert not result.feasible
-        assert result.infeasibility.verify()
-        assert lp_calls == [F(3, 4)]
+        assert result.feasible and lp_calls == []
+        margin = min(result.cps.density[leaf] for leaf in market.tree.leaves)
+        assert 0 < margin <= best == F(2, 3)
+        ok, violations = verify_cps(market, result.cps, epsilon=margin)
+        assert ok, violations
+
+    def test_feasible_exactly_above_the_threshold(self, lp_calls):
+        rng = random.Random(4711)
+        unattained = 0
+        for _ in range(200):
+            market = random_market(rng)
+            leaves = market.tree.leaves
+            for mode in (EQUIVALENT, ABSOLUTELY_CONTINUOUS):
+                equivalent = mode == EQUIVALENT
+                t, attained = cps_module._threshold(market, equivalent)
+                unattained += equivalent and not attained
+                epsilon = DEFAULT_EPSILON if equivalent else F(0)
+                for level in {F(0), t, t + (1 - t) / 10**9, F(1, 64), F(1, 8), F(1, 2)}:
+                    result = find_cps(market, CpsQuery(level, epsilon, mode))
+                    assert result.feasible == (level > t or (level == t and attained))
+                    if not result.feasible:
+                        assert result.infeasibility.verify()
+                        if equivalent:
+                            # the floor only sets the right-hand side of the floor rows
+                            other = find_cps(market, CpsQuery(level, F(1))).infeasibility
+                            assert other.certificate == result.infeasibility.certificate
+                            assert other.verify()
+                        continue
+                    margin = min(result.cps.density[leaf] for leaf in leaves)
+                    assert margin > 0 or not equivalent
+                    ok, violations = verify_cps(market, result.cps, epsilon=margin)
+                    assert ok, violations
+        assert unattained > 0
+        assert lp_calls == []
