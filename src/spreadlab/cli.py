@@ -35,7 +35,7 @@ from .cps import (
 from .market import load_market, market_to_doc
 from .rationals import format_rational, parse_rational
 from .strategy import check_self_financing, load_strategy, strategy_to_doc
-from .theorems import check_admissibility_theorem, check_ossm, shadow_decomposition
+from .theorems import _ossm, check_admissibility_theorem, shadow_decomposition
 from .tree import InputError
 from .valuation import NUMERAIRE_BASED, NUMERAIRE_FREE, admissibility_bound
 
@@ -68,14 +68,19 @@ def _load_json(path: str) -> dict:
             return json.load(handle)
     except FileNotFoundError:
         raise ValueError(f"{path}: file not found")
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read ({exc.strerror or exc})")
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})")
 
 
 def _write_report(path: str, doc: dict) -> str:
-    with open(path, "w") as handle:
-        json.dump(doc, handle, indent=2)
-        handle.write("\n")
+    try:
+        with open(path, "w") as handle:
+            json.dump(doc, handle, indent=2)
+            handle.write("\n")
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot write report ({exc.strerror or exc})")
     return path
 
 
@@ -220,8 +225,9 @@ def _cmd_decompose(args) -> CommandResult:
     market = load_market(_load_json(args.market))
     strategy = load_strategy(_load_json(args.strategy), market.tree)
     cps, _ = load_cps(_load_json(args.cps), market.tree)
+    # shadow_decomposition has verified cps.density, and the value covers every node
     decomposition = shadow_decomposition(market, strategy, cps)
-    ossm = check_ossm(market.tree, decomposition.value, cps.density)
+    ossm = _ossm(market.tree, decomposition.value, cps.density)
     report = {
         "value": _rational_map(decomposition.value),
         "cost": _rational_map(decomposition.cost),
@@ -302,7 +308,10 @@ def _cmd_counterexample(args) -> CommandResult:
             literal_sale=args.literal_sale,
         )
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"{out}: cannot create output directory ({exc.strerror or exc})")
     market_path = _write_report(str(out / "market.json"), market_to_doc(report.market))
     strategy_path = _write_report(
         str(out / "strategy.json"), strategy_to_doc(report.market.tree, report.strategy)

@@ -39,7 +39,7 @@ from typing import Mapping, NamedTuple
 
 from . import simplex
 from .market import Market, MarketError, validate_market
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, rational_reader
 from .simplex import Constraint, FarkasCertificate
 from .tree import AdaptedProcess, EventTree, InputError, NodeId, density_problems, one_step_mean
 
@@ -952,6 +952,8 @@ def load_cps(document: Mapping, tree: EventTree) -> tuple[ConsistentPriceSystem,
     if problems:
         raise CpsError(problems)
 
+    read = rational_reader()
+
     def parse_map(raw: Mapping, label: str) -> dict[NodeId, Fraction]:
         out: dict[NodeId, Fraction] = {}
         for key, value in raw.items():
@@ -964,7 +966,7 @@ def load_cps(document: Mapping, tree: EventTree) -> tuple[ConsistentPriceSystem,
                 problems.append(f"{label}: node {node} not in tree")
                 continue
             try:
-                out[node] = parse_rational(value)
+                out[node] = read(value)
             except ValueError as exc:
                 problems.append(f"{label}: node {node}: {exc}")
         return out
@@ -972,12 +974,12 @@ def load_cps(document: Mapping, tree: EventTree) -> tuple[ConsistentPriceSystem,
     shadow = parse_map(document["S_tilde"], "S_tilde")
     density = parse_map(document["Z"], "Z")
     try:
-        fee = parse_rational(document["lambda_prime"])
+        fee = read(document["lambda_prime"])
     except ValueError as exc:
         problems.append(f"lambda_prime: {exc}")
         fee = Fraction(0)
     try:
-        epsilon = parse_rational(document["epsilon"])
+        epsilon = read(document["epsilon"])
     except ValueError as exc:
         problems.append(f"epsilon: {exc}")
         epsilon = Fraction(0)

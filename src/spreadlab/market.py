@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, rational_reader
 from .tree import AdaptedProcess, EventTree, InputError, TreeError, ensure_adapted, load_tree
 
 
@@ -62,6 +62,7 @@ def load_market(document: Mapping) -> Market:
     """Parse a market document: a tree whose nodes carry "S" plus a
     top-level "lambda"."""
     tree = load_tree(document)
+    read = rational_reader()
     problems: list[str] = []
 
     if "lambda" not in document:
@@ -69,7 +70,7 @@ def load_market(document: Mapping) -> Market:
         fee = Fraction(0)
     else:
         try:
-            fee = parse_rational(document["lambda"])
+            fee = read(document["lambda"])
         except ValueError as exc:
             problems.append(f"lambda: {exc}")
             fee = Fraction(0)
@@ -81,7 +82,7 @@ def load_market(document: Mapping) -> Market:
             problems.append(f"node {node}: missing 'S'")
             continue
         try:
-            prices[node] = parse_rational(spec["S"])
+            prices[node] = read(spec["S"])
         except ValueError as exc:
             problems.append(f"node {node}: {exc}")
     if problems:

@@ -4,12 +4,27 @@ Numbers cross every file boundary as strings like "3/4" or "-2" (plain
 integers are also accepted).  Floats are rejected outright: the package
 guarantees bit-exact arithmetic, and a decimal literal has no faithful
 rational reading once it has been through binary floating point.
+
+Documents repeat their texts heavily (a binomial market has a handful of
+distinct probabilities and prices over thousands of nodes), so the loaders
+read through ``rational_reader``, which parses each distinct text once.
+Its table belongs to one loader call: it is dropped with the document, so
+nothing read from one input is held for, or served to, the next.
+
+``format_rational`` writes any value exactly, however long: past the
+interpreter's integer string limit it converts the digits itself instead
+of lifting that process-wide limit.
 """
 
 from __future__ import annotations
 
+import decimal
 import sys
 from fractions import Fraction
+from typing import Callable
+
+# exact enough for any integer: the precision and exponent range are the maximum
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
 
 
 def parse_rational(value) -> Fraction:
@@ -42,7 +57,39 @@ def parse_rational(value) -> Fraction:
     raise ValueError(f"malformed rational {value!r}")
 
 
+def rational_reader() -> Callable[[object], Fraction]:
+    """A ``parse_rational`` for one document: each distinct text is parsed
+    once and its repeats get the same Fraction.
+
+    Only ``str`` values are remembered, so ``True`` is still rejected after
+    ``1``; a text that fails to parse is not remembered and fails again
+    with the same message at every place it appears.
+    """
+    table: dict[str, Fraction] = {}
+
+    def read(value) -> Fraction:
+        if type(value) is not str:
+            return parse_rational(value)
+        parsed = table.get(value)
+        if parsed is None:
+            parsed = table[value] = parse_rational(value)
+        return parsed
+
+    return read
+
+
+def _digits(n: int) -> str:
+    return str(_EXACT.create_decimal(n))
+
+
 def format_rational(value) -> str:
     """Render a rational as "p/q", or plain "p" when the denominator is 1
-    (exactly the text ``str`` gives a Fraction)."""
-    return str(value if isinstance(value, Fraction) else Fraction(value))
+    (exactly the text ``str`` gives a Fraction, at any length)."""
+    q = value if isinstance(value, Fraction) else Fraction(value)
+    try:
+        return str(q)
+    except ValueError:
+        # an integer past sys.get_int_max_str_digits()
+        if q.denominator == 1:
+            return _digits(q.numerator)
+        return f"{_digits(q.numerator)}/{_digits(q.denominator)}"

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .market import Market
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, rational_reader
 from .tree import AdaptedProcess, EventTree, InputError, NodeId, ensure_adapted, is_mapping
 
 _ZERO = Fraction(0)
@@ -184,6 +184,7 @@ def load_strategy(document: Mapping, tree: EventTree) -> Strategy:
     if not isinstance(document["holdings"], list):
         raise StrategyError([f"'holdings' must be a list, got {type(document['holdings']).__name__}"])
 
+    read = rational_reader()
     given: dict[NodeId, tuple[Fraction, Fraction]] = {}
     for i, spec in enumerate(document["holdings"]):
         if not is_mapping(spec) or "node" not in spec:
@@ -200,8 +201,8 @@ def load_strategy(document: Mapping, tree: EventTree) -> Strategy:
             problems.append(f"node {node}: duplicate entry")
             continue
         try:
-            phi0 = parse_rational(spec["phi0"]) if "phi0" in spec else None
-            phi1 = parse_rational(spec["phi1"]) if "phi1" in spec else None
+            phi0 = read(spec["phi0"]) if "phi0" in spec else None
+            phi1 = read(spec["phi1"]) if "phi1" in spec else None
         except ValueError as exc:
             problems.append(f"node {node}: {exc}")
             continue

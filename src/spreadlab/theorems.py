@@ -72,6 +72,12 @@ def check_ossm(tree: EventTree, process: AdaptedProcess, density: AdaptedProcess
     problems = density_problems(tree, density)
     if problems:
         raise ValueError("invalid density: " + "; ".join(problems))
+    return _ossm(tree, process, density)
+
+
+def _ossm(tree: EventTree, process: AdaptedProcess, density: AdaptedProcess) -> OssmReport:
+    """``check_ossm`` for a process on every node and a density already
+    validated (``verify_cps`` checks it with ``density_problems`` too)."""
     drift = support_drift(tree, process, density)
     violations = tuple((n, d) for n, d in drift.items() if d > 0)
     if violations:

@@ -15,10 +15,11 @@ the package core.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .rationals import parse_rational
+from .rationals import rational_reader
 
 NodeId = int
 
@@ -99,7 +100,8 @@ class EventTree:
     ``nodes`` is ordered by (depth, id) so parents always precede their
     children; ``cond_prob[n]`` is the probability of reaching ``n`` from
     its parent (1 at the root) and ``node_prob[n]`` the product along the
-    root path.  All leaves sit at the common final depth.
+    root path, computed on first use (no command reads it).  All leaves
+    sit at the common final depth.
     """
 
     times: tuple[Fraction, ...]
@@ -108,11 +110,19 @@ class EventTree:
     children: Mapping[NodeId, tuple[NodeId, ...]]
     time_index: Mapping[NodeId, int]
     cond_prob: Mapping[NodeId, Fraction]
-    node_prob: Mapping[NodeId, Fraction]
     root: NodeId
     leaves: tuple[NodeId, ...]
     internal: tuple[NodeId, ...]
     node_set: frozenset[NodeId]
+
+    @cached_property
+    def node_prob(self) -> Mapping[NodeId, Fraction]:
+        cond, parent = self.cond_prob, self.parent
+        prob: dict[NodeId, Fraction] = {}
+        for n in self.nodes:
+            p = parent[n]
+            prob[n] = cond[n] if p is None else prob[p] * cond[n]
+        return prob
 
     @property
     def horizon(self) -> int:
@@ -233,11 +243,6 @@ class EventTree:
             raise TreeError(problems)
 
         order = sorted(parent, key=lambda n: (depth[n], n))
-        node_prob: dict[NodeId, Fraction] = {}
-        for n in order:
-            p = parent[n]
-            node_prob[n] = cond[n] if p is None else node_prob[p] * cond[n]
-
         return EventTree(
             times=times,
             nodes=tuple(order),
@@ -245,7 +250,6 @@ class EventTree:
             children={n: tuple(children[n]) for n in parent},
             time_index=dict(depth),
             cond_prob=dict(cond),
-            node_prob=node_prob,
             root=0,
             leaves=tuple(leaves),
             internal=tuple(n for n in order if children[n]),
@@ -279,10 +283,11 @@ def load_tree(document: Mapping) -> EventTree:
     if problems:
         raise TreeError(problems)
 
+    read = rational_reader()
     times = []
     for i, t in enumerate(document["times"]):
         try:
-            times.append(parse_rational(t))
+            times.append(read(t))
         except ValueError as exc:
             problems.append(f"times[{i}]: {exc}")
 
@@ -301,7 +306,7 @@ def load_tree(document: Mapping) -> EventTree:
             problems.append(f"node {node}: missing 'prob'")
             continue
         try:
-            prob = parse_rational(raw_prob)
+            prob = read(raw_prob)
         except ValueError as exc:
             problems.append(f"node {node}: {exc}")
             continue

@@ -21,7 +21,10 @@ from spreadlab import (
     strategy_to_doc,
     verify_cps,
 )
+from spreadlab import cps as cps_module
+from spreadlab import theorems as theorems_module
 from spreadlab.cli import main, run_command
+from spreadlab.tree import density_problems
 
 from helpers import random_market, random_sf_strategy
 
@@ -162,6 +165,30 @@ class TestValidate:
         assert "not valid JSON" in result.human_summary
 
 
+class TestBadPaths:
+    @pytest.mark.parametrize("flag", ["--market", "--strategy", "--cps"])
+    def test_directory_as_input(self, det_files, flag):
+        argv = {"--market": "det/market.json", "--strategy": "det/strategy.json", "--cps": "det/cps.json"}
+        argv[flag] = "det"
+        result = run_command(["decompose", *(x for kv in argv.items() for x in kv)])
+        assert result.exit_code == 2
+        assert result.human_summary.startswith("error: det: cannot read (")
+
+    def test_directory_as_report(self, det_files):
+        result = run_command(["validate", "--market", "det/market.json", "--report", "det"])
+        assert result.exit_code == 2
+        assert result.human_summary.startswith("error: det: cannot write report (")
+
+    def test_file_as_output_directory(self, det_files):
+        result = run_command([
+            "counterexample", "--variant", "det", "--out-dir", "det/market.json",
+        ])
+        assert result.exit_code == 2
+        assert result.human_summary.startswith(
+            "error: det/market.json: cannot create output directory ("
+        )
+
+
 class TestMalformedShapes:
     @pytest.mark.parametrize("key, value", [("times", 3), ("nodes", 5)])
     def test_market_key_of_wrong_type(self, det_files, key, value):
@@ -267,6 +294,32 @@ class TestCheckStrategy:
         report = read_json(result.report_path)
         assert report["self_financing"] is False
         assert report["slack_violations"] == [1]
+
+    def test_outputs_past_the_digit_limit_are_exact(self, tmp_path, monkeypatch):
+        # every input is under the interpreter's 4300-digit limit, the slacks are not
+        monkeypatch.chdir(tmp_path)
+        argv = ["check-strategy", "--market", "m.json", "--strategy", "s.json"]
+        saved = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4300)
+            price = f"1/{3**8000}"
+            write_json("m.json", {
+                "times": ["0", "1"], "lambda": "1/4",
+                "nodes": [{"id": 0, "parent": None, "prob": "1", "S": price},
+                          {"id": 1, "parent": 0, "prob": "1", "S": price}],
+            })
+            holding = {"phi0": f"-1/{11**4000}", "phi1": f"1/{7**5000}"}
+            write_json("s.json", {"holdings": [{"node": n, **holding} for n in (0, 1)]})
+            result = run_command(argv + ["--report", "limited.json"])
+            sys.set_int_max_str_digits(0)
+            lifted = run_command(argv + ["--report", "lifted.json"])
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert result.exit_code == lifted.exit_code == 0
+        assert result.human_summary.startswith("self-financing: yes")
+        assert Path("limited.json").read_bytes() == Path("lifted.json").read_bytes()
+        slack = read_json("limited.json")["slack"]
+        assert max(len(text) for text in slack.values()) == 20253
 
 
 class TestFindCps:
@@ -418,6 +471,22 @@ class TestDecompose:
         ])
         assert result.exit_code == 2
         assert "not self-financing" in result.human_summary
+
+    def test_density_validated_once(self, det_files, monkeypatch):
+        calls = []
+
+        def counted(tree, density):
+            calls.append(density)
+            return density_problems(tree, density)
+
+        for module in (cps_module, theorems_module):
+            monkeypatch.setattr(module, "density_problems", counted)
+        result = run_command([
+            "decompose", "--market", "det/market.json",
+            "--strategy", "det/strategy.json", "--cps", "det/cps.json",
+        ])
+        assert result.exit_code == 0
+        assert len(calls) == 1
 
     def test_report_matches_library(self, tmp_path, monkeypatch):
         # random markets, self-financing strategies and the price systems

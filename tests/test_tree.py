@@ -105,6 +105,8 @@ class TestBuild:
         for _ in range(50):
             tree = random_tree(rng)
             assert sum(tree.node_prob[n] for n in tree.leaves) == 1
+            for n in tree.internal:
+                assert all(tree.node_prob[c] == tree.node_prob[n] * tree.cond_prob[c] for c in tree.children[n])
 
 
 class TestLoadTree:
@@ -127,6 +129,16 @@ class TestLoadTree:
     def test_root_prob_defaults_to_one(self):
         doc = {"times": ["0"], "nodes": [{"id": 0, "parent": None}]}
         assert load_tree(doc).node_prob[0] == 1
+
+    def test_node_prob_computed_on_first_use(self):
+        tree = load_tree(self.DOC)
+        assert "node_prob" not in vars(tree)
+        for n in tree.nodes:
+            product = F(1)
+            for m in tree.path(n):
+                product *= tree.cond_prob[m]
+            assert tree.node_prob[n] == product
+        assert "node_prob" in vars(tree)
 
     def test_missing_keys(self):
         with pytest.raises(TreeError, match="missing 'times'"):
