@@ -14,6 +14,7 @@ summary only.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import os
 import sys
@@ -41,6 +42,9 @@ from .valuation import NUMERAIRE_BASED, NUMERAIRE_FREE, admissibility_bound
 
 EPSILON_ENV = "SPREADLAB_EPSILON"
 
+# six significant digits over the whole exponent range, for values past a float's
+_APPROX = decimal.Context(prec=6, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
 
 @dataclass(frozen=True)
 class CommandResult:
@@ -64,8 +68,10 @@ def _default_epsilon() -> Fraction:
 
 def _load_json(path: str) -> dict:
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             return json.load(handle)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON (not UTF-8: {exc})")
     except FileNotFoundError:
         raise ValueError(f"{path}: file not found")
     except OSError as exc:
@@ -76,7 +82,7 @@ def _load_json(path: str) -> dict:
 
 def _write_report(path: str, doc: dict) -> str:
     try:
-        with open(path, "w") as handle:
+        with open(path, "w", encoding="utf-8") as handle:
             json.dump(doc, handle, indent=2)
             handle.write("\n")
     except OSError as exc:
@@ -84,10 +90,15 @@ def _write_report(path: str, doc: dict) -> str:
     return path
 
 
-def _fmt(value: Fraction, decimal: bool) -> str:
+def _fmt(value: Fraction, show_decimal: bool) -> str:
     text = format_rational(value)
-    if decimal and value.denominator != 1:
-        return f"{text} (~{float(value):.6g})"
+    if show_decimal and value.denominator != 1:
+        try:
+            approx = f"{float(value):.6g}"
+        except OverflowError:
+            quotient = _APPROX.divide(value.numerator, value.denominator)
+            approx = f"{quotient.normalize(_APPROX):g}"
+        return f"{text} (~{approx})"
     return text
 
 

@@ -18,10 +18,18 @@ if any child attains it.
 
 A nonempty root interval is turned into a witness top down: each node's
 value is placed inside its children's intervals, and the one-step
-weights maximize the minimum leaf density for the values placed.  In the
-equivalent mode that minimum is positive, so the witness is equivalent
-and clears a leaf floor of exactly that minimum; `max_equivalence_margin`
-gives the best floor any system clears.
+weights maximize the minimum leaf density for the values placed.  Those
+weights have a closed form per node, one of three cases by which side of
+the node's value the children's margin-weighted mean falls, so the
+witness costs about one more pass.  In the equivalent mode that minimum
+is positive, so the witness is equivalent and clears a leaf floor of
+exactly that minimum; `max_equivalence_margin` gives the best floor any
+system clears.
+
+The threshold, the infimum of the feasible cost levels, is read off the
+same recursion.  In the equivalent mode the level only scales the low
+ends, so one pass at level 0 gives it in closed form; the absolutely
+continuous mode searches the candidate levels with one pass per probe.
 
 An empty interval is turned into a Farkas certificate over the same
 rows, read off the intervals, so infeasibility stays checkable
@@ -200,11 +208,6 @@ class _Box(NamedTuple):
             self.lo == self.hi and not (self.lo_closed and self.hi_closed)
         )
 
-    def contains(self, v: Fraction) -> bool:
-        return (self.lo < v or (v == self.lo and self.lo_closed)) and (
-            v < self.hi or (v == self.hi and self.hi_closed)
-        )
-
     def nearest(self, v: Fraction) -> Fraction:
         """v itself when inside, else the end next to it, or the midpoint
         when that end is open."""
@@ -220,6 +223,27 @@ class _Box(NamedTuple):
 
     def high_point(self, u: Fraction) -> Fraction:
         return self.hi if self.hi_closed else (u + self.hi) / 2
+
+
+def _cut(lo: Fraction, hi: Fraction, kids: list, attained) -> _Box:
+    """A node's interval: its spread [lo, hi] cut by the hull of its
+    children's intervals ``kids``.  ``attained`` is ``all`` in the
+    equivalent mode, where every child keeps mass, so an end of the hull
+    is attained only if every child attains it; it is ``any`` in the
+    absolutely continuous mode."""
+    bottom = min(b.lo for b in kids)
+    bottom_closed = attained(b.lo == bottom and b.lo_closed for b in kids)
+    top = max(b.hi for b in kids)
+    top_closed = attained(b.hi == top and b.hi_closed for b in kids)
+    if lo > bottom or (lo == bottom and bottom_closed):
+        low = (lo, True, True)
+    else:
+        low = (bottom, bottom_closed, False)
+    if hi < top or (hi == top and top_closed):
+        high = (hi, True, True)
+    else:
+        high = (top, top_closed, False)
+    return _Box(*low, *high)
 
 
 def _shadow_intervals(
@@ -248,19 +272,7 @@ def _shadow_intervals(
             dead[n] = None
             continue
         else:
-            bottom = min(b.lo for b in kids)
-            bottom_closed = attained(b.lo == bottom and b.lo_closed for b in kids)
-            top = max(b.hi for b in kids)
-            top_closed = attained(b.hi == top and b.hi_closed for b in kids)
-            if lo > bottom or (lo == bottom and bottom_closed):
-                low = (lo, True, True)
-            else:
-                low = (bottom, bottom_closed, False)
-            if hi < top or (hi == top and top_closed):
-                high = (hi, True, True)
-            else:
-                high = (top, top_closed, False)
-            box = _Box(*low, *high)
+            box = _cut(lo, hi, kids, attained)
         if box.is_empty():
             dead[n] = box
             if equivalent:
@@ -274,16 +286,17 @@ def _place(v: Fraction, boxes: list, probs: list) -> list:
     """Child values inside the children's intervals that v is an average
     of, with weights proportional to P when the intervals allow it.
 
-    Every child takes the value of its interval nearest to v; the values
-    then slide toward the far ends of the intervals until their P-mean
-    reaches v.  When even the far ends do not reach it, they are returned
-    and the weights must lean toward them.  v is then strictly between
-    the lowest and the highest value, or equal to all of them, whenever
-    v is in the intervals' equivalent-mode hull.
+    Every child takes the value of its interval nearest to v, which is v
+    itself when v is inside; the values then slide toward the far ends of
+    the intervals until their P-mean reaches v.  When even the far ends do
+    not reach it, they are returned and the weights must lean toward
+    them.  v is then strictly between the lowest and the highest value,
+    or equal to all of them, whenever v is in the intervals'
+    equivalent-mode hull.
     """
-    if all(b.contains(v) for b in boxes):
-        return [v] * len(boxes)
     near = [b.nearest(v) for b in boxes]
+    if all(u == v for u in near):
+        return near
     total = sum(probs)
     mean = sum(p * u for p, u in zip(probs, near)) / total
     if mean == v:
@@ -308,52 +321,53 @@ def _max_min_density(
     Children without a shadow value get no mass.  Bottom up, with the
     subtree margins m_c already fixed, a node's margin is
     min_c (q_c / p_c) m_c, maximized over one-step weights q >= 0 summing
-    to 1 that average the children's values to the node's; the optimum of
-    that one-dimensional problem has a closed form in the three bounds
-    computed below.  A subtree that already loses mass (margin 0) is
-    weighted as if its margin were 1.
+    to 1 that average the children's values u_c to the node's value v.
+    With beta_c = p_c / m_c, B = sum beta_c and M = sum beta_c u_c, the
+    optimum is q = t beta plus the residual 1 - t B on one extreme child,
+    and the node's margin is t itself:
+
+    * v B = M: the beta-weighted mean of the children is v already, so
+      t = 1 / B and there is no residual;
+    * v B < M: only the low side binds, t = (v - u_min) / (M - u_min B),
+      and the residual goes to the (first) lowest child;
+    * v B > M: only the high side binds, t = (u_max - v) / (u_max B - M),
+      and the residual goes to the (first) highest child.
+
+    A subtree that already loses mass (margin 0) is weighted as if its
+    margin were 1.
     """
+    prob = tree.cond_prob
     margin: dict[NodeId, Fraction] = {}
     weights: dict[NodeId, dict[NodeId, Fraction]] = {}
     for n in reversed(tree.nodes):
         if n not in shadow:
             continue
-        if not tree.children[n]:
+        children = tree.children[n]
+        if not children:
             margin[n] = Fraction(1)
             continue
-        kids = [c for c in tree.children[n] if c in shadow]
+        kids = [c for c in children if c in shadow]
         sub = [margin[c] for c in kids]
-        lost = len(kids) < len(tree.children[n]) or min(sub) == 0
+        lost = len(kids) < len(children) or min(sub) == 0
         if lost:
-            sub = [Fraction(1)] * len(kids)
+            beta = [prob[c] for c in kids]
+        else:
+            beta = [prob[c] / m for c, m in zip(kids, sub)]
         v = shadow[n]
         u = [shadow[c] for c in kids]
-        beta = [tree.cond_prob[c] / m for c, m in zip(kids, sub)]
-        umin, umax = min(u), max(u)
-        bounds = [Fraction(1) / sum(beta)]
-        d_lo = sum(b * (ui - umin) for b, ui in zip(beta, u))
-        d_hi = sum(b * (umax - ui) for b, ui in zip(beta, u))
-        if d_lo > 0:
-            bounds.append((v - umin) / d_lo)
-        if d_hi > 0:
-            bounds.append((umax - v) / d_hi)
-        t = min(bounds)
-        q = [t * b for b in beta]
-        if umax > umin:
-            # residual mass goes to the extreme children; the split is the
-            # unique one preserving both the total and the mean
-            sigma = 1 - sum(q)
-            tau = v - sum(qc * uc for qc, uc in zip(q, u))
-            r_hi = (tau - sigma * umin) / (umax - umin)
-            r_lo = sigma - r_hi
-            q[u.index(umin)] += r_lo
-            q[u.index(umax)] += r_hi
+        total = sum(beta)
+        mean = sum(b * uc for b, uc in zip(beta, u))
+        gap = v * total - mean
+        if gap == 0:
+            t = 1 / total
+            q = [t * b for b in beta]
         else:
-            total = sum(q)
-            q = [qc / total for qc in q]
+            extreme = min(u) if gap < 0 else max(u)
+            t = (v - extreme) / (mean - extreme * total)
+            q = [t * b for b in beta]
+            q[u.index(extreme)] += 1 - t * total
         weights[n] = dict(zip(kids, q))
-        low = min(qc * mc / tree.cond_prob[c] for c, qc, mc in zip(kids, q, sub))
-        margin[n] = Fraction(0) if lost else low
+        margin[n] = Fraction(0) if lost else t
     density: dict[NodeId, Fraction] = {}
     for n in tree.nodes:
         up = tree.parent[n]
@@ -679,24 +693,53 @@ def _threshold(market: Market, equivalent: bool) -> tuple[Fraction, bool]:
     """The threshold, the infimum of the cost levels with a price system,
     and whether a system exists at the threshold itself.
 
-    Every interval end of the backward pass is a bid (1 - lambda') S_x or
-    an ask S_y of a node in the subtree, and a node's interval can only
-    empty where one end is its own quote.  So the root's emptiness changes
-    only at levels 1 - S_d / S_a with one node an ancestor of the other
-    and S_d < S_a.  Feasibility grows with the level, so a binary search
-    over those candidates, one backward pass per probe, finds the first
-    feasible one; one more pass between it and the last infeasible one
-    tells which of the two is the threshold.  Close enough to 1 every
-    level is feasible, since one constant shadow price then sits in every
-    spread.
+    Equivalent mode, one backward pass: node n's interval at level
+    lambda' is [(1 - lambda') L_n, H_n], where [L_n, H_n] is its interval
+    at level 0 taken over all children, empty or not.  Neither L_n, H_n
+    nor which ends are closed depends on the level, and the root is
+    nonempty exactly when every node is.  So the threshold is
+    t = max_n (1 - H_n / L_n)^+, and it is attained iff every node with
+    (1 - t) L_n = H_n has both ends closed.
+
+    Absolutely continuous mode, where an empty child drops out instead of
+    emptying its parent: every interval end of the backward pass is a bid
+    (1 - lambda') S_x or an ask S_y of a node in the subtree, and a
+    node's interval can only empty where one end is its own quote.  So
+    the root's emptiness changes only at levels 1 - S_d / S_a with one
+    node an ancestor of the other and S_d < S_a.  Feasibility grows with
+    the level, so a binary search over those candidates, one backward
+    pass per probe, finds the first feasible one; one more pass between
+    it and the last infeasible one tells which of the two is the
+    threshold.  Close enough to 1 every level is feasible, since one
+    constant shadow price then sits in every spread.
     """
     problems = validate_market(market)
     if problems:
         raise MarketError(problems)
     tree, price = market.tree, market.price
 
+    if equivalent:
+        level, attained = Fraction(0), True
+        boxes: dict[NodeId, _Box] = {}
+        for n in reversed(tree.nodes):
+            s = price[n]
+            kids = tree.children[n]
+            if not kids:
+                boxes[n] = _Box(s, True, True, s, True, True)
+                continue
+            box = boxes[n] = _cut(s, s, [boxes[c] for c in kids], all)
+            if box.hi > box.lo:
+                continue
+            need = 1 - box.hi / box.lo
+            closed = box.lo_closed and box.hi_closed
+            if need > level:
+                level, attained = need, closed
+            elif need == level:
+                attained = attained and closed
+        return level, attained
+
     def feasible(fee: Fraction) -> bool:
-        return tree.root in _shadow_intervals(market, fee, equivalent)[0]
+        return tree.root in _shadow_intervals(market, fee, False)[0]
 
     if feasible(Fraction(0)):
         return Fraction(0), True

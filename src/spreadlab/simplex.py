@@ -61,6 +61,9 @@ class FarkasCertificate:
         combined = [Fraction(0)] * num_vars
         rhs_total = Fraction(0)
         for mu, con in zip(self.multipliers, constraints):
+            if not mu:
+                # a zero multiplier passes both sign rules and adds nothing
+                continue
             if con.relation == LE and mu < 0:
                 return False
             if con.relation == GE and mu > 0:

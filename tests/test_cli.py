@@ -179,6 +179,13 @@ class TestBadPaths:
         assert result.exit_code == 2
         assert result.human_summary.startswith("error: det: cannot write report (")
 
+    def test_input_not_utf8(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("m.json").write_bytes(b"\xff\xfe{")
+        result = run_command(["validate", "--market", "m.json"])
+        assert result.exit_code == 2
+        assert result.human_summary.startswith("error: m.json: not valid JSON (not UTF-8: ")
+
     def test_file_as_output_directory(self, det_files):
         result = run_command([
             "counterexample", "--variant", "det", "--out-dir", "det/market.json",
@@ -320,6 +327,25 @@ class TestCheckStrategy:
         assert Path("limited.json").read_bytes() == Path("lifted.json").read_bytes()
         slack = read_json("limited.json")["slack"]
         assert max(len(text) for text in slack.values()) == 20253
+
+    def test_decimal_summary_past_the_float_range(self, tmp_path, monkeypatch):
+        # the minimal bound is 10^400 + 1/3: too large for a float
+        monkeypatch.chdir(tmp_path)
+        price = str(10**400)
+        write_json("m.json", {
+            "times": ["0", "1"], "lambda": "1/4",
+            "nodes": [{"id": 0, "parent": None, "prob": "1", "S": price},
+                      {"id": 1, "parent": 0, "prob": "1", "S": price}],
+        })
+        write_json("s.json", {"holdings": [
+            {"node": n, "phi0": "-1/3", "phi1": "-1"} for n in (0, 1)
+        ]})
+        result = run_command([
+            "check-strategy", "--market", "m.json", "--strategy", "s.json", "--decimal",
+        ])
+        assert result.exit_code == 0
+        assert "(~1e+400) binding at node 0" in result.human_summary
+        assert read_json("check-strategy-report.json")["self_financing"] is True
 
 
 class TestFindCps:

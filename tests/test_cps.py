@@ -24,6 +24,8 @@ from spreadlab import (
     verify_cps,
 )
 from spreadlab import cps as cps_module
+from spreadlab import simplex
+from spreadlab.simplex import Constraint
 
 from helpers import random_market
 
@@ -628,3 +630,41 @@ class TestIntervalDecider:
                     assert ok, violations
         assert unattained > 0
         assert lp_calls == []
+
+
+class TestWitnessWeights:
+    def test_minimum_leaf_density_is_optimal_for_its_prices(self):
+        # with the witness's shadow prices fixed, the best weights solve an
+        # LP in the density alone: maximize t over the mass drifts, the
+        # drifts of Z * S-tilde and z_leaf >= t; the closed-form weights
+        # must reach its optimum
+        rng = random.Random(6007)
+        checked = nonunit = 0
+        while checked < 120:
+            market = random_market(rng)
+            tree = market.tree
+            pos = {n: i for i, n in enumerate(tree.nodes)}
+            t = len(pos)
+            for level in (F(0), F(1, 8), F(1, 4), F(1, 2)):
+                result = find_cps(market, CpsQuery(level))
+                if not result.feasible:
+                    continue
+                shadow, density = result.cps.shadow_price, result.cps.density
+                assert result.cps.off_support == ()
+                cons = [Constraint({pos[tree.root]: F(1)}, simplex.EQ, F(1))]
+                for n in tree.internal:
+                    zrow = {pos[n]: F(-1)}
+                    yrow = {pos[n]: -shadow[n]}
+                    for c in tree.children[n]:
+                        zrow[pos[c]] = tree.cond_prob[c]
+                        yrow[pos[c]] = tree.cond_prob[c] * shadow[c]
+                    cons.append(Constraint(zrow, simplex.EQ, F(0)))
+                    cons.append(Constraint(yrow, simplex.EQ, F(0)))
+                for leaf in tree.leaves:
+                    cons.append(Constraint({pos[leaf]: F(1), t: F(-1)}, simplex.GE, F(0)))
+                lp = simplex.solve(t + 1, cons, objective={t: F(1)}, maximize=True)
+                assert lp.status == simplex.OPTIMAL
+                assert lp.objective == min(density[leaf] for leaf in tree.leaves)
+                checked += 1
+                nonunit += any(density[n] != 1 for n in tree.nodes)
+        assert nonunit >= 60
