@@ -216,12 +216,12 @@ def _cmd_find_cps(args) -> CommandResult:
 
 def _cmd_cps_threshold(args) -> CommandResult:
     market = load_market(_load_json(args.market))
-    epsilon = _default_epsilon()
-    threshold, attained = _threshold(market, epsilon > 0)
+    equivalent = _default_epsilon() > 0
+    threshold, attained = _threshold(market, equivalent)
     report = {
         "threshold": format_rational(threshold),
         "attained": attained,
-        "epsilon": format_rational(epsilon),
+        "mode": EQUIVALENT if equivalent else ABSOLUTELY_CONTINUOUS,
     }
     path = _write_report(args.report, report)
     if attained:

@@ -32,8 +32,9 @@ ends, so one pass at level 0 gives it in closed form; the absolutely
 continuous mode searches the candidate levels with one pass per probe.
 
 An empty interval is turned into a Farkas certificate over the same
-rows, read off the intervals, so infeasibility stays checkable
-independently of how it was found.  Its multipliers do not depend on the
+rows, read off the intervals in one top-down pass from the node where
+the contradiction closes, so infeasibility stays checkable independently
+of how it was found.  Its multipliers do not depend on the
 leaf floor epsilon > 0 of the rows, so epsilon only selects the mode:
 epsilon = 0 is the absolutely continuous mode, where the shadow price is
 only defined on the support.
@@ -41,6 +42,7 @@ only defined on the support.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple
@@ -193,15 +195,12 @@ def _system_from_solution(
 
 class _Box(NamedTuple):
     """The shadow prices a node can carry: an interval with, for each end,
-    whether it is attained and whether it is the node's own quote (rather
-    than the hull of its children's intervals)."""
+    whether it is attained."""
 
     lo: Fraction
     lo_closed: bool
-    lo_own: bool
     hi: Fraction
     hi_closed: bool
-    hi_own: bool
 
     def is_empty(self) -> bool:
         return self.lo > self.hi or (
@@ -236,14 +235,10 @@ def _cut(lo: Fraction, hi: Fraction, kids: list, attained) -> _Box:
     top = max(b.hi for b in kids)
     top_closed = attained(b.hi == top and b.hi_closed for b in kids)
     if lo > bottom or (lo == bottom and bottom_closed):
-        low = (lo, True, True)
-    else:
-        low = (bottom, bottom_closed, False)
+        bottom, bottom_closed = lo, True
     if hi < top or (hi == top and top_closed):
-        high = (hi, True, True)
-    else:
-        high = (top, top_closed, False)
-    return _Box(*low, *high)
+        top, top_closed = hi, True
+    return _Box(bottom, bottom_closed, top, top_closed)
 
 
 def _shadow_intervals(
@@ -267,7 +262,7 @@ def _shadow_intervals(
         lo = keep * hi
         kids = [live[c] for c in tree.children[n] if c in live]
         if not tree.children[n]:
-            box = _Box(lo, True, True, hi, True, True)
+            box = _Box(lo, True, hi, True)
         elif not kids:
             dead[n] = None
             continue
@@ -295,20 +290,17 @@ def _place(v: Fraction, boxes: list, probs: list) -> list:
     equivalent-mode hull.
     """
     near = [b.nearest(v) for b in boxes]
-    if all(u == v for u in near):
+    gap = sum(p * (u - v) for p, u in zip(probs, near))
+    if gap == 0:
         return near
-    total = sum(probs)
-    mean = sum(p * u for p, u in zip(probs, near)) / total
-    if mean == v:
-        return near
-    if mean > v:
+    if gap > 0:
         far = [b.low_point(u) for b, u in zip(boxes, near)]
     else:
         far = [b.high_point(u) for b, u in zip(boxes, near)]
-    far_mean = sum(p * u for p, u in zip(probs, far)) / total
-    if (far_mean - v) * (mean - v) > 0:
+    far_gap = sum(p * (f - v) for p, f in zip(probs, far))
+    if far_gap * gap > 0:
         return far
-    s = (mean - v) / (mean - far_mean)
+    s = gap / (gap - far_gap)
     return [u + s * (f - u) for u, f in zip(near, far)]
 
 
@@ -407,18 +399,6 @@ def _interval_witness(
     return cps, AdaptedProcess(mass), margin
 
 
-class _Derivation:
-    """A derived inequality: a combination of constraint rows, given as
-    (label, multiplier) pairs, plus nonnegative multiples of earlier
-    derivations."""
-
-    __slots__ = ("rows", "parts")
-
-    def __init__(self, rows, parts):
-        self.rows = rows
-        self.parts = parts
-
-
 def _interval_certificate(
     market: Market,
     query: CpsQuery,
@@ -428,15 +408,17 @@ def _interval_certificate(
     """Farkas certificate over `_cps_constraints`, read off the intervals.
 
     Every row is used in its "<=" direction (">=" rows with a negative
-    multiplier), and a derivation stands for the inequality the combined
-    rows imply; extra terms with nonnegative coefficients are allowed,
-    since every variable is nonnegative.  Per node n with interval [a, b]:
+    multiplier), and each node has up to five derived inequalities, each a
+    combination of rows; extra terms with nonnegative coefficients are
+    allowed, since every variable is nonnegative.  Per node n with
+    interval [a, b]:
 
     * lower(n): a z_n - y_n <= 0, from the bid row when a is the node's
-      own quote, else from the drift rows plus lower(c) of the live
-      children and a p_c gone(c) of the dead ones;
-    * upper(n): y_n - b z_n <= 0, from the ask row, or symmetrically with
-      p_c cap(c) for the dead children;
+      own attained bid (1 - lambda') S_n, else from the drift rows plus
+      lower(c) of the live children and a p_c gone(c) of the dead ones;
+    * upper(n): y_n - b z_n <= 0, from the ask row when b is the node's
+      own attained ask S_n, or symmetrically with p_c cap(c) for the dead
+      children;
     * floor(n): -z_n <= -epsilon, from the leaf floors and mass drifts.
       Adding p_c (a_c - a) floor(c) for each child strictly above an open
       end cancels that child's surplus and makes the inequality strict;
@@ -448,98 +430,96 @@ def _interval_certificate(
     lower + upper (+ (a - b) floor when the ends cross) leaves a
     nonnegative row with a negative right-hand side; or at the root
     (absolutely continuous mode), where gone(root) meets unit_root_mass.
+
+    A node's derived inequalities are used only by the node itself
+    (cap(n) uses gone(n), which uses lower(n) and upper(n)) and by its
+    parent.  So one pass from the closing node down its subtree
+    (equivalent mode) or the whole tree finds each node's weights final
+    when it gets there, and adds them onto the row multipliers and onto
+    the children's weights.
     """
-    tree = market.tree
+    tree, price = market.tree, market.price
+    prob = tree.cond_prob
+    keep = 1 - query.fee
     equivalent = query.mode == EQUIVALENT
-    made: list[_Derivation] = []
+    num_vars, cons, _ = _cps_constraints(market, query.fee, query.epsilon)
+    index = {con.label: i for i, con in enumerate(cons)}
+    multipliers = [Fraction(0)] * len(cons)
 
-    def derive(rows, parts=()) -> _Derivation:
-        d = _Derivation(rows, parts)
-        made.append(d)
-        return d
+    def add(label: str, mu: Fraction) -> None:
+        multipliers[index[label]] += mu
 
+    lower, upper, floor, gone, cap = (defaultdict(int) for _ in range(5))
     if equivalent:
         (failed,) = dead
+        box = dead[failed]
+        lower[failed] = upper[failed] = Fraction(1)
+        if box.lo > box.hi:
+            floor[failed] = box.lo - box.hi
         scope, frontier = [], [failed]
         while frontier:
             scope.extend(frontier)
             frontier = [c for n in frontier for c in tree.children[n]]
-        scope.reverse()
     else:
-        scope = list(reversed(tree.nodes))
+        add("unit_root_mass", -1)
+        gone[tree.root] = Fraction(1)
+        scope = tree.nodes
 
-    lower: dict[NodeId, _Derivation] = {}
-    upper: dict[NodeId, _Derivation] = {}
-    floor: dict[NodeId, _Derivation] = {}
-    gone: dict[NodeId, _Derivation] = {}
-    cap: dict[NodeId, _Derivation] = {}
-    prob = tree.cond_prob
     for n in scope:
         kids = tree.children[n]
-        if equivalent:
-            if kids:
-                floor[n] = derive([(f"mass_drift:{n}", 1)], [(prob[c], floor[c]) for c in kids])
-            else:
-                floor[n] = derive([(f"floor:{n}", -1)])
         box = live.get(n, dead.get(n))
-        if box is not None:
-            if box.lo_own:
-                lower[n] = derive([(f"bid:{n}", -1)])
-            else:
-                bottom = box.lo
-                parts = []
-                for c in kids:
-                    if c in live:
-                        parts.append((prob[c], lower[c]))
-                        if equivalent and live[c].lo > bottom:
-                            parts.append((prob[c] * (live[c].lo - bottom), floor[c]))
-                    else:
-                        parts.append((bottom * prob[c], gone[c]))
-                lower[n] = derive([(f"price_drift:{n}", 1), (f"mass_drift:{n}", -bottom)], parts)
-            if box.hi_own:
-                upper[n] = derive([(f"ask:{n}", 1)])
-            else:
-                top = box.hi
-                parts = []
-                for c in kids:
-                    if c in live:
-                        parts.append((prob[c], upper[c]))
-                        if equivalent and live[c].hi < top:
-                            parts.append((prob[c] * (top - live[c].hi), floor[c]))
-                    else:
-                        parts.append((prob[c], cap[c]))
-                upper[n] = derive([(f"price_drift:{n}", -1), (f"mass_drift:{n}", top)], parts)
-        if n in dead and not equivalent:
+        w = cap[n]
+        if w:
+            add(f"ask:{n}", w)
+            gone[n] += w * price[n]
+        w = gone[n]
+        if w:
             if box is None:
-                gone[n] = derive([(f"mass_drift:{n}", -1)], [(prob[c], gone[c]) for c in kids])
+                add(f"mass_drift:{n}", -w)
+                for c in kids:
+                    gone[c] += w * prob[c]
             else:
-                w = 1 / (box.lo - box.hi)
-                gone[n] = derive([], [(w, lower[n]), (w, upper[n])])
-            cap[n] = derive([(f"ask:{n}", 1)], [(market.price[n], gone[n])])
-
-    if equivalent:
-        box = dead[failed]
-        parts = [(Fraction(1), lower[failed]), (Fraction(1), upper[failed])]
-        if box.lo > box.hi:
-            parts.append((box.lo - box.hi, floor[failed]))
-        final = derive([], parts)
-    else:
-        final = derive([("unit_root_mass", -1)], [(Fraction(1), gone[tree.root])])
-
-    num_vars, cons, _ = _cps_constraints(market, query.fee, query.epsilon)
-    index = {con.label: i for i, con in enumerate(cons)}
-    multipliers = [Fraction(0)] * len(cons)
-    weight = {final: Fraction(1)}
-    # parts are made before the derivations that use them, so walking
-    # backwards settles each derivation's total weight before it is spread
-    for d in reversed(made):
-        w = weight.pop(d, None)
-        if w is None:
-            continue
-        for label, mu in d.rows:
-            multipliers[index[label]] += w * mu
-        for coef, part in d.parts:
-            weight[part] = weight.get(part, 0) + w * coef
+                w /= box.lo - box.hi
+                lower[n] += w
+                upper[n] += w
+        w = lower[n]
+        if w:
+            bottom = box.lo
+            if box.lo_closed and bottom == keep * price[n]:
+                add(f"bid:{n}", -w)
+            else:
+                add(f"price_drift:{n}", w)
+                add(f"mass_drift:{n}", -w * bottom)
+                for c in kids:
+                    if c in live:
+                        lower[c] += w * prob[c]
+                        if equivalent and live[c].lo > bottom:
+                            floor[c] += w * prob[c] * (live[c].lo - bottom)
+                    else:
+                        gone[c] += w * bottom * prob[c]
+        w = upper[n]
+        if w:
+            top = box.hi
+            if box.hi_closed and top == price[n]:
+                add(f"ask:{n}", w)
+            else:
+                add(f"price_drift:{n}", -w)
+                add(f"mass_drift:{n}", w * top)
+                for c in kids:
+                    if c in live:
+                        upper[c] += w * prob[c]
+                        if equivalent and live[c].hi < top:
+                            floor[c] += w * prob[c] * (top - live[c].hi)
+                    else:
+                        cap[c] += w * prob[c]
+        w = floor[n]
+        if w:
+            if kids:
+                add(f"mass_drift:{n}", w)
+                for c in kids:
+                    floor[c] += w * prob[c]
+            else:
+                add(f"floor:{n}", -w)
     return CpsInfeasibility(
         fee=query.fee,
         epsilon=query.epsilon,
@@ -725,7 +705,7 @@ def _threshold(market: Market, equivalent: bool) -> tuple[Fraction, bool]:
             s = price[n]
             kids = tree.children[n]
             if not kids:
-                boxes[n] = _Box(s, True, True, s, True, True)
+                boxes[n] = _Box(s, True, s, True)
                 continue
             box = boxes[n] = _cut(s, s, [boxes[c] for c in kids], all)
             if box.hi > box.lo:
@@ -1007,6 +987,9 @@ def load_cps(document: Mapping, tree: EventTree) -> tuple[ConsistentPriceSystem,
                 continue
             if node not in tree.node_set:
                 problems.append(f"{label}: node {node} not in tree")
+                continue
+            if node in out:
+                problems.append(f"{label}: node {node} given twice")
                 continue
             try:
                 out[node] = read(value)

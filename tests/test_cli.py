@@ -248,6 +248,17 @@ class TestMalformedShapes:
         assert result.exit_code == 2
         assert result.human_summary == "error: 'S_tilde' must be an object, got int"
 
+    def test_price_system_node_given_twice_in_decompose(self, det_files):
+        doc = read_json(det_files / "cps.json")
+        doc["S_tilde"]["00"] = doc["S_tilde"]["0"]
+        write_json(det_files / "c.json", doc)
+        result = run_command([
+            "decompose", "--market", "det/market.json", "--strategy", "det/strategy.json",
+            "--cps", "det/c.json",
+        ])
+        assert result.exit_code == 2
+        assert result.human_summary == "error: S_tilde: node 0 given twice"
+
     def test_overlong_price_gets_a_short_message(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         saved = sys.get_int_max_str_digits()
@@ -463,6 +474,16 @@ class TestThreshold:
         ])
         assert "~0.5" in result.human_summary
 
+    def test_env_epsilon_selects_the_reported_mode(self, det_files, monkeypatch):
+        # the variable only picks the mode; its value is not echoed
+        for value, mode in (("2", "equivalent"), ("0", "absolutely_continuous")):
+            monkeypatch.setenv("SPREADLAB_EPSILON", value)
+            result = run_command(["cps-threshold", "--market", "det/market.json"])
+            assert result.exit_code == 0
+            report = read_json(result.report_path)
+            assert "epsilon" not in report
+            assert report["mode"] == mode
+
     def test_malformed_env_epsilon(self, det_files, monkeypatch):
         monkeypatch.setenv("SPREADLAB_EPSILON", "0.5")
         result = run_command(["cps-threshold", "--market", "det/market.json"])
@@ -627,7 +648,7 @@ class TestTheorem:
         assert report["cps_levels"] == [{"lambda_prime": "1/10000", "feasible": True}]
         result = run_command(["cps-threshold", "--market", "market.json"])
         assert read_json(result.report_path) == {
-            "threshold": "1/10000", "attained": True, "epsilon": "1/1000000",
+            "threshold": "1/10000", "attained": True, "mode": "equivalent",
         }
 
     def test_hypothesis_only_failure_exits_3(self, det_files):

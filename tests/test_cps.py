@@ -464,6 +464,21 @@ class TestWire:
         with pytest.raises(CpsError, match="Z: missing nodes"):
             load_cps(doc, market.tree)
 
+    @pytest.mark.parametrize("label, alias, node", [("S_tilde", "01", 1), ("Z", "+2", 2)])
+    def test_node_given_twice_rejected(self, label, alias, node):
+        # int() reads the alias as the same node; neither value may silently win
+        market = binary_market()
+        doc = {
+            "S_tilde": {"0": "1", "1": "2", "2": "1/2"},
+            "Z": {"0": "1", "1": "1", "2": "1"},
+            "lambda_prime": "0",
+            "epsilon": "1/1000000",
+        }
+        doc[label][alias] = "3"
+        with pytest.raises(CpsError) as excinfo:
+            load_cps(doc, market.tree)
+        assert excinfo.value.problems == [f"{label}: node {node} given twice"]
+
 
 class TestAbsolutelyContinuousMode:
     def kill_branch_market(self):

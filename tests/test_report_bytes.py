@@ -51,6 +51,20 @@ PINNED = market([(0, None, "1", "2"), (1, 0, "1/3", "2"), (2, 0, "2/3", "1")], f
 DIP = market(
     [(0, None, "1", "1"), (1, 0, "1", "9999/10000"), (2, 1, "1", "1")], times=("0", "1", "2")
 )
+# branch 1 dips to 9999/10000 between two 1s and dies at node 3, emptying
+# node 1; the flat branch 2 at 1/2 cannot carry the root's 1 alone
+DIP_AND_FLAT = market(
+    [
+        (0, None, "1", "1"),
+        (1, 0, "1/2", "1"),
+        (2, 0, "1/2", "1/2"),
+        (3, 1, "1", "9999/10000"),
+        (4, 2, "1", "1/2"),
+        (5, 3, "1", "1"),
+        (6, 4, "1", "1/2"),
+    ],
+    times=("0", "1", "2", "3"),
+)
 # an equivalent system at every positive level but not at 0
 DELICATE = market([(0, None, "1", "1"), (1, 0, "1/2", "1"), (2, 0, "1/2", "2")])
 
@@ -59,6 +73,7 @@ CASES = {
     "find_cps_equivalent": (SKEWED, ["find-cps", "--lambda", "1/8"], 0),
     "find_cps_ac_off_support": (PINNED, ["find-cps", "--lambda", "0", "--ac"], 0),
     "find_cps_infeasible": (PINNED, ["find-cps", "--lambda", "0"], 3),
+    "find_cps_ac_infeasible": (DIP_AND_FLAT, ["find-cps", "--lambda", "0", "--ac"], 3),
     "threshold_attained": (DIP, ["cps-threshold"], 0),
     "threshold_unattained": (DELICATE, ["cps-threshold"], 0),
     # the market and strategy of `counterexample --variant det`
