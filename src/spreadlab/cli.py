@@ -66,10 +66,22 @@ def _default_epsilon() -> Fraction:
     return value
 
 
-def _load_json(path: str) -> dict:
+def _unique_keys(pairs: list) -> dict:
+    """json.load's object hook: a key given twice is an error, not a merge."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"key {key!r} given twice")
+            seen.add(key)
+    return doc
+
+
+def _load_json(path: str, object_pairs_hook=None) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, object_pairs_hook=object_pairs_hook)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON (not UTF-8: {exc})")
     except FileNotFoundError:
@@ -78,6 +90,8 @@ def _load_json(path: str) -> dict:
         raise ValueError(f"{path}: cannot read ({exc.strerror or exc})")
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}")
 
 
 def _write_report(path: str, doc: dict) -> str:
@@ -235,7 +249,8 @@ def _cmd_cps_threshold(args) -> CommandResult:
 def _cmd_decompose(args) -> CommandResult:
     market = load_market(_load_json(args.market))
     strategy = load_strategy(_load_json(args.strategy), market.tree)
-    cps, _ = load_cps(_load_json(args.cps), market.tree)
+    # only here are nodes keys, which json.load alone merges when repeated
+    cps, _ = load_cps(_load_json(args.cps, _unique_keys), market.tree)
     # shadow_decomposition has verified cps.density, and the value covers every node
     decomposition = shadow_decomposition(market, strategy, cps)
     ossm = _ossm(market.tree, decomposition.value, cps.density)

@@ -10,11 +10,12 @@ On a tree the shadow prices a node can carry form an interval, so
 existence is decided exactly by one backward pass (the recursion of
 Roux & Zastawniak).  Each leaf starts at its spread [(1 - lambda') S, S];
 an internal node intersects its own spread with the hull of its
-children's intervals.  In the equivalent mode every child keeps positive
+children's intervals.  In the equivalent mode every node keeps positive
 mass, so an end of the hull is attained only if every child attains it,
-and one empty child empties the parent.  In the absolutely continuous
-mode Z may die out, so empty children are dropped and an end is attained
-if any child attains it.
+and a system exists only if no interval is empty; the hull runs over
+every child, empty or not.  In the absolutely continuous mode Z may die
+out, so empty children are dropped, an end is attained if any child
+attains it, and a system exists if the root's interval is nonempty.
 
 A nonempty root interval is turned into a witness top down: each node's
 value is placed inside its children's intervals, and the one-step
@@ -28,8 +29,9 @@ system clears.
 
 The threshold, the infimum of the feasible cost levels, is read off the
 same recursion.  In the equivalent mode the level only scales the low
-ends, so one pass at level 0 gives it in closed form; the absolutely
-continuous mode searches the candidate levels with one pass per probe.
+ends, so the empty intervals of the very pass that decides, run at
+level 0, give it in closed form; the absolutely continuous mode searches
+the candidate levels with one pass per probe.
 
 An empty interval is turned into a Farkas certificate over the same
 rows, read off the intervals in one top-down pass from the node where
@@ -48,7 +50,7 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple
 
 from . import simplex
-from .market import Market, MarketError, validate_market
+from .market import Market
 from .rationals import format_rational, rational_reader
 from .simplex import Constraint, FarkasCertificate
 from .tree import AdaptedProcess, EventTree, InputError, NodeId, density_problems, one_step_mean
@@ -176,21 +178,22 @@ def _cps_constraints(
     return 2 * count, cons, pos
 
 
-def _system_from_solution(
-    tree: EventTree, x, pos: Mapping[NodeId, int], fee: Fraction
+def _system(
+    tree: EventTree,
+    density: Mapping[NodeId, Fraction],
+    shadow: Mapping[NodeId, Fraction],
+    fee: Fraction,
 ) -> tuple[ConsistentPriceSystem, AdaptedProcess]:
-    count = len(tree.nodes)
-    density = {n: x[pos[n]] for n in tree.nodes}
-    mass_price = {n: x[count + pos[n]] for n in tree.nodes}
-    shadow = {n: mass_price[n] / density[n] for n in tree.nodes if density[n] > 0}
-    off = tuple(n for n in tree.nodes if density[n] == 0)
+    """The system with density Z and the shadow values kept where Z > 0,
+    and its mass process Y = Z * S-tilde."""
     cps = ConsistentPriceSystem(
-        shadow_price=shadow,
+        shadow_price={n: s for n, s in shadow.items() if density[n] > 0},
         density=AdaptedProcess(density),
         fee=fee,
-        off_support=off,
+        off_support=tuple(n for n in tree.nodes if density[n] == 0),
     )
-    return cps, AdaptedProcess(mass_price)
+    mass = {n: density[n] * shadow[n] if density[n] > 0 else Fraction(0) for n in tree.nodes}
+    return cps, AdaptedProcess(mass)
 
 
 class _Box(NamedTuple):
@@ -248,9 +251,12 @@ def _shadow_intervals(
 
     Returns (live, dead).  ``live`` maps nodes with a nonempty interval to
     it.  ``dead`` maps a node that can carry no mass to its empty interval,
-    or to None when every child is dead.  In the equivalent mode the pass
-    stops at the first empty node, since every ancestor is empty too, so
-    ``dead`` holds at most that node.
+    or to None when every child is dead.  In the equivalent mode a system
+    exists exactly when ``dead`` is empty, and the hull runs over every
+    child, empty or not, so node n's interval is [(1 - lambda') L_n, H_n]
+    with L_n, H_n and their closedness free of the level: `_threshold`
+    reads them.  In the absolutely continuous mode a dead child drops out,
+    and a system exists exactly when the root is live.
     """
     tree = market.tree
     keep = 1 - fee
@@ -260,7 +266,7 @@ def _shadow_intervals(
     for n in reversed(tree.nodes):
         hi = market.price[n]
         lo = keep * hi
-        kids = [live[c] for c in tree.children[n] if c in live]
+        kids = [live[c] if c in live else dead[c] for c in tree.children[n] if equivalent or c in live]
         if not tree.children[n]:
             box = _Box(lo, True, hi, True)
         elif not kids:
@@ -268,12 +274,7 @@ def _shadow_intervals(
             continue
         else:
             box = _cut(lo, hi, kids, attained)
-        if box.is_empty():
-            dead[n] = box
-            if equivalent:
-                break
-        else:
-            live[n] = box
+        (dead if box.is_empty() else live)[n] = box
     return live, dead
 
 
@@ -389,14 +390,8 @@ def _interval_witness(
             values = _place(shadow[n], [live[c] for c in kids], [tree.cond_prob[c] for c in kids])
             shadow.update(zip(kids, values))
     density, margin = _max_min_density(tree, shadow)
-    cps = ConsistentPriceSystem(
-        shadow_price={n: s for n, s in shadow.items() if density[n] > 0},
-        density=AdaptedProcess(density),
-        fee=fee,
-        off_support=tuple(n for n in tree.nodes if density[n] == 0),
-    )
-    mass = {n: density[n] * shadow[n] if density[n] > 0 else Fraction(0) for n in tree.nodes}
-    return cps, AdaptedProcess(mass), margin
+    cps, mass = _system(tree, density, shadow, fee)
+    return cps, mass, margin
 
 
 def _interval_certificate(
@@ -426,7 +421,8 @@ def _interval_certificate(
       from its crossed ends, or from its children all being dead, and
       cap(n): y_n <= 0, from its ask row and gone(n).
 
-    The contradiction closes at the first empty node (equivalent mode):
+    The contradiction closes at the first empty node of the backward pass,
+    whose children are all live (equivalent mode):
     lower + upper (+ (a - b) floor when the ends cross) leaves a
     nonnegative row with a negative right-hand side; or at the root
     (absolutely continuous mode), where gone(root) meets unit_root_mass.
@@ -451,8 +447,7 @@ def _interval_certificate(
 
     lower, upper, floor, gone, cap = (defaultdict(int) for _ in range(5))
     if equivalent:
-        (failed,) = dead
-        box = dead[failed]
+        failed, box = next(iter(dead.items()))
         lower[failed] = upper[failed] = Fraction(1)
         if box.lo > box.hi:
             floor[failed] = box.lo - box.hi
@@ -538,12 +533,10 @@ def find_cps(market: Market, query: CpsQuery) -> FindCpsResult:
     Infeasible outcomes carry an exact Farkas certificate over the
     constraints of `_cps_constraints`.
     """
-    problems = validate_market(market)
-    if problems:
-        raise MarketError(problems)
     equivalent = query.mode == EQUIVALENT
     live, dead = _shadow_intervals(market, query.fee, equivalent)
-    if market.tree.root not in live:
+    # an equivalent system needs every node, an absolutely continuous one the root
+    if (dead if equivalent else market.tree.root in dead):
         return FindCpsResult(
             feasible=False, infeasibility=_interval_certificate(market, query, live, dead)
         )
@@ -559,7 +552,7 @@ def _lp_find_cps(market: Market, query: CpsQuery) -> FindCpsResult:
     `find_cps` against.  It is infeasible wherever the best minimum leaf
     density is below epsilon, even when an equivalent system exists.
     """
-    num_vars, cons, pos = _cps_constraints(market, query.fee, query.epsilon)
+    num_vars, cons, _ = _cps_constraints(market, query.fee, query.epsilon)
     result = simplex.solve(num_vars, cons)
     if result.status == simplex.INFEASIBLE:
         return FindCpsResult(
@@ -572,7 +565,9 @@ def _lp_find_cps(market: Market, query: CpsQuery) -> FindCpsResult:
                 constraints=tuple(cons),
             ),
         )
-    cps, price_mass = _system_from_solution(market.tree, result.x, pos, query.fee)
+    nodes, x = market.tree.nodes, result.x
+    shadow = {n: y / z for n, z, y in zip(nodes, x, x[len(nodes):]) if z > 0}
+    cps, price_mass = _system(market.tree, dict(zip(nodes, x)), shadow, query.fee)
     return FindCpsResult(feasible=True, cps=cps, price_mass=price_mass)
 
 
@@ -641,9 +636,6 @@ def max_equivalence_margin(
     even an absolutely continuous system exists.  A margin of zero means
     the cost level is attainable only with a degenerate measure.
     """
-    problems = validate_market(market)
-    if problems:
-        raise MarketError(problems)
     tree = market.tree
     num_vars, cons, pos = _cps_constraints(market, Fraction(fee), Fraction(0))
     t = num_vars
@@ -656,7 +648,9 @@ def max_equivalence_margin(
         return None, None
     if result.status != simplex.OPTIMAL:
         raise AssertionError("margin is bounded by the unit root mass")
-    cps, _ = _system_from_solution(tree, result.x, pos, Fraction(fee))
+    nodes, x = tree.nodes, result.x
+    shadow = {n: y / z for n, z, y in zip(nodes, x, x[len(nodes):]) if z > 0}
+    cps, _ = _system(tree, dict(zip(nodes, x)), shadow, Fraction(fee))
     return result.objective, cps
 
 
@@ -673,13 +667,13 @@ def _threshold(market: Market, equivalent: bool) -> tuple[Fraction, bool]:
     """The threshold, the infimum of the cost levels with a price system,
     and whether a system exists at the threshold itself.
 
-    Equivalent mode, one backward pass: node n's interval at level
-    lambda' is [(1 - lambda') L_n, H_n], where [L_n, H_n] is its interval
-    at level 0 taken over all children, empty or not.  Neither L_n, H_n
-    nor which ends are closed depends on the level, and the root is
-    nonempty exactly when every node is.  So the threshold is
-    t = max_n (1 - H_n / L_n)^+, and it is attained iff every node with
-    (1 - t) L_n = H_n has both ends closed.
+    Equivalent mode, the pass `find_cps` decides by: node n's interval
+    at level lambda' is [(1 - lambda') L_n, H_n], where neither L_n, H_n
+    nor which ends are closed depends on the level, and a system exists
+    exactly when every node is nonempty.  So one pass at level 0 gives
+    the threshold t = max (1 - H_n / L_n) over its empty nodes, and it is
+    attained iff every empty node with (1 - t) L_n = H_n has both ends
+    closed.
 
     Absolutely continuous mode, where an empty child drops out instead of
     emptying its parent: every interval end of the backward pass is a bid
@@ -693,23 +687,11 @@ def _threshold(market: Market, equivalent: bool) -> tuple[Fraction, bool]:
     threshold.  Close enough to 1 every level is feasible, since one
     constant shadow price then sits in every spread.
     """
-    problems = validate_market(market)
-    if problems:
-        raise MarketError(problems)
     tree, price = market.tree, market.price
 
     if equivalent:
         level, attained = Fraction(0), True
-        boxes: dict[NodeId, _Box] = {}
-        for n in reversed(tree.nodes):
-            s = price[n]
-            kids = tree.children[n]
-            if not kids:
-                boxes[n] = _Box(s, True, s, True)
-                continue
-            box = boxes[n] = _cut(s, s, [boxes[c] for c in kids], all)
-            if box.hi > box.lo:
-                continue
+        for box in _shadow_intervals(market, Fraction(0), True)[1].values():
             need = 1 - box.hi / box.lo
             closed = box.lo_closed and box.hi_closed
             if need > level:

@@ -21,9 +21,17 @@ class MarketError(InputError):
 
 @dataclass(frozen=True)
 class Market:
+    """The asks S on a tree and the cost level, valid when built:
+    construction raises MarketError listing what `validate_market` finds."""
+
     tree: EventTree
     price: AdaptedProcess
     fee: Fraction
+
+    def __post_init__(self):
+        problems = validate_market(self)
+        if problems:
+            raise MarketError(problems)
 
 
 def validate_market(market: Market) -> list[str]:
@@ -45,11 +53,7 @@ def validate_market(market: Market) -> list[str]:
 
 def make_market(tree: EventTree, price: AdaptedProcess, fee) -> Market:
     """Assemble and validate a market, raising MarketError on any problem."""
-    market = Market(tree=tree, price=price, fee=Fraction(fee))
-    problems = validate_market(market)
-    if problems:
-        raise MarketError(problems)
-    return market
+    return Market(tree=tree, price=price, fee=Fraction(fee))
 
 
 def bid_ask(market: Market, node) -> tuple[Fraction, Fraction]:
@@ -88,11 +92,7 @@ def load_market(document: Mapping) -> Market:
     if problems:
         raise MarketError(problems)
 
-    market = Market(tree=tree, price=AdaptedProcess(prices), fee=fee)
-    problems = validate_market(market)
-    if problems:
-        raise MarketError(problems)
-    return market
+    return Market(tree=tree, price=AdaptedProcess(prices), fee=fee)
 
 
 def market_to_doc(market: Market) -> dict:

@@ -259,6 +259,17 @@ class TestMalformedShapes:
         assert result.exit_code == 2
         assert result.human_summary == "error: S_tilde: node 0 given twice"
 
+    def test_price_system_key_given_twice_in_decompose(self, det_files):
+        # the same text twice is invisible to load_cps: json.load keeps the last
+        text = (det_files / "cps.json").read_text()
+        (det_files / "c.json").write_text(text.replace('"S_tilde": {', '"S_tilde": {"0": "999", ', 1))
+        result = run_command([
+            "decompose", "--market", "det/market.json", "--strategy", "det/strategy.json",
+            "--cps", "det/c.json",
+        ])
+        assert result.exit_code == 2
+        assert result.human_summary == "error: det/c.json: key '0' given twice"
+
     def test_overlong_price_gets_a_short_message(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         saved = sys.get_int_max_str_digits()
@@ -276,6 +287,19 @@ class TestMalformedShapes:
             result = run_command(["check-strategy", "--market", "m.json", "--strategy", "s.json"])
             assert result.exit_code == 2
             assert result.human_summary == f"error: {problem}"
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    def test_overlong_json_number_names_its_file(self, tmp_path, monkeypatch):
+        # json.load itself refuses the integer, before any loader sees it
+        monkeypatch.chdir(tmp_path)
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            Path("m.json").write_text('{"times": [' + "7" * 5000 + "]}")
+            result = run_command(["cps-threshold", "--market", "m.json"])
+            assert result.exit_code == 2
+            assert result.human_summary.startswith("error: m.json: Exceeds the limit (4300 digits)")
         finally:
             sys.set_int_max_str_digits(saved)
 

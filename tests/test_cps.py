@@ -139,9 +139,9 @@ class TestFindCps:
         from spreadlab import Market, MarketError
 
         market = deterministic_counterexample(F(1, 2)).market
-        broken = Market(tree=market.tree, price=market.price, fee=F(3, 2))
+        # a market is validated when built, so no invalid one reaches find_cps
         with pytest.raises(MarketError):
-            find_cps(broken, CpsQuery(F(1, 4)))
+            Market(tree=market.tree, price=market.price, fee=F(3, 2))
 
 
 class TestVerifyCps:

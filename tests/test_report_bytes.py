@@ -67,18 +67,36 @@ DIP_AND_FLAT = market(
 )
 # an equivalent system at every positive level but not at 0
 DELICATE = market([(0, None, "1", "1"), (1, 0, "1/2", "1"), (2, 0, "1/2", "2")])
+# node 1 at 2 over a leaf at 3 is empty below level 1/3, yet the hull of
+# its empty box with node 2's [(1 - lambda') / 2, 1/2] covers the root's spread
+INNER = market(
+    [
+        (0, None, "1", "1"),
+        (1, 0, "1/2", "2"),
+        (2, 0, "1/2", "1/2"),
+        (3, 1, "1", "3"),
+        (4, 2, "1", "1/2"),
+    ],
+    times=("0", "1", "2"),
+)
 
 CASES = {
-    # name: (market, argv, exit code)
-    "find_cps_equivalent": (SKEWED, ["find-cps", "--lambda", "1/8"], 0),
-    "find_cps_ac_off_support": (PINNED, ["find-cps", "--lambda", "0", "--ac"], 0),
-    "find_cps_infeasible": (PINNED, ["find-cps", "--lambda", "0"], 3),
-    "find_cps_ac_infeasible": (DIP_AND_FLAT, ["find-cps", "--lambda", "0", "--ac"], 3),
-    "threshold_attained": (DIP, ["cps-threshold"], 0),
-    "threshold_unattained": (DELICATE, ["cps-threshold"], 0),
+    # name: (market, argv, exit code, environment)
+    "find_cps_equivalent": (SKEWED, ["find-cps", "--lambda", "1/8"], 0, {}),
+    "find_cps_ac_off_support": (PINNED, ["find-cps", "--lambda", "0", "--ac"], 0, {}),
+    "find_cps_infeasible": (PINNED, ["find-cps", "--lambda", "0"], 3, {}),
+    "find_cps_ac_infeasible": (DIP_AND_FLAT, ["find-cps", "--lambda", "0", "--ac"], 3, {}),
+    "find_cps_inner_infeasible": (INNER, ["find-cps", "--lambda", "1/8"], 3, {}),
+    "threshold_attained": (DIP, ["cps-threshold"], 0, {}),
+    "threshold_unattained": (DELICATE, ["cps-threshold"], 0, {}),
+    # positive and not attained: at 1/10000 the root's bid 9999/10000 is the
+    # top of its children's hull, which node 2 does not reach
+    "threshold_positive_unattained": (DIP_AND_FLAT, ["cps-threshold"], 0, {}),
+    # the same market, absolutely continuous: node 2 may lose its mass
+    "threshold_ac_attained": (DIP_AND_FLAT, ["cps-threshold"], 0, {EPSILON_ENV: "0"}),
     # the market and strategy of `counterexample --variant det`
     "theorem_counterexample": (
-        None, ["theorem", "--strategy", "det/strategy.json", "--x", "1"], 1,
+        None, ["theorem", "--strategy", "det/strategy.json", "--x", "1"], 1, {},
     ),
 }
 
@@ -86,7 +104,7 @@ CASES = {
 def run_case(name: str) -> "tuple[int, bytes]":
     """Run one case in the current directory; returns the exit code and
     the report bytes."""
-    doc, argv, _ = CASES[name]
+    doc, argv, _, environment = CASES[name]
     if doc is None:
         result = run_command(["counterexample", "--variant", "det", "--out-dir", "det"])
         assert result.exit_code == 0, result.human_summary
@@ -96,7 +114,12 @@ def run_case(name: str) -> "tuple[int, bytes]":
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(doc, handle)
     report = f"{name}-report.json"
-    result = run_command([*argv, "--market", path, "--report", report])
+    os.environ.update(environment)
+    try:
+        result = run_command([*argv, "--market", path, "--report", report])
+    finally:
+        for key in environment:
+            del os.environ[key]
     assert result.report_path == report, result.human_summary
     return result.exit_code, Path(report).read_bytes()
 
