@@ -90,6 +90,8 @@ def _load_json(path: str, object_pairs_hook=None) -> dict:
         raise ValueError(f"{path}: cannot read ({exc.strerror or exc})")
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})")
+    except RecursionError:
+        raise ValueError(f"{path}: not valid JSON (nested too deeply)")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}")
 
@@ -116,9 +118,8 @@ def _fmt(value: Fraction, show_decimal: bool) -> str:
     return text
 
 
-def _rational_map(values) -> dict:
-    items = values.items() if hasattr(values, "items") else values.values.items()
-    return {str(k): format_rational(v) for k, v in sorted(items)}
+def _rational_map(process) -> dict:
+    return {str(k): format_rational(v) for k, v in sorted(process.values.items())}
 
 
 def _cmd_validate(args) -> CommandResult:
@@ -356,8 +357,23 @@ def _cmd_counterexample(args) -> CommandResult:
     return CommandResult(0, str(report_path), summary)
 
 
+def _rational_flag(text: str) -> Fraction:
+    """``parse_rational`` for a flag: argparse keeps only this error type's message."""
+    try:
+        return parse_rational(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError, reported like bad input, instead of exiting."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spreadlab",
         description="Exact laboratory for markets quoted with proportional transaction costs.",
     )
@@ -383,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("find-cps", help="search for a consistent price system")
     p.add_argument("--market", required=True)
-    p.add_argument("--lambda", dest="fee", type=parse_rational, required=True,
+    p.add_argument("--lambda", dest="fee", type=_rational_flag, required=True,
                    help="cost level lambda' to certify")
     p.add_argument("--ac", action="store_true",
                    help="absolutely continuous mode: allow the measure to die out")
@@ -402,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theorem", help="does the terminal bound propagate node-wise?")
     p.add_argument("--market", required=True)
     p.add_argument("--strategy", required=True)
-    p.add_argument("--x", type=parse_rational, required=True, help="terminal bound is -x")
+    p.add_argument("--x", type=_rational_flag, required=True, help="terminal bound is -x")
     p.add_argument("--numeraire-free", action="store_true",
                    help="report the numeraire-free admissibility bound")
     common(p, "theorem")
@@ -410,11 +426,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("counterexample", help="generate a bound-propagation failure")
     p.add_argument("--variant", choices=(counterexamples.DETERMINISTIC, counterexamples.STOCHASTIC),
                    required=True)
-    p.add_argument("--lambda", dest="fee", type=parse_rational, default=Fraction(1, 2),
+    p.add_argument("--lambda", dest="fee", type=_rational_flag, default=Fraction(1, 2),
                    help="market cost level (default 1/2)")
-    p.add_argument("--lambda-prime", dest="witness_fee", type=parse_rational,
+    p.add_argument("--lambda-prime", dest="witness_fee", type=_rational_flag,
                    default=Fraction(1, 4), help="witness system level (stochastic variant)")
-    p.add_argument("--m-tilde", dest="up_price", type=parse_rational, default=Fraction(4),
+    p.add_argument("--m-tilde", dest="up_price", type=_rational_flag, default=Fraction(4),
                    help="jump size of the fair bet (stochastic variant)")
     p.add_argument("--steps", type=int, default=2, help="grid steps (deterministic variant)")
     p.add_argument("--literal-sale", action="store_true",
@@ -442,11 +458,9 @@ _HANDLERS = {
 def run_command(argv) -> CommandResult:
     try:
         args = _PARSER.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 2
-        return CommandResult(code, None, "")
-    try:
         return _HANDLERS[args.command](args)
+    except SystemExit as exc:  # --help, after printing the help text
+        return CommandResult(exc.code, None, "")
     except ValueError as exc:
         return CommandResult(2, None, f"error: {exc}")
 

@@ -113,10 +113,6 @@ class ConsistentPriceSystem:
     fee: Fraction
     off_support: tuple[NodeId, ...] = ()
 
-    def leaf_measure(self, tree: EventTree) -> dict[NodeId, Fraction]:
-        """The measure Q as leaf weights: Q(leaf) = Z(leaf) * P(leaf)."""
-        return {leaf: self.density[leaf] * tree.node_prob[leaf] for leaf in tree.leaves}
-
 
 @dataclass(frozen=True)
 class CpsInfeasibility:
@@ -647,7 +643,7 @@ def max_equivalence_margin(
     if result.status == simplex.INFEASIBLE:
         return None, None
     if result.status != simplex.OPTIMAL:
-        raise AssertionError("margin is bounded by the unit root mass")
+        raise RuntimeError("margin is bounded by the unit root mass")
     nodes, x = tree.nodes, result.x
     shadow = {n: y / z for n, z, y in zip(nodes, x, x[len(nodes):]) if z > 0}
     cps, _ = _system(tree, dict(zip(nodes, x)), shadow, Fraction(fee))

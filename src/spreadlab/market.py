@@ -56,12 +56,6 @@ def make_market(tree: EventTree, price: AdaptedProcess, fee) -> Market:
     return Market(tree=tree, price=price, fee=Fraction(fee))
 
 
-def bid_ask(market: Market, node) -> tuple[Fraction, Fraction]:
-    """The tradable interval [(1 - lambda) S(n), S(n)] at a node."""
-    ask = market.price[node]
-    return (1 - market.fee) * ask, ask
-
-
 def load_market(document: Mapping) -> Market:
     """Parse a market document: a tree whose nodes carry "S" plus a
     top-level "lambda"."""

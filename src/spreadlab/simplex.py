@@ -252,7 +252,7 @@ def solve(
 
     den, status = _run_phase(M, den, basis, active, p1_row, first_art, rhs_col)
     if status != OPTIMAL:
-        raise AssertionError("phase one objective is bounded below by zero")
+        raise RuntimeError("phase one objective is bounded below by zero")
 
     if M[p1_row][rhs_col] < 0:
         multipliers = []

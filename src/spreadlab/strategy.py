@@ -37,18 +37,6 @@ class Strategy:
 
 
 @dataclass(frozen=True)
-class TradeDecomposition:
-    """Stock increments split into cumulative-minimal buy and sell legs.
-
-    buy(n) - sell(n) is the stock increment at n, with buy(n), sell(n) >= 0
-    and at most one of them nonzero.
-    """
-
-    buy: AdaptedProcess
-    sell: AdaptedProcess
-
-
-@dataclass(frozen=True)
 class SelfFinancingReport:
     ok: bool
     slack: AdaptedProcess
@@ -66,23 +54,6 @@ def pre_trade_holdings(tree: EventTree, strategy: Strategy, node: NodeId) -> tup
     if parent is None:
         return _FLAT
     return strategy.bond[parent], strategy.stock[parent]
-
-
-def stock_delta(tree: EventTree, strategy: Strategy, node: NodeId) -> Fraction:
-    """Stock units traded at a node (positive = bought)."""
-    _, stock_in = pre_trade_holdings(tree, strategy, node)
-    return strategy.stock[node] - stock_in
-
-
-def trade_decomposition(tree: EventTree, strategy: Strategy) -> TradeDecomposition:
-    """Canonical split of each node's stock trade into buy and sell parts."""
-    buys: dict[NodeId, Fraction] = {}
-    sells: dict[NodeId, Fraction] = {}
-    for n in tree.nodes:
-        d = stock_delta(tree, strategy, n)
-        buys[n] = d if d > 0 else Fraction(0)
-        sells[n] = -d if d < 0 else Fraction(0)
-    return TradeDecomposition(buy=AdaptedProcess(buys), sell=AdaptedProcess(sells))
 
 
 def _slack(
@@ -148,28 +119,6 @@ def derive_bond_account(market: Market, stock_plan: AdaptedProcess) -> Strategy:
         bond_in, stock_in = _FLAT if p is None else (bond[p], stock_plan[p])
         bond[n] = _slack(bond_in, stock_in, _ZERO, stock_plan[n], market.price[n], keep)
     return Strategy(bond=AdaptedProcess(bond), stock=stock_plan)
-
-
-def total_variation(tree: EventTree, strategy: Strategy) -> tuple[Fraction, Fraction]:
-    """Componentwise total variation: the largest, over root-to-leaf paths,
-    of the summed absolute increments of each account (root trade included).
-
-    One top-down pass carries each node's path sums, so every increment is
-    taken once.
-    """
-    bond, stock, parent = strategy.bond.values, strategy.stock.values, tree.parent
-    path_var: dict[NodeId, tuple[Fraction, Fraction]] = {}
-    for n in tree.nodes:
-        p = parent[n]
-        if p is None:
-            path_var[n] = (abs(bond[n]), abs(stock[n]))
-        else:
-            b, s = path_var[p]
-            path_var[n] = (b + abs(bond[n] - bond[p]), s + abs(stock[n] - stock[p]))
-    return (
-        max(path_var[leaf][0] for leaf in tree.leaves),
-        max(path_var[leaf][1] for leaf in tree.leaves),
-    )
 
 
 def load_strategy(document: Mapping, tree: EventTree) -> Strategy:

@@ -15,7 +15,6 @@ the package core.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -98,10 +97,9 @@ class EventTree:
     """Rooted tree with one-step transition probabilities.
 
     ``nodes`` is ordered by (depth, id) so parents always precede their
-    children; ``cond_prob[n]`` is the probability of reaching ``n`` from
-    its parent (1 at the root) and ``node_prob[n]`` the product along the
-    root path, computed on first use (no command reads it).  All leaves
-    sit at the common final depth.
+    children, and ``cond_prob[n]`` is the probability of reaching ``n``
+    from its parent (1 at the root).  All leaves sit at the common final
+    depth.
     """
 
     times: tuple[Fraction, ...]
@@ -115,40 +113,10 @@ class EventTree:
     internal: tuple[NodeId, ...]
     node_set: frozenset[NodeId]
 
-    @cached_property
-    def node_prob(self) -> Mapping[NodeId, Fraction]:
-        cond, parent = self.cond_prob, self.parent
-        prob: dict[NodeId, Fraction] = {}
-        for n in self.nodes:
-            p = parent[n]
-            prob[n] = cond[n] if p is None else prob[p] * cond[n]
-        return prob
-
     @property
     def horizon(self) -> int:
         """Number of periods; depths run 0..horizon."""
         return len(self.times) - 1
-
-    def level(self, depth: int) -> tuple[NodeId, ...]:
-        return tuple(n for n in self.nodes if self.time_index[n] == depth)
-
-    def path(self, node: NodeId) -> list[NodeId]:
-        """Nodes from the root to ``node``, inclusive."""
-        out = []
-        cur: NodeId | None = node
-        while cur is not None:
-            out.append(cur)
-            cur = self.parent[cur]
-        out.reverse()
-        return out
-
-    def descendants_at(self, node: NodeId, depth: int) -> list[NodeId]:
-        """All descendants of ``node`` at the given depth (``node`` itself
-        when ``depth`` equals its own)."""
-        frontier = [node]
-        for _ in range(depth - self.time_index[node]):
-            frontier = [c for n in frontier for c in self.children[n]]
-        return frontier
 
     @staticmethod
     def build(times: Sequence[Fraction], entries: Iterable[tuple]) -> "EventTree":

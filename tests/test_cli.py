@@ -270,6 +270,16 @@ class TestMalformedShapes:
         assert result.exit_code == 2
         assert result.human_summary == "error: det/c.json: key '0' given twice"
 
+    @pytest.mark.parametrize("flag", ["--market", "--cps"])
+    def test_nested_too_deeply(self, det_files, flag):
+        # json.load recurses once per level; --cps reads through the duplicate-key hook
+        (det_files / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+        argv = {"--market": "det/market.json", "--strategy": "det/strategy.json", "--cps": "det/cps.json"}
+        argv[flag] = "det/deep.json"
+        result = run_command(["decompose", *(x for kv in argv.items() for x in kv)])
+        assert result.exit_code == 2
+        assert result.human_summary == "error: det/deep.json: not valid JSON (nested too deeply)"
+
     def test_overlong_price_gets_a_short_message(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         saved = sys.get_int_max_str_digits()
@@ -698,10 +708,30 @@ class TestTheorem:
 
 class TestParsing:
     def test_unknown_command(self):
-        assert run_command(["frobnicate"]).exit_code == 2
+        result = run_command(["frobnicate"])
+        assert result.exit_code == 2
+        assert result.human_summary.startswith("error: argument command: invalid choice: 'frobnicate'")
 
     def test_missing_required_flag(self):
-        assert run_command(["find-cps", "--lambda", "1/2"]).exit_code == 2
+        result = run_command(["find-cps", "--lambda", "1/2"])
+        assert result.exit_code == 2
+        assert result.human_summary == "error: the following arguments are required: --market"
+
+    @pytest.mark.parametrize("argv, reason", [
+        (["find-cps", "--market", "m.json", "--lambda", "1/0"],
+         "argument --lambda: malformed rational '1/0': Fraction(1, 0)"),
+        (["theorem", "--market", "m.json", "--strategy", "s.json", "--x", "abc"],
+         "argument --x: malformed rational 'abc': invalid literal for int()"),
+    ], ids=["lambda", "x"])
+    def test_bad_rational_flag_keeps_its_reason(self, argv, reason, capsys):
+        result = run_command(argv)
+        assert result.exit_code == 2
+        assert result.human_summary.startswith(f"error: {reason}")
+        assert capsys.readouterr().err == ""
+
+    def test_help_exits_0(self, capsys):
+        assert run_command(["find-cps", "--help"]).exit_code == 0
+        assert "--lambda" in capsys.readouterr().out
 
     def test_float_flag_rejected(self, det_files):
         result = run_command([

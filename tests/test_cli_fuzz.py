@@ -1,4 +1,5 @@
-"""Every command survives malformed input: exit code 0-3, never a traceback.
+"""Every command survives malformed input: exit code 0-3, never a traceback,
+and an exit of 2 always comes with its reason.
 
 The documents of ``counterexample --variant stoch`` are mutated a few
 times each (a value replaced by an odd atom, a key deleted or added, a
@@ -119,6 +120,7 @@ def test_every_command_exits_with_a_contract_code(seed_documents, data):
                 report = str(Path(work, f"{command}-report.json"))
                 result = run_command([command, *argv, "--report", report])
                 assert result.exit_code in (0, 1, 2, 3), (command, result)
+                assert result.exit_code != 2 or result.human_summary, (command, argv)
         finally:
             os.environ.pop(EPSILON_ENV, None)
             if saved is not None:

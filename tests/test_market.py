@@ -2,13 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from spreadlab import (
     AdaptedProcess,
     MarketError,
-    bid_ask,
     load_market,
     make_market,
     market_to_doc,
@@ -35,17 +32,6 @@ def test_load_market_round_trip():
     assert market.fee == F(1, 2)
     assert market.price[1] == F(1, 2)
     assert load_market(market_to_doc(market)).price[1] == F(1, 2)
-
-
-def test_bid_ask_examples():
-    market = load_market(DOC)
-    assert bid_ask(market, 0) == (F(1, 2), F(1))
-    quarter = load_market({**DOC, "lambda": "1/4", "nodes": [
-        {"id": 0, "parent": None, "prob": "1", "S": "4"},
-        {"id": 1, "parent": 0, "prob": "1", "S": "4"},
-        {"id": 2, "parent": 1, "prob": "1", "S": "4"},
-    ]})
-    assert bid_ask(quarter, 0) == (F(3), F(4))
 
 
 def test_missing_price_reported_per_node():
@@ -81,36 +67,6 @@ def test_validate_market_lists_problems_without_raising():
     market = load_market(DOC)
     object.__setattr__(market, "fee", F(2))
     assert validate_market(market)
-
-
-@given(
-    fee=st.fractions(min_value=0, max_value=F(99, 100)),
-    price=st.fractions(min_value=F(1, 100), max_value=100),
-)
-def test_bid_never_exceeds_ask(fee, price):
-    doc = {
-        "times": ["0"],
-        "lambda": str(fee.numerator) + "/" + str(fee.denominator) if fee.denominator != 1 else str(fee.numerator),
-        "nodes": [{"id": 0, "parent": None, "prob": "1",
-                   "S": f"{price.numerator}/{price.denominator}"}],
-    }
-    market = load_market(doc)
-    bid, ask = bid_ask(market, 0)
-    assert bid <= ask
-    assert (bid == ask) == (fee == 0)
-    assert ask == price
-
-
-@given(
-    fees=st.tuples(
-        st.fractions(min_value=0, max_value=F(99, 100)),
-        st.fractions(min_value=0, max_value=F(99, 100)),
-    )
-)
-def test_bid_nonincreasing_in_fee(fees):
-    lo, hi = sorted(fees)
-    price = F(7, 8)
-    assert (1 - hi) * price <= (1 - lo) * price
 
 
 def test_random_markets_validate(seed=71):

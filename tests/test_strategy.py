@@ -13,10 +13,7 @@ from spreadlab import (
     load_strategy,
     make_market,
     pre_trade_holdings,
-    stock_delta,
     strategy_to_doc,
-    total_variation,
-    trade_decomposition,
     trade_slack,
 )
 
@@ -84,17 +81,18 @@ class TestSlack:
 
     def test_slack_matches_two_inequality_form(self):
         # the single cash-flow inequality equals the split form on the
-        # canonical buy/sell decomposition
+        # canonical buy/sell decomposition of the stock increment
         rng = random.Random(101)
         for _ in range(40):
             market = random_market(rng)
             strat = random_sf_strategy(rng, market)
-            trades = trade_decomposition(market.tree, strat)
             for n in market.tree.nodes:
                 bid = (1 - market.fee) * market.price[n]
                 ask = market.price[n]
-                bond_in, _ = pre_trade_holdings(market.tree, strat, n)
-                ceiling = bid * trades.sell[n] - ask * trades.buy[n]
+                bond_in, stock_in = pre_trade_holdings(market.tree, strat, n)
+                delta = strat.stock[n] - stock_in
+                buy, sell = max(delta, 0), max(-delta, 0)
+                ceiling = bid * sell - ask * buy
                 assert trade_slack(market, strat, n) == ceiling - (strat.bond[n] - bond_in)
 
 
@@ -157,59 +155,8 @@ class TestDeriveBondAccount:
             market = random_market(rng, fee=F(0))
             strat = derive_bond_account(market, random_stock_plan(rng, market.tree))
             for n in market.tree.nodes:
-                bond_in, _ = pre_trade_holdings(market.tree, strat, n)
-                d = stock_delta(market.tree, strat, n)
-                assert strat.bond[n] - bond_in == -market.price[n] * d
-
-
-class TestTradeDecomposition:
-    def test_canonical_split(self):
-        rng = random.Random(29)
-        for _ in range(40):
-            market = random_market(rng)
-            strat = random_sf_strategy(rng, market)
-            trades = trade_decomposition(market.tree, strat)
-            for n in market.tree.nodes:
-                assert trades.buy[n] >= 0 and trades.sell[n] >= 0
-                assert trades.buy[n] - trades.sell[n] == stock_delta(market.tree, strat, n)
-                assert trades.buy[n] * trades.sell[n] == 0
-
-
-class TestTotalVariation:
-    def test_single_round_trip(self):
-        market = chain_market()
-        strat = Strategy(
-            bond=AdaptedProcess({0: F(-1), 1: F(-3, 4), 2: F(-3, 4)}),
-            stock=AdaptedProcess({0: F(1), 1: F(0), 2: F(0)}),
-        )
-        _, tv_stock = total_variation(market.tree, strat)
-        assert tv_stock == 2
-
-    def test_counterexample_strategy(self):
-        market = chain_market()
-        strat = hold(-2, 2)
-        assert total_variation(market.tree, strat) == (F(2), F(2))
-
-    def test_matches_root_path_walk(self):
-        rng = random.Random(67)
-
-        def walk(tree, account):
-            # largest summed absolute increment along a root-to-leaf path,
-            # the root trade counted from zero
-            best = F(0)
-            for leaf in tree.leaves:
-                path = tree.path(leaf)
-                total = abs(account[path[0]])
-                for a, b in zip(path, path[1:]):
-                    total += abs(account[b] - account[a])
-                best = max(best, total)
-            return best
-
-        for i in range(40):
-            market = random_market(rng, fee=F(0) if i % 4 == 0 else None)
-            strat = random_sf_strategy(rng, market)
-            tree = market.tree
-            assert total_variation(tree, strat) == (walk(tree, strat.bond), walk(tree, strat.stock))
+                bond_in, stock_in = pre_trade_holdings(market.tree, strat, n)
+                assert strat.bond[n] - bond_in == -market.price[n] * (strat.stock[n] - stock_in)
 
 
 class TestWireFormat:

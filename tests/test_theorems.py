@@ -95,7 +95,11 @@ def antichain_supermartingale(tree, process, density):
         n: {m for m in tree.nodes if n in ancestors_or_self(tree, m)}
         for n in tree.nodes
     }
-    mass = {n: tree.node_prob[n] * density[n] for n in tree.nodes}
+    prob = {}
+    for n in tree.nodes:
+        p = tree.parent[n]
+        prob[n] = tree.cond_prob[n] if p is None else prob[p] * tree.cond_prob[n]
+    mass = {n: prob[n] * density[n] for n in tree.nodes}
     for sigma, tau in itertools.product(times, times):
         if not dominated(tree, sigma, tau):
             continue

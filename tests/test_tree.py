@@ -44,10 +44,6 @@ class TestBuild:
         assert tree.horizon == 2
         assert tree.parent[5] == 2
         assert tree.children[0] == (1, 2)
-        assert tree.node_prob[6] == F(2, 3) * F(3, 4)
-        assert tree.level(1) == (1, 2)
-        assert tree.path(4) == [0, 1, 4]
-        assert tree.descendants_at(2, 2) == [5, 6]
 
     def test_nodes_sorted_by_depth_then_id(self):
         entries = [
@@ -100,14 +96,6 @@ class TestBuild:
         else:
             pytest.fail("expected TreeError")
 
-    def test_leaf_probabilities_sum_to_one_on_random_trees(self):
-        rng = random.Random(11)
-        for _ in range(50):
-            tree = random_tree(rng)
-            assert sum(tree.node_prob[n] for n in tree.leaves) == 1
-            for n in tree.internal:
-                assert all(tree.node_prob[c] == tree.node_prob[n] * tree.cond_prob[c] for c in tree.children[n])
-
 
 class TestLoadTree:
     DOC = {
@@ -128,17 +116,7 @@ class TestLoadTree:
 
     def test_root_prob_defaults_to_one(self):
         doc = {"times": ["0"], "nodes": [{"id": 0, "parent": None}]}
-        assert load_tree(doc).node_prob[0] == 1
-
-    def test_node_prob_computed_on_first_use(self):
-        tree = load_tree(self.DOC)
-        assert "node_prob" not in vars(tree)
-        for n in tree.nodes:
-            product = F(1)
-            for m in tree.path(n):
-                product *= tree.cond_prob[m]
-            assert tree.node_prob[n] == product
-        assert "node_prob" in vars(tree)
+        assert load_tree(doc).cond_prob[0] == 1
 
     def test_missing_keys(self):
         with pytest.raises(TreeError, match="missing 'times'"):
