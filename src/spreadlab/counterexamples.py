@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .cps import DEFAULT_EPSILON, ConsistentPriceSystem, _threshold, verify_cps
 from .market import Market, make_market
-from .rationals import format_rational
+from .rationals import format_rational, parse_rational
 from .strategy import Strategy, check_self_financing
 from .tree import AdaptedProcess, EventTree, NodeId
 from .valuation import liquidation_value
@@ -72,7 +72,7 @@ def deterministic_counterexample(fee, steps: int = 2) -> CounterexampleReport:
     the fee), which is why the bound's propagation machinery is silent
     here.
     """
-    fee = Fraction(fee)
+    fee = parse_rational(fee)
     if not (0 < fee < 1):
         raise ValueError(
             f"fee must satisfy 0 < fee < 1, got {fee} (the strategy holds 1/fee shares)"
@@ -158,9 +158,9 @@ def stochastic_counterexample(
     self-financing at the market's own cost level whenever
     witness_fee < fee; it is exposed for comparison only.
     """
-    fee = Fraction(fee)
-    witness_fee = Fraction(witness_fee)
-    up_price = Fraction(up_price)
+    fee = parse_rational(fee)
+    witness_fee = parse_rational(witness_fee)
+    up_price = parse_rational(up_price)
     if not (0 < witness_fee <= fee < 1):
         raise ValueError(
             f"need 0 < witness_fee <= fee < 1, got witness_fee={witness_fee}, fee={fee}"
@@ -286,9 +286,9 @@ def up_price_for_target_loss(fee, witness_fee, target) -> Fraction:
     witness for any target > 1; the returned value feeds
     stochastic_counterexample directly.
     """
-    fee = Fraction(fee)
-    witness_fee = Fraction(witness_fee)
-    target = Fraction(target)
+    fee = parse_rational(fee)
+    witness_fee = parse_rational(witness_fee)
+    target = parse_rational(target)
     if target <= 1:
         raise ValueError(f"target must exceed 1, got {target}")
     if not (0 < witness_fee <= fee < 1):

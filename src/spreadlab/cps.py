@@ -21,8 +21,9 @@ A nonempty root interval is turned into a witness top down: each node's
 value is placed inside its children's intervals, and the one-step
 weights maximize the minimum leaf density for the values placed.  Those
 weights have a closed form per node, one of three cases by which side of
-the node's value the children's margin-weighted mean falls, so the
-witness costs about one more pass.  In the equivalent mode that minimum
+the node's value the children's margin-weighted mean falls, kept as each
+child's density ratio Z_c / Z_n, so the witness costs about one more
+pass and Z one product per node.  In the equivalent mode that minimum
 is positive, so the witness is equivalent and clears a leaf floor of
 exactly that minimum; `max_equivalence_margin` gives the best floor any
 system clears.
@@ -51,14 +52,16 @@ from typing import Mapping, NamedTuple
 
 from . import simplex
 from .market import Market
-from .rationals import format_rational, rational_reader
+from .rationals import format_rational, parse_rational, rational_reader
 from .simplex import Constraint, FarkasCertificate
-from .tree import AdaptedProcess, EventTree, InputError, NodeId, density_problems, one_step_mean
+from .tree import AdaptedProcess, EventTree, InputError, NodeId, _total, density_problems, one_step_mean
 
 EQUIVALENT = "equivalent"
 ABSOLUTELY_CONTINUOUS = "absolutely_continuous"
 
 DEFAULT_EPSILON = Fraction(1, 10**6)
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class CpsError(InputError):
@@ -79,8 +82,8 @@ class CpsQuery:
     mode: str = EQUIVALENT
 
     def __post_init__(self):
-        object.__setattr__(self, "fee", Fraction(self.fee))
-        object.__setattr__(self, "epsilon", Fraction(self.epsilon))
+        object.__setattr__(self, "fee", parse_rational(self.fee))
+        object.__setattr__(self, "epsilon", parse_rational(self.epsilon))
         problems = []
         if not (0 <= self.fee < 1):
             problems.append(f"cost level must satisfy 0 <= lambda' < 1, got {self.fee}")
@@ -182,13 +185,17 @@ def _system(
 ) -> tuple[ConsistentPriceSystem, AdaptedProcess]:
     """The system with density Z and the shadow values kept where Z > 0,
     and its mass process Y = Z * S-tilde."""
+    support = {n for n in tree.nodes if density[n] > 0}
     cps = ConsistentPriceSystem(
-        shadow_price={n: s for n, s in shadow.items() if density[n] > 0},
+        shadow_price={n: s for n, s in shadow.items() if n in support},
         density=AdaptedProcess(density),
         fee=fee,
-        off_support=tuple(n for n in tree.nodes if density[n] == 0),
+        off_support=tuple(n for n in tree.nodes if n not in support),
     )
-    mass = {n: density[n] * shadow[n] if density[n] > 0 else Fraction(0) for n in tree.nodes}
+    mass = {
+        n: (shadow[n] if density[n] == 1 else density[n] * shadow[n]) if n in support else _ZERO
+        for n in tree.nodes
+    }
     return cps, AdaptedProcess(mass)
 
 
@@ -201,41 +208,30 @@ class _Box(NamedTuple):
     hi: Fraction
     hi_closed: bool
 
-    def is_empty(self) -> bool:
-        return self.lo > self.hi or (
-            self.lo == self.hi and not (self.lo_closed and self.hi_closed)
-        )
 
-    def nearest(self, v: Fraction) -> Fraction:
-        """v itself when inside, else the end next to it, or the midpoint
-        when that end is open."""
-        if v < self.lo or (v == self.lo and not self.lo_closed):
-            return self.lo if self.lo_closed else (self.lo + self.hi) / 2
-        if v > self.hi or (v == self.hi and not self.hi_closed):
-            return self.hi if self.hi_closed else (self.lo + self.hi) / 2
-        return v
-
-    def low_point(self, u: Fraction) -> Fraction:
-        """The lowest attained value, or halfway down from u to an open end."""
-        return self.lo if self.lo_closed else (self.lo + u) / 2
-
-    def high_point(self, u: Fraction) -> Fraction:
-        return self.hi if self.hi_closed else (u + self.hi) / 2
-
-
-def _cut(lo: Fraction, hi: Fraction, kids: list, attained) -> _Box:
+def _cut(lo: Fraction, hi: Fraction, kids: list, equivalent: bool) -> _Box:
     """A node's interval: its spread [lo, hi] cut by the hull of its
-    children's intervals ``kids``.  ``attained`` is ``all`` in the
-    equivalent mode, where every child keeps mass, so an end of the hull
-    is attained only if every child attains it; it is ``any`` in the
-    absolutely continuous mode."""
-    bottom = min(b.lo for b in kids)
-    bottom_closed = attained(b.lo == bottom and b.lo_closed for b in kids)
-    top = max(b.hi for b in kids)
-    top_closed = attained(b.hi == top and b.hi_closed for b in kids)
-    if lo > bottom or (lo == bottom and bottom_closed):
+    children's intervals ``kids``.  In the equivalent mode every child
+    keeps mass, so an end of the hull is attained only if every child
+    attains it; in the absolutely continuous mode, if any child does."""
+    kids = iter(kids)
+    bottom, bottom_closed, top, top_closed = next(kids)
+    for kid_lo, kid_lo_closed, kid_hi, kid_hi_closed in kids:
+        # a child that lowers the bottom leaves the others above it; one
+        # that misses the bottom opens it (equivalent), one on it closes it
+        if kid_lo < bottom:
+            bottom, bottom_closed = kid_lo, kid_lo_closed and not equivalent
+        elif bottom_closed != (kid_lo_closed and kid_lo == bottom):
+            bottom_closed = not equivalent
+        if kid_hi > top:
+            top, top_closed = kid_hi, kid_hi_closed and not equivalent
+        elif top_closed != (kid_hi_closed and kid_hi == top):
+            top_closed = not equivalent
+    # the spread's own ends are attained; where they meet the hull's, the
+    # hull's closedness stands for the same value
+    if lo > bottom:
         bottom, bottom_closed = lo, True
-    if hi < top or (hi == top and top_closed):
+    if hi < top:
         top, top_closed = hi, True
     return _Box(bottom, bottom_closed, top, top_closed)
 
@@ -254,23 +250,28 @@ def _shadow_intervals(
     reads them.  In the absolutely continuous mode a dead child drops out,
     and a system exists exactly when the root is live.
     """
-    tree = market.tree
+    tree, price = market.tree, market.price.values
     keep = 1 - fee
-    attained = all if equivalent else any
     live: dict[NodeId, _Box] = {}
     dead: dict[NodeId, "_Box | None"] = {}
     for n in reversed(tree.nodes):
-        hi = market.price[n]
-        lo = keep * hi
-        kids = [live[c] if c in live else dead[c] for c in tree.children[n] if equivalent or c in live]
-        if not tree.children[n]:
-            box = _Box(lo, True, hi, True)
-        elif not kids:
-            dead[n] = None
+        hi = price[n]
+        lo = keep * hi if fee else hi
+        children = tree.children[n]
+        if not children:
+            # a positive price leaves the spread nonempty
+            live[n] = _Box(lo, True, hi, True)
             continue
+        if equivalent:
+            kids = [live.get(c) or dead[c] for c in children]
         else:
-            box = _cut(lo, hi, kids, attained)
-        (dead if box.is_empty() else live)[n] = box
+            kids = [live[c] for c in children if c in live]
+            if not kids:
+                dead[n] = None
+                continue
+        box = _cut(lo, hi, kids, equivalent)
+        nonempty = box.lo < box.hi or (box.lo_closed and box.hi_closed and box.lo == box.hi)
+        (live if nonempty else dead)[n] = box
     return live, dead
 
 
@@ -279,26 +280,41 @@ def _place(v: Fraction, boxes: list, probs: list) -> list:
     of, with weights proportional to P when the intervals allow it.
 
     Every child takes the value of its interval nearest to v, which is v
-    itself when v is inside; the values then slide toward the far ends of
+    itself when inside; the values then slide toward the far ends of
     the intervals until their P-mean reaches v.  When even the far ends do
     not reach it, they are returned and the weights must lean toward
     them.  v is then strictly between the lowest and the highest value,
     or equal to all of them, whenever v is in the intervals'
     equivalent-mode hull.
     """
-    near = [b.nearest(v) for b in boxes]
-    gap = sum(p * (u - v) for p, u in zip(probs, near))
-    if gap == 0:
+    near, moved = [], []  # moved: the P-weighted moves off v, a child left at v adds 0
+    for (lo, lo_closed, hi, hi_closed), p in zip(boxes, probs):
+        if v < lo or (not lo_closed and v == lo):
+            u = lo if lo_closed else (lo + hi) / 2
+        elif v > hi or (not hi_closed and v == hi):
+            u = hi if hi_closed else (lo + hi) / 2
+        else:
+            near.append(v)
+            continue
+        near.append(u)
+        moved.append(p * (u - v))
+    gap = _total(moved) if moved else 0
+    if not gap:
         return near
+    # toward the low ends when the P-mean is above v, else the high ends
     if gap > 0:
-        far = [b.low_point(u) for b, u in zip(boxes, near)]
+        far = [lo if lo_closed else (lo + u) / 2 for (lo, lo_closed, _, _), u in zip(boxes, near)]
+        upper, lower = near, far
     else:
-        far = [b.high_point(u) for b, u in zip(boxes, near)]
-    far_gap = sum(p * (f - v) for p, f in zip(probs, far))
-    if far_gap * gap > 0:
+        far = [hi if hi_closed else (u + hi) / 2 for (_, _, hi, hi_closed), u in zip(boxes, near)]
+        upper, lower, gap = far, near, -gap
+    # how far the P-mean moves when every value reaches its far end
+    pulls = [p * (a - b) for p, a, b in zip(probs, upper, lower) if a is not b]
+    pull = _total(pulls) if pulls else 0
+    if pull < gap:
         return far
-    s = gap / (gap - far_gap)
-    return [u + s * (f - u) for u, f in zip(near, far)]
+    s = gap / pull
+    return [u if f is u else u + s * (f - u) for u, f in zip(near, far)]
 
 
 def _max_min_density(
@@ -323,49 +339,50 @@ def _max_min_density(
       and the residual goes to the (first) highest child.
 
     A subtree that already loses mass (margin 0) is weighted as if its
-    margin were 1.
+    margin were 1.  Each child records its density ratio
+    Z_c / Z_n = q_c / p_c, which is t / m_c, plus (1 - t B) / p_c on the
+    extreme child, so the top-down pass takes one product per node.
     """
     prob = tree.cond_prob
     margin: dict[NodeId, Fraction] = {}
-    weights: dict[NodeId, dict[NodeId, Fraction]] = {}
+    ratio: dict[NodeId, Fraction] = {}
     for n in reversed(tree.nodes):
-        if n not in shadow:
+        v = shadow.get(n)
+        if v is None:
             continue
         children = tree.children[n]
         if not children:
-            margin[n] = Fraction(1)
+            margin[n] = _ONE
             continue
         kids = [c for c in children if c in shadow]
         sub = [margin[c] for c in kids]
-        lost = len(kids) < len(children) or min(sub) == 0
-        if lost:
-            beta = [prob[c] for c in kids]
-        else:
-            beta = [prob[c] / m for c, m in zip(kids, sub)]
-        v = shadow[n]
+        lost = len(kids) < len(children) or not all(sub)
+        # the margin each child's weight is divided by, None for 1
+        scale = [None if lost or m == 1 else m for m in sub]
+        beta = [prob[c] if m is None else prob[c] / m for c, m in zip(kids, scale)]
         u = [shadow[c] for c in kids]
-        total = sum(beta)
-        mean = sum(b * uc for b, uc in zip(beta, u))
+        total = _total(beta)
+        mean = _total(b * uc for b, uc in zip(beta, u))
         gap = v * total - mean
-        if gap == 0:
-            t = 1 / total
-            q = [t * b for b in beta]
+        if gap:
+            e = (min if gap < 0 else max)(range(len(u)), key=u.__getitem__)
+            t = (v - u[e]) / (mean - u[e] * total)
+            residual = 1 - t * total
         else:
-            extreme = min(u) if gap < 0 else max(u)
-            t = (v - extreme) / (mean - extreme * total)
-            q = [t * b for b in beta]
-            q[u.index(extreme)] += 1 - t * total
-        weights[n] = dict(zip(kids, q))
-        margin[n] = Fraction(0) if lost else t
+            t, residual = 1 / total, 0
+        for c, m in zip(kids, scale):
+            ratio[c] = t if m is None else t / m
+        if residual:
+            ratio[kids[e]] += residual / prob[kids[e]]
+        margin[n] = _ZERO if lost else t
     density: dict[NodeId, Fraction] = {}
     for n in tree.nodes:
-        up = tree.parent[n]
-        if up is None:
-            density[n] = Fraction(1)
-        elif up in weights:
-            density[n] = density[up] * weights[up].get(n, 0) / tree.cond_prob[n]
+        r = ratio.get(n)
+        if r is None:
+            density[n] = _ONE if n == tree.root else _ZERO
         else:
-            density[n] = Fraction(0)
+            z = density[tree.parent[n]]
+            density[n] = r if z == 1 else z if r == 1 else z * r
     return density, margin[tree.root]
 
 
@@ -379,12 +396,12 @@ def _interval_witness(
     root = live[tree.root]
     shadow = {tree.root: (root.lo + root.hi) / 2}
     for n in tree.nodes:
-        if n not in shadow:
+        v = shadow.get(n)
+        if v is None:
             continue
         kids = [c for c in tree.children[n] if c in live]
         if kids:
-            values = _place(shadow[n], [live[c] for c in kids], [tree.cond_prob[c] for c in kids])
-            shadow.update(zip(kids, values))
+            shadow.update(zip(kids, _place(v, [live[c] for c in kids], [tree.cond_prob[c] for c in kids])))
     density, margin = _max_min_density(tree, shadow)
     cps, mass = _system(tree, density, shadow, fee)
     return cps, mass, margin
@@ -633,7 +650,8 @@ def max_equivalence_margin(
     the cost level is attainable only with a degenerate measure.
     """
     tree = market.tree
-    num_vars, cons, pos = _cps_constraints(market, Fraction(fee), Fraction(0))
+    fee = parse_rational(fee)
+    num_vars, cons, pos = _cps_constraints(market, fee, Fraction(0))
     t = num_vars
     for leaf in tree.leaves:
         cons.append(
@@ -646,14 +664,14 @@ def max_equivalence_margin(
         raise RuntimeError("margin is bounded by the unit root mass")
     nodes, x = tree.nodes, result.x
     shadow = {n: y / z for n, z, y in zip(nodes, x, x[len(nodes):]) if z > 0}
-    cps, _ = _system(tree, dict(zip(nodes, x)), shadow, Fraction(fee))
+    cps, _ = _system(tree, dict(zip(nodes, x)), shadow, fee)
     return result.objective, cps
 
 
 def _equivalent_mode(epsilon) -> bool:
     """The mode a leaf floor selects: True (equivalent) for epsilon > 0,
     False (absolutely continuous) for epsilon = 0."""
-    epsilon = Fraction(epsilon)
+    epsilon = parse_rational(epsilon)
     if epsilon < 0:
         raise CpsError([f"epsilon must be nonnegative, got {epsilon}"])
     return epsilon > 0
@@ -744,8 +762,8 @@ def scale_cps(
     keeps it a martingale under the same measure; the parameter window
     below keeps both inside the wider spread.
     """
-    fee = Fraction(fee)
-    alpha = Fraction(alpha)
+    fee = parse_rational(fee)
+    alpha = parse_rational(alpha)
     if not (cps.fee <= alpha <= fee):
         raise ValueError(
             f"parameter ordering violated: need {cps.fee} <= alpha <= {fee}, got alpha = {alpha}"
@@ -833,8 +851,8 @@ def brute_force_cps(
     Soundness is one-sided: a reported witness always verifies, while
     infeasibility only speaks for the given grid.
     """
-    fee = Fraction(fee)
-    epsilon = Fraction(epsilon)
+    fee = parse_rational(fee)
+    epsilon = parse_rational(epsilon)
     tree = market.tree
     if tree.horizon > 3 or any(len(tree.children[n]) > 3 for n in tree.internal):
         raise ValueError(

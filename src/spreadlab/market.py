@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .rationals import format_rational, rational_reader
+from .rationals import format_rational, parse_rational, rational_reader
 from .tree import AdaptedProcess, EventTree, InputError, TreeError, ensure_adapted, load_tree
 
 
@@ -53,7 +53,7 @@ def validate_market(market: Market) -> list[str]:
 
 def make_market(tree: EventTree, price: AdaptedProcess, fee) -> Market:
     """Assemble and validate a market, raising MarketError on any problem."""
-    return Market(tree=tree, price=price, fee=Fraction(fee))
+    return Market(tree=tree, price=price, fee=parse_rational(fee))
 
 
 def load_market(document: Mapping) -> Market:

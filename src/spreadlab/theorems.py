@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .cps import DEFAULT_EPSILON, ConsistentPriceSystem, _equivalent_mode, _threshold, scale_cps, verify_cps
 from .market import Market
+from .rationals import parse_rational
 from .strategy import Strategy, check_self_financing, pre_trade_holdings
 from .tree import (
     AdaptedProcess,
@@ -249,7 +250,7 @@ def check_admissibility_theorem(
     which notion's minimal bound is reported alongside.
     """
     tree = market.tree
-    x = Fraction(x)
+    x = parse_rational(x)
     if mode not in (NUMERAIRE_BASED, NUMERAIRE_FREE):
         raise ValueError(f"unknown admissibility mode {mode!r}")
     equivalent = _equivalent_mode(epsilon)
@@ -309,7 +310,7 @@ def frictionless_check(market: Market, positions: PredictableProcess, x) -> Theo
             f"market carries transaction costs (lambda = {market.fee}); this check needs lambda = 0"
         )
     ensure_predictable(tree, positions, "positions")
-    x = Fraction(x)
+    x = parse_rational(x)
 
     gains: dict[NodeId, Fraction] = {}
     for n in tree.nodes:
@@ -387,8 +388,8 @@ def replay_admissibility_argument(
     """
     tree = market.tree
     fee = market.fee
-    alpha = fee / 4 if alpha is None else Fraction(alpha)
-    x = Fraction(x)
+    alpha = fee / 4 if alpha is None else parse_rational(alpha)
+    x = parse_rational(x)
     down_system, up_system = scale_cps(cps, fee, alpha)
     _require_shadow_everywhere(tree, cps)
 

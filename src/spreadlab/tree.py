@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .rationals import rational_reader
+from .rationals import parse_rational, rational_reader
 
 NodeId = int
 
@@ -73,7 +73,7 @@ class AdaptedProcess:
 
     @classmethod
     def constant(cls, tree: "EventTree", value) -> "AdaptedProcess":
-        v = Fraction(value)
+        v = parse_rational(value)
         return cls({node: v for node in tree.nodes})
 
 

@@ -7,7 +7,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spreadlab import (
+    AdaptedProcess,
     CpsError,
+    CpsQuery,
+    PredictableProcess,
+    brute_force_cps,
+    check_admissibility_theorem,
+    cps_threshold,
+    deterministic_counterexample,
+    frictionless_check,
+    make_market,
+    max_equivalence_margin,
+    replay_admissibility_argument,
+    scale_cps,
+    stochastic_counterexample,
+    up_price_for_target_loss,
     MarketError,
     StrategyError,
     TreeError,
@@ -42,6 +56,63 @@ def test_parse_rejects_floats_and_bools():
         parse_rational(True)
     with pytest.raises(ValueError):
         parse_rational("0.5")
+
+
+def _det():
+    return deterministic_counterexample(F(1, 2))
+
+
+def _frictionless():
+    market = _det().market
+    return make_market(market.tree, market.price, 0)
+
+
+# every public entry point that takes a caller's number, with that number
+# replaced by `bad`
+NUMBER_ARGUMENTS = {
+    "CpsQuery.fee": lambda bad: CpsQuery(bad),
+    "CpsQuery.epsilon": lambda bad: CpsQuery(F(0), bad),
+    "cps_threshold.epsilon": lambda bad: cps_threshold(_det().market, bad),
+    "max_equivalence_margin.fee": lambda bad: max_equivalence_margin(_det().market, bad),
+    "scale_cps.fee": lambda bad: scale_cps(_det().cps_witness, bad, F(1, 2)),
+    "scale_cps.alpha": lambda bad: scale_cps(_det().cps_witness, F(1, 2), bad),
+    "brute_force_cps.fee": lambda bad: brute_force_cps(_det().market, bad),
+    "brute_force_cps.epsilon": lambda bad: brute_force_cps(_det().market, F(1, 2), bad),
+    "make_market.fee": lambda bad: make_market(_det().market.tree, _det().market.price, bad),
+    "check_admissibility_theorem.x": lambda bad: check_admissibility_theorem(
+        _det().market, _det().strategy, bad
+    ),
+    "check_admissibility_theorem.epsilon": lambda bad: check_admissibility_theorem(
+        _det().market, _det().strategy, 1, epsilon=bad
+    ),
+    "frictionless_check.x": lambda bad: frictionless_check(
+        _frictionless(),
+        PredictableProcess({n: F(0) for n in _frictionless().tree.nodes}),
+        bad,
+    ),
+    "replay_admissibility_argument.x": lambda bad: replay_admissibility_argument(
+        _det().market, _det().strategy, bad, _det().cps_witness
+    ),
+    "replay_admissibility_argument.alpha": lambda bad: replay_admissibility_argument(
+        _det().market, _det().strategy, 1, _det().cps_witness, alpha=bad
+    ),
+    "deterministic_counterexample.fee": lambda bad: deterministic_counterexample(bad),
+    "stochastic_counterexample.fee": lambda bad: stochastic_counterexample(fee=bad),
+    "stochastic_counterexample.witness_fee": lambda bad: stochastic_counterexample(witness_fee=bad),
+    "stochastic_counterexample.up_price": lambda bad: stochastic_counterexample(up_price=bad),
+    "up_price_for_target_loss.target": lambda bad: up_price_for_target_loss(F(1, 2), F(1, 4), bad),
+    "AdaptedProcess.constant": lambda bad: AdaptedProcess.constant(_det().market.tree, bad),
+}
+
+
+@pytest.mark.parametrize("bad", [0.5, True])
+@pytest.mark.parametrize("site", sorted(NUMBER_ARGUMENTS))
+def test_api_rejects_floats_and_bools(site, bad):
+    # a float has no faithful rational reading, as on the wire; without the
+    # check CpsQuery(0.1).fee was 3602879701896397/36028797018963968
+    with pytest.raises(ValueError, match="malformed rational"):
+        NUMBER_ARGUMENTS[site](bad)
+
 
 
 @pytest.mark.parametrize("bad", ["", "1/0", "a/b", "1/2/3", None, [1, 2]])

@@ -79,10 +79,31 @@ INNER = market(
     ],
     times=("0", "1", "2"),
 )
+# the root takes 7/4, the midpoint of [3/2, 2]; node 2 cannot go below
+# 9/4, so the children's P-mean lies above 7/4 and node 1 slides down to 13/8
+LOW_SLIDE = market([(0, None, "1", "2"), (1, 0, "4/5", "2"), (2, 0, "1/5", "3")], fee="1/4")
+# absolutely continuous: node 1's interval is the point 3/2, which only node
+# 3 attains, so node 4 gets no mass and node 1's subtree loses mass; the
+# root, at 3/2 too, then puts all its mass on node 1 and none on node 2
+LOST_MASS = market(
+    [
+        (0, None, "1", "2"),
+        (1, 0, "4/5", "3/2"),
+        (2, 0, "1/5", "1/2"),
+        (3, 1, "1/3", "2"),
+        (4, 1, "2/3", "3"),
+        (5, 2, "2/3", "1/2"),
+        (6, 2, "1/3", "1"),
+    ],
+    times=("0", "1", "2"),
+    fee="1/4",
+)
 
 CASES = {
     # name: (market, argv, exit code, environment)
     "find_cps_equivalent": (SKEWED, ["find-cps", "--lambda", "1/8"], 0, {}),
+    "find_cps_low_slide": (LOW_SLIDE, ["find-cps", "--lambda", "1/4"], 0, {}),
+    "find_cps_ac_lost_mass": (LOST_MASS, ["find-cps", "--lambda", "1/4", "--ac"], 0, {}),
     "find_cps_ac_off_support": (PINNED, ["find-cps", "--lambda", "0", "--ac"], 0, {}),
     "find_cps_infeasible": (PINNED, ["find-cps", "--lambda", "0"], 3, {}),
     "find_cps_ac_infeasible": (DIP_AND_FLAT, ["find-cps", "--lambda", "0", "--ac"], 3, {}),
