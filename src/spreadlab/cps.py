@@ -31,8 +31,9 @@ system clears.
 The threshold, the infimum of the feasible cost levels, is read off the
 same recursion.  In the equivalent mode the level only scales the low
 ends, so the empty intervals of the very pass that decides, run at
-level 0, give it in closed form; the absolutely continuous mode searches
-the candidate levels with one pass per probe.
+level 0, give it in closed form; the absolutely continuous mode, whose
+threshold is always attained, bisects the candidate levels with one
+pass per probe.
 
 An empty interval is turned into a Farkas certificate over the same
 rows, read off the intervals in one top-down pass from the node where
@@ -45,6 +46,7 @@ only defined on the support.
 
 from __future__ import annotations
 
+import bisect
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -559,31 +561,6 @@ def find_cps(market: Market, query: CpsQuery) -> FindCpsResult:
     return FindCpsResult(feasible=True, cps=cps, price_mass=price_mass)
 
 
-def _lp_find_cps(market: Market, query: CpsQuery) -> FindCpsResult:
-    """The exact simplex over `_cps_constraints`, with the leaf floor
-    epsilon as a hard constraint: the reference the tests compare
-    `find_cps` against.  It is infeasible wherever the best minimum leaf
-    density is below epsilon, even when an equivalent system exists.
-    """
-    num_vars, cons, _ = _cps_constraints(market, query.fee, query.epsilon)
-    result = simplex.solve(num_vars, cons)
-    if result.status == simplex.INFEASIBLE:
-        return FindCpsResult(
-            feasible=False,
-            infeasibility=CpsInfeasibility(
-                fee=query.fee,
-                epsilon=query.epsilon,
-                certificate=result.certificate,
-                num_vars=num_vars,
-                constraints=tuple(cons),
-            ),
-        )
-    nodes, x = market.tree.nodes, result.x
-    shadow = {n: y / z for n, z, y in zip(nodes, x, x[len(nodes):]) if z > 0}
-    cps, price_mass = _system(market.tree, dict(zip(nodes, x)), shadow, query.fee)
-    return FindCpsResult(feasible=True, cps=cps, price_mass=price_mass)
-
-
 def verify_cps(
     market: Market,
     cps: ConsistentPriceSystem,
@@ -694,12 +671,13 @@ def _threshold(market: Market, equivalent: bool) -> tuple[Fraction, bool]:
     (1 - lambda') S_x or an ask S_y of a node in the subtree, and a
     node's interval can only empty where one end is its own quote.  So
     the root's emptiness changes only at levels 1 - S_d / S_a with one
-    node an ancestor of the other and S_d < S_a.  Feasibility grows with
-    the level, so a binary search over those candidates, one backward
-    pass per probe, finds the first feasible one; one more pass between
-    it and the last infeasible one tells which of the two is the
-    threshold.  Close enough to 1 every level is feasible, since one
-    constant shadow price then sits in every spread.
+    node an ancestor of the other and S_d < S_a.  Every end is closed
+    (leaves and spreads are, and a cut in this mode only closes ends),
+    so the feasible levels form a closed set and the threshold is
+    attained, at one of those candidates: close enough to 1 every level
+    is feasible, since one constant shadow price then sits in every
+    spread.  Feasibility grows with the level, so bisecting the
+    candidates, one backward pass per probe, finds it.
     """
     tree, price = market.tree, market.price
 
@@ -727,18 +705,8 @@ def _threshold(market: Market, equivalent: bool) -> tuple[Fraction, bool]:
             if lo < hi:
                 ratios.add(lo / hi)
             a = tree.parent[a]
-    levels = [Fraction(0)] + [1 - r for r in sorted(ratios, reverse=True)]
-    below, first = 0, len(levels)
-    while first - below > 1:
-        mid = (below + first) // 2
-        if feasible(levels[mid]):
-            first = mid
-        else:
-            below = mid
-    upper = levels[first] if first < len(levels) else Fraction(1)
-    if feasible((levels[below] + upper) / 2):
-        return levels[below], False
-    return upper, True
+    levels = sorted(1 - r for r in ratios)
+    return levels[bisect.bisect_left(levels, True, key=feasible)], True
 
 
 def cps_threshold(market: Market, epsilon: Fraction = DEFAULT_EPSILON) -> Fraction:

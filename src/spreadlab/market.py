@@ -35,7 +35,9 @@ class Market:
 
 
 def validate_market(market: Market) -> list[str]:
-    """Return all violations of the market's standing assumptions."""
+    """Return all violations of the market's standing assumptions: every
+    price a positive Fraction or int (no float, no bool), and lambda in
+    [0, 1)."""
     problems: list[str] = []
     try:
         ensure_adapted(market.tree, market.price, "price")
@@ -44,10 +46,16 @@ def validate_market(market: Market) -> list[str]:
         return problems
     price = market.price.values
     for n in market.tree.nodes:
-        if price[n] <= 0:
-            problems.append(f"node {n}: price {price[n]} is not positive")
-    if not (0 <= market.fee < 1):
-        problems.append(f"lambda must satisfy 0 <= lambda < 1, got {market.fee}")
+        s = price[n]
+        if type(s) is not Fraction and (type(s) is bool or not isinstance(s, (Fraction, int))):
+            problems.append(f"node {n}: price {s!r} is not a Fraction or an int")
+        elif s <= 0:
+            problems.append(f"node {n}: price {s} is not positive")
+    fee = market.fee
+    if type(fee) is bool or not isinstance(fee, (Fraction, int)):
+        problems.append(f"lambda {fee!r} is not a Fraction or an int")
+    elif not (0 <= fee < 1):
+        problems.append(f"lambda must satisfy 0 <= lambda < 1, got {fee}")
     return problems
 
 

@@ -4,7 +4,8 @@ The load-bearing fact: once positions are marked at a shadow price that is
 a martingale under some measure Q, any self-financing strategy's marked
 value can only drift down under Q.  Everything here either certifies that
 drift condition, decomposes it, or propagates it into node-wise bounds on
-liquidation values.
+liquidation values; the frictionless statement is that propagation at
+lambda = 0.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from .cps import DEFAULT_EPSILON, ConsistentPriceSystem, _equivalent_mode, _threshold, scale_cps, verify_cps
 from .market import Market
 from .rationals import parse_rational
-from .strategy import Strategy, check_self_financing, pre_trade_holdings
+from .strategy import Strategy, check_self_financing, derive_bond_account, pre_trade_holdings
 from .tree import (
     AdaptedProcess,
     EventTree,
@@ -224,8 +225,8 @@ class TheoremVerdict:
     hypothesis_ok: bool
     hypothesis_failures: tuple[str, ...]
     cps_levels: tuple[tuple[Fraction, bool], ...]
-    mode: "str | None" = None
-    admissibility_bound: "Fraction | None" = None
+    mode: str
+    admissibility_bound: Fraction
 
 
 def check_admissibility_theorem(
@@ -241,10 +242,11 @@ def check_admissibility_theorem(
     liquidation value at every leaf is >= -x, and a price system exists at
     every cost level in (0, lambda), equivalent when epsilon > 0 and
     absolutely continuous when epsilon = 0.  That holds exactly when the
-    threshold is 0, and at lambda = 0 it must also be attained.  The
-    conclusion asks the same bound node-wise, always against pre-trade
-    holdings: the bound protects the position one is carrying, not the
-    one after a repair trade.
+    threshold is 0, and at lambda = 0 it must also be attained: a
+    martingale measure, as that failure then reads.  The conclusion asks
+    the same bound node-wise, always against pre-trade holdings: the
+    bound protects the position one is carrying, not the one after a
+    repair trade.
 
     The two admissibility notions share this conclusion; the mode picks
     which notion's minimal bound is reported alongside.
@@ -263,10 +265,14 @@ def check_admissibility_theorem(
     bound = admissibility_bound(market, strategy, mode).minimal_bound
 
     threshold, attained = _threshold(market, equivalent)
-    if threshold > 0:
+    if market.fee == 0:
+        if threshold > 0 or not attained:
+            failures.append(
+                f"no martingale measure (no consistent price system at cost level 0,"
+                f" threshold {threshold})"
+            )
+    elif threshold > 0:
         failures.append(f"no consistent price system at cost levels below {threshold}")
-    elif market.fee == 0 and not attained:
-        failures.append(f"no consistent price system at cost level {threshold}")
 
     # leaves come last in node order, in the order of tree.leaves
     witness = None
@@ -297,12 +303,14 @@ def check_admissibility_theorem(
 
 
 def frictionless_check(market: Market, positions: PredictableProcess, x) -> TheoremVerdict:
-    """Terminal-to-node-wise bound for zero-cost markets.
+    """The admissibility theorem at lambda = 0 for the strategy holding
+    ``positions``, the stock held INTO each node (decided at the parent).
 
-    ``positions`` is the stock held INTO each node (decided at the
-    parent); gains accumulate position times price increment along each
-    path.  Hypotheses: a martingale measure exists and terminal gains stay
-    above -x.  Conclusion: gains stay above -x at every node.
+    The strategy trades at each node to the position its children are
+    entered with, at the price, so its pre-trade liquidation value is the
+    gain of ``positions``: position times price increment, summed along
+    the path.  Hypotheses: a martingale measure exists and terminal gains
+    stay above -x.  Conclusion: gains stay above -x at every node.
     """
     tree = market.tree
     if market.fee != 0:
@@ -310,45 +318,9 @@ def frictionless_check(market: Market, positions: PredictableProcess, x) -> Theo
             f"market carries transaction costs (lambda = {market.fee}); this check needs lambda = 0"
         )
     ensure_predictable(tree, positions, "positions")
-    x = parse_rational(x)
-
-    gains: dict[NodeId, Fraction] = {}
-    for n in tree.nodes:
-        p = tree.parent[n]
-        if p is None:
-            gains[n] = Fraction(0)
-        else:
-            gains[n] = gains[p] + positions[n] * (market.price[n] - market.price[p])
-
-    failures: list[str] = []
-    threshold, attained = _threshold(market, True)
-    if threshold > 0 or not attained:
-        failures.append(
-            f"no equivalent martingale measure (no consistent price system at cost level 0,"
-            f" threshold {threshold})"
-        )
-    for leaf in tree.leaves:
-        if gains[leaf] < -x:
-            failures.append(f"terminal bound fails at leaf {leaf}: {gains[leaf]} < {-x}")
-
-    witness = None
-    for n in tree.nodes:
-        if gains[n] < -x:
-            witness = TheoremWitness(
-                node=n,
-                classification=LONG if positions[n] >= 0 else SHORT,
-                value=gains[n],
-            )
-            break
-
-    return TheoremVerdict(
-        holds=witness is None,
-        x=x,
-        witness=witness,
-        hypothesis_ok=not failures,
-        hypothesis_failures=tuple(failures),
-        cps_levels=((threshold, attained),),
-    )
+    children = tree.children
+    plan = {n: positions[children[n][0]] if children[n] else positions[n] for n in tree.nodes}
+    return check_admissibility_theorem(market, derive_bond_account(market, AdaptedProcess(plan)), x)
 
 
 @dataclass(frozen=True)

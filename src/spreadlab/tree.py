@@ -122,11 +122,21 @@ class EventTree:
     def build(times: Sequence[Fraction], entries: Iterable[tuple]) -> "EventTree":
         """Validate and assemble a tree from (id, parent, cond_prob) rows.
 
-        Raises TreeError listing every violation found, each tagged with
-        the offending node id.
+        Times and probabilities that are not already Fractions are read by
+        `parse_rational`, so a float or a bool is a problem.  Raises
+        TreeError listing every violation found, each tagged with the
+        offending node id.
         """
         problems: list[str] = []
         entries = list(entries)
+
+        parsed_times = []
+        for i, t in enumerate(times):
+            try:
+                parsed_times.append(t if isinstance(t, Fraction) else parse_rational(t))
+            except ValueError as exc:
+                problems.append(f"times[{i}]: {exc}")
+        times = tuple(parsed_times)
 
         seen: set[NodeId] = set()
         parent: dict[NodeId, NodeId | None] = {}
@@ -140,7 +150,10 @@ class EventTree:
                 continue
             seen.add(node)
             parent[node] = par
-            cond[node] = prob if isinstance(prob, Fraction) else Fraction(prob)
+            try:
+                cond[node] = prob if isinstance(prob, Fraction) else parse_rational(prob)
+            except ValueError as exc:
+                problems.append(f"node {node}: {exc}")
 
         roots = [n for n, p in parent.items() if p is None]
         if len(roots) != 1 or (roots and roots[0] != 0):
@@ -198,7 +211,6 @@ class EventTree:
                         f"node {n}: children probabilities sum to {total}, expected 1"
                     )
 
-        times = tuple(t if isinstance(t, Fraction) else Fraction(t) for t in times)
         if len(times) != horizon + 1:
             problems.append(
                 f"times has {len(times)} entries, expected {horizon + 1} for depth {horizon}"

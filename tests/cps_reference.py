@@ -6,13 +6,22 @@ These are the straightforward forms of `_cut`, `_shadow_intervals`,
 shortcut for values that stay put, products by 1 or sums of zeros.  The
 package computes the same `Fraction` values with fewer operations, so
 every interval end, shadow price, density and margin must come out equal.
+
+Two independent deciders ride along: `lp_find_cps`, the exact simplex
+over the same rows, and `ac_threshold`, the absolutely continuous
+threshold searched with a hand-written bisection and a probe between the
+last infeasible and the first feasible candidate.
 """
 
 from fractions import Fraction
 from typing import NamedTuple
 
-from spreadlab.cps import ConsistentPriceSystem
+from spreadlab.cps import ConsistentPriceSystem, CpsInfeasibility, FindCpsResult, _cps_constraints, _system
 from spreadlab.tree import AdaptedProcess
+
+# bound here, so that a test counting the package's calls to the simplex
+# does not count the reference's
+from spreadlab.simplex import INFEASIBLE, solve
 
 
 class Box(NamedTuple):
@@ -166,3 +175,61 @@ def interval_witness(tree, live, fee):
     )
     mass = {n: density[n] * shadow[n] if density[n] > 0 else Fraction(0) for n in tree.nodes}
     return cps, AdaptedProcess(mass), margin
+
+
+def lp_find_cps(market, query):
+    """The exact simplex over `_cps_constraints`, with the leaf floor
+    epsilon as a hard constraint.  It is infeasible wherever the best
+    minimum leaf density is below epsilon, even when an equivalent system
+    exists."""
+    num_vars, cons, _ = _cps_constraints(market, query.fee, query.epsilon)
+    result = solve(num_vars, cons)
+    if result.status == INFEASIBLE:
+        return FindCpsResult(
+            feasible=False,
+            infeasibility=CpsInfeasibility(
+                fee=query.fee,
+                epsilon=query.epsilon,
+                certificate=result.certificate,
+                num_vars=num_vars,
+                constraints=tuple(cons),
+            ),
+        )
+    nodes, x = market.tree.nodes, result.x
+    shadow = {n: y / z for n, z, y in zip(nodes, x, x[len(nodes):]) if z > 0}
+    cps, price_mass = _system(market.tree, dict(zip(nodes, x)), shadow, query.fee)
+    return FindCpsResult(feasible=True, cps=cps, price_mass=price_mass)
+
+
+def ac_threshold(market):
+    """(threshold, attained) in the absolutely continuous mode: a binary
+    search over the levels 1 - S_d / S_a of an ancestor pair, then one
+    probe halfway between the last infeasible candidate and the first
+    feasible one (or 1) to tell which of the two is the threshold."""
+    tree, price = market.tree, market.price
+
+    def feasible(fee):
+        return tree.root in shadow_intervals(market, fee, False)[0]
+
+    if feasible(Fraction(0)):
+        return Fraction(0), True
+    ratios = set()
+    for d in tree.nodes:
+        a = tree.parent[d]
+        while a is not None:
+            lo, hi = sorted((price[a], price[d]))
+            if lo < hi:
+                ratios.add(lo / hi)
+            a = tree.parent[a]
+    levels = [Fraction(0)] + [1 - r for r in sorted(ratios, reverse=True)]
+    below, first = 0, len(levels)
+    while first - below > 1:
+        mid = (below + first) // 2
+        if feasible(levels[mid]):
+            first = mid
+        else:
+            below = mid
+    upper = levels[first] if first < len(levels) else Fraction(1)
+    if feasible((levels[below] + upper) / 2):
+        return levels[below], False
+    return upper, True

@@ -27,6 +27,7 @@ from spreadlab import cps as cps_module
 from spreadlab import simplex
 from spreadlab.simplex import Constraint
 
+import cps_reference
 from helpers import random_market
 
 F = Fraction
@@ -284,7 +285,7 @@ class TestThreshold:
 
             def lp(fee):
                 query = CpsQuery(fee, F(0), ABSOLUTELY_CONTINUOUS)
-                return cps_module._lp_find_cps(market, query).feasible
+                return cps_reference.lp_find_cps(market, query).feasible
 
             assert lp(level) == attained
             assert lp(level + (1 - level) / 1024)
@@ -525,17 +526,20 @@ class TestIntervalDecider:
     density is below it; on the markets below it never is."""
 
     LEVELS = (F(0), F(1, 32), F(1, 16), F(1, 8), F(1, 4), F(1, 2))
-    LP = staticmethod(cps_module._lp_find_cps)
+    LP = staticmethod(cps_reference.lp_find_cps)
 
     @pytest.fixture(autouse=True)
     def lp_calls(self, monkeypatch):
+        # every call the package makes to the simplex; the reference's
+        # calls go to the function it bound at import
         calls = []
+        solve = simplex.solve
 
-        def counted(market, query):
-            calls.append(query.epsilon)
-            return self.LP(market, query)
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return solve(*args, **kwargs)
 
-        monkeypatch.setattr(cps_module, "_lp_find_cps", counted)
+        monkeypatch.setattr(simplex, "solve", counted)
         return calls
 
     def check_against_lp(self, market, level, mode):
@@ -609,9 +613,9 @@ class TestIntervalDecider:
         # the maximal margin is 2/3 (see TestMargin): no system clears a
         # floor of 3/4, yet an equivalent one exists
         market = binary_market(p_up="1/2")
-        best, _ = max_equivalence_margin(market, F(0))
         result = find_cps(market, CpsQuery(F(0), F(3, 4)))
         assert result.feasible and lp_calls == []
+        best, _ = max_equivalence_margin(market, F(0))
         margin = min(result.cps.density[leaf] for leaf in market.tree.leaves)
         assert 0 < margin <= best == F(2, 3)
         ok, violations = verify_cps(market, result.cps, epsilon=margin)

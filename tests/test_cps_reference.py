@@ -1,7 +1,8 @@
 """The package's interval pass and witness against the plain formulas of
 `cps_reference`, on random markets of every shape the CPS commands meet:
 the same intervals, and where a system exists the same S-tilde, Z, Y,
-off-support nodes and minimum leaf density, value for value."""
+off-support nodes and minimum leaf density, value for value; and the same
+absolutely continuous threshold as the reference's search."""
 
 import random
 from fractions import Fraction
@@ -82,3 +83,17 @@ def test_intervals_and_witness_match_reference(family):
                 assert margin == ref_margin and type(margin) is Fraction
     # every family reaches the witness often enough to mean something
     assert feasible >= MARKETS_PER_FAMILY
+
+
+@pytest.mark.parametrize("family", ["martingale", "lifted_root", "random_price", "path"])
+def test_ac_threshold_matches_reference(family):
+    rng = random.Random(f"ac-threshold-{family}")
+    positive = 0
+    for _ in range(MARKETS_PER_FAMILY):
+        market = family_market(rng, family)
+        level, attained = cps_module._threshold(market, False)
+        assert (level, attained) == cps_reference.ac_threshold(market)
+        assert type(level) is Fraction
+        positive += level > 0
+    # martingale markets are feasible at 0; every other family reaches the search
+    assert positive == 0 if family == "martingale" else positive > 0

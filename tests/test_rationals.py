@@ -10,6 +10,8 @@ from spreadlab import (
     AdaptedProcess,
     CpsError,
     CpsQuery,
+    EventTree,
+    Market,
     PredictableProcess,
     brute_force_cps,
     check_admissibility_theorem,
@@ -112,6 +114,50 @@ def test_api_rejects_floats_and_bools(site, bad):
     # check CpsQuery(0.1).fee was 3602879701896397/36028797018963968
     with pytest.raises(ValueError, match="malformed rational"):
         NUMBER_ARGUMENTS[site](bad)
+
+
+def _one_period_tree():
+    return EventTree.build([F(0), F(1)], [(0, None, F(1)), (1, 0, F(1, 2)), (2, 0, F(1, 2))])
+
+
+def test_market_lists_every_float_price():
+    # this market used to build, and find_cps at level 1/8 then returned
+    # the float shadow prices {0: 0.9375, 1: 1.375, 2: 0.5}
+    with pytest.raises(MarketError) as info:
+        make_market(_one_period_tree(), AdaptedProcess({0: 1.0, 1: 1.5, 2: 0.5}), 0)
+    prices = ((0, 1.0), (1, 1.5), (2, 0.5))
+    assert info.value.problems == [f"node {n}: price {s} is not a Fraction or an int" for n, s in prices]
+
+
+def test_market_rejects_bool_price_and_float_lambda_but_takes_ints():
+    tree = _one_period_tree()
+    with pytest.raises(MarketError, match="node 0: price True is not a Fraction or an int"):
+        make_market(tree, AdaptedProcess({0: True, 1: F(3, 2), 2: F(1, 2)}), 0)
+    with pytest.raises(MarketError, match="lambda 0.5 is not a Fraction or an int"):
+        Market(tree, AdaptedProcess({0: 1, 1: 2, 2: F(1, 2)}), 0.5)
+    market = make_market(tree, AdaptedProcess({0: 1, 1: 2, 2: F(1, 2)}), 0)
+    assert market.price[1] == 2
+
+
+@pytest.mark.parametrize(
+    "times, entries, problem",
+    [
+        ([0, 0.5], [(0, None, 1), (1, 0, 1)], "times[1]: malformed rational 0.5"),
+        ([0, 1], [(0, None, True), (1, 0, 1)], "node 0: malformed rational True"),
+        ([0, 1], [(0, None, 1), (1, 0, 0.5), (2, 0, F(1, 2))], "node 1: malformed rational 0.5"),
+    ],
+)
+def test_tree_build_rejects_floats_and_bools(times, entries, problem):
+    # times=[0, 0.5] used to be stored as 1/2 without a word
+    with pytest.raises(TreeError) as info:
+        EventTree.build(times, entries)
+    assert [p for p in info.value.problems if p.startswith(problem)]
+
+
+def test_tree_build_reads_ints_and_text():
+    tree = EventTree.build([0, "1/2"], [(0, None, 1), (1, 0, "1")])
+    assert tree.times == (0, F(1, 2)) and all(type(t) is Fraction for t in tree.times)
+    assert type(tree.cond_prob[1]) is Fraction
 
 
 

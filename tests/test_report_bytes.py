@@ -98,6 +98,8 @@ LOST_MASS = market(
     times=("0", "1", "2"),
     fee="1/4",
 )
+# a price that only rises: no martingale measure at lambda = 0
+RISING = market([(0, None, "1", "1"), (1, 0, "1", "2")], fee="0")
 
 CASES = {
     # name: (market, argv, exit code, environment)
@@ -115,6 +117,10 @@ CASES = {
     "threshold_positive_unattained": (DIP_AND_FLAT, ["cps-threshold"], 0, {}),
     # the same market, absolutely continuous: node 2 may lose its mass
     "threshold_ac_attained": (DIP_AND_FLAT, ["cps-threshold"], 0, {EPSILON_ENV: "0"}),
+    # the theorem at lambda = 0, whose premise is a martingale measure
+    "theorem_frictionless": (
+        RISING, ["theorem", "--strategy", "idle-strategy.json", "--x", "0"], 3, {},
+    ),
     # the market and strategy of `counterexample --variant det`
     "theorem_counterexample": (
         None, ["theorem", "--strategy", "det/strategy.json", "--x", "1"], 1, {},
@@ -134,6 +140,8 @@ def run_case(name: str) -> "tuple[int, bytes]":
         path = f"{name}-market.json"
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(doc, handle)
+        with open("idle-strategy.json", "w", encoding="utf-8") as handle:
+            json.dump({"holdings": []}, handle)  # no trade anywhere
     report = f"{name}-report.json"
     os.environ.update(environment)
     try:

@@ -28,6 +28,8 @@ from spreadlab import (
     shadow_values,
     stochastic_counterexample,
 )
+from spreadlab.cps import _threshold
+from spreadlab.theorems import TheoremWitness
 
 from helpers import (
     binomial_martingale_market,
@@ -502,7 +504,84 @@ class TestAdmissibilityTheorem:
             check_admissibility_theorem(report.market, report.strategy, 1, epsilon=F(-1))
 
 
+def reference_frictionless_check(market, positions, x):
+    """The frictionless statement checked on its own terms: the gains of
+    ``positions``, a martingale measure, the terminal bound and the first
+    node below -x, each computed directly.  Returns (holds,
+    hypothesis_ok, failures, cps_levels, witness, gains)."""
+    tree = market.tree
+    gains = {}
+    for n in tree.nodes:
+        p = tree.parent[n]
+        if p is None:
+            gains[n] = F(0)
+        else:
+            gains[n] = gains[p] + positions[n] * (market.price[n] - market.price[p])
+
+    failures = []
+    threshold, attained = _threshold(market, True)
+    if threshold > 0 or not attained:
+        failures.append(f"no equivalent martingale measure (threshold {threshold})")
+    for leaf in tree.leaves:
+        if gains[leaf] < -x:
+            failures.append(f"terminal bound fails at leaf {leaf}: {gains[leaf]} < {-x}")
+
+    witness = None
+    for n in tree.nodes:
+        if gains[n] < -x:
+            witness = TheoremWitness(
+                node=n, classification=LONG if positions[n] >= 0 else SHORT, value=gains[n]
+            )
+            break
+    return witness is None, not failures, failures, ((threshold, attained),), witness, gains
+
+
 class TestFrictionless:
+    def test_agrees_with_the_gains_recursion(self):
+        # the theorem at lambda = 0, run on the strategy holding the
+        # positions, against the gains computed directly
+        rng = random.Random(167)
+        seen = {"violated": 0, "premise fails": 0, "root witness": 0}
+        for i in range(400):
+            if i % 2:
+                market = binomial_martingale_market(rng, depth=rng.randint(1, 3))
+            else:
+                market = random_market(rng, fee=F(0))
+            positions = random_predictable(rng, market.tree)
+            x = F(rng.randint(-2, 8), 2)
+            verdict = frictionless_check(market, positions, x)
+            holds, hypothesis_ok, failures, levels, witness, gains = reference_frictionless_check(
+                market, positions, x
+            )
+            assert (verdict.holds, verdict.hypothesis_ok, verdict.cps_levels) == (holds, hypothesis_ok, levels)
+            assert len(verdict.hypothesis_failures) == len(failures)
+            assert verdict.mode == NUMERAIRE_BASED
+            assert verdict.admissibility_bound == max(F(0), -min(gains.values()))
+            if witness is None:
+                assert verdict.witness is None
+                continue
+            assert (verdict.witness.node, verdict.witness.value) == (witness.node, witness.value)
+            if witness.node == market.tree.root:
+                # nothing is held into the root: a flat position counts as long
+                assert verdict.witness.classification == LONG
+                seen["root witness"] += 1
+            else:
+                assert verdict.witness.classification == witness.classification
+            seen["violated"] += 1
+            seen["premise fails"] += not hypothesis_ok
+        assert min(seen.values()) >= 10, seen
+
+    def test_root_witness_is_long_for_negative_x(self):
+        # x < 0 asks for a positive value where nothing is held yet: the
+        # root is the witness, classified by its flat incoming position,
+        # whatever the convention value of positions at the root says
+        market = chain_tree(1, 2)
+        positions = PredictableProcess({0: F(-1), 1: F(-1)})
+        expected = TheoremWitness(node=0, classification=LONG, value=F(0))
+        assert frictionless_check(market, positions, -1).witness == expected
+        strategy = derive_bond_account(market, AdaptedProcess({0: F(-1), 1: F(-1)}))
+        assert check_admissibility_theorem(market, strategy, -1).witness == expected
+
     def test_needs_zero_fee(self):
         rng = random.Random(139)
         market = random_market(rng, fee=F(1, 4))
