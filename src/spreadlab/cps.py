@@ -187,7 +187,7 @@ def _system(
 ) -> tuple[ConsistentPriceSystem, AdaptedProcess]:
     """The system with density Z and the shadow values kept where Z > 0,
     and its mass process Y = Z * S-tilde."""
-    support = {n for n in tree.nodes if density[n] > 0}
+    support = {n for n in tree.nodes if density[n].numerator > 0}
     cps = ConsistentPriceSystem(
         shadow_price={n: s for n, s in shadow.items() if n in support},
         density=AdaptedProcess(density),

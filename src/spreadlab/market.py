@@ -49,7 +49,7 @@ def validate_market(market: Market) -> list[str]:
         s = price[n]
         if type(s) is not Fraction and (type(s) is bool or not isinstance(s, (Fraction, int))):
             problems.append(f"node {n}: price {s!r} is not a Fraction or an int")
-        elif s <= 0:
+        elif s.numerator <= 0:
             problems.append(f"node {n}: price {s} is not positive")
     fee = market.fee
     if type(fee) is bool or not isinstance(fee, (Fraction, int)):

@@ -18,7 +18,7 @@ from typing import Mapping
 
 from .market import Market
 from .rationals import format_rational, rational_reader
-from .tree import AdaptedProcess, EventTree, InputError, NodeId, ensure_adapted, is_mapping
+from .tree import AdaptedProcess, EventTree, InputError, NodeId, _inexact, ensure_adapted, is_mapping
 
 _ZERO = Fraction(0)
 _FLAT = (_ZERO, _ZERO)
@@ -30,10 +30,18 @@ class StrategyError(InputError):
 
 @dataclass(frozen=True)
 class Strategy:
-    """Post-trade holdings per node: bond units and stock units."""
+    """Post-trade holdings per node: bond units and stock units, each a
+    Fraction or an int: construction raises StrategyError naming every
+    node that holds anything else."""
 
     bond: AdaptedProcess
     stock: AdaptedProcess
+
+    def __post_init__(self):
+        bond, stock = self.bond.values, self.stock.values
+        problems = _inexact(bond, bond, "bond holding") + _inexact(stock, stock, "stock holding")
+        if problems:
+            raise StrategyError(problems)
 
 
 @dataclass(frozen=True)
@@ -64,9 +72,10 @@ def _slack(
     ``bond``.  Purchases pay the ask, sales are credited the bid."""
     slack = bond_in - bond
     delta = stock - stock_in
-    if delta > 0:
+    sign = delta.numerator
+    if sign > 0:
         slack -= ask * delta
-    elif delta < 0:
+    elif sign < 0:
         slack -= keep * ask * delta
     return slack
 
@@ -97,7 +106,7 @@ def check_self_financing(market: Market, strategy: Strategy) -> SelfFinancingRep
         p = parent[n]
         bond_in, stock_in = _FLAT if p is None else (bond[p], stock[p])
         s = slack[n] = _slack(bond_in, stock_in, bond[n], stock[n], price[n], keep)
-        if s < 0:
+        if s.numerator < 0:
             bad.append(n)
     return SelfFinancingReport(ok=not bad, slack=AdaptedProcess(slack), violations=tuple(bad))
 
@@ -112,6 +121,9 @@ def derive_bond_account(market: Market, stock_plan: AdaptedProcess) -> Strategy:
     """
     tree = market.tree
     ensure_adapted(tree, stock_plan, "stock plan")
+    problems = _inexact(stock_plan.values, tree.nodes, "stock plan")
+    if problems:
+        raise StrategyError(problems)
     keep = 1 - market.fee
     bond: dict[NodeId, Fraction] = {}
     for n in tree.nodes:

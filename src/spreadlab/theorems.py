@@ -22,6 +22,8 @@ from .tree import (
     EventTree,
     NodeId,
     PredictableProcess,
+    TreeError,
+    _inexact,
     conditional_expectation,
     density_problems,
     ensure_adapted,
@@ -68,9 +70,12 @@ def check_ossm(tree: EventTree, process: AdaptedProcess, density: AdaptedProcess
     The compensator's increment over each child set is the parent's
     expected one-step drop, which pins the whole Doob decomposition.
     Outside the support the compensator is frozen (the measure never sees
-    those nodes).
+    those nodes).  Process and density values must be Fractions or ints.
     """
     ensure_adapted(tree, process, "process")
+    problems = _inexact(process.values, tree.nodes, "process")
+    if problems:
+        raise TreeError(problems)
     problems = density_problems(tree, density)
     if problems:
         raise ValueError("invalid density: " + "; ".join(problems))
@@ -81,7 +86,7 @@ def _ossm(tree: EventTree, process: AdaptedProcess, density: AdaptedProcess) -> 
     """``check_ossm`` for a process on every node and a density already
     validated (``verify_cps`` checks it with ``density_problems`` too)."""
     drift = support_drift(tree, process, density)
-    violations = tuple((n, d) for n, d in drift.items() if d > 0)
+    violations = tuple((n, d) for n, d in drift.items() if d.numerator > 0)
     if violations:
         return OssmReport(ok=False, violations=violations)
 
@@ -139,11 +144,11 @@ def shadow_values(
 class ShadowDecomposition:
     """Marked value = cumulative trading cost + cumulative price-move term.
 
-    The cost increment at a node is the cash flow of its trade valued at
-    the shadow price (the root trade counts, coming from the empty
-    position); the price-move increment is the held stock times the shadow
-    price change.  Both cumulate along root paths and reconstruct the
-    post-trade marked value exactly.
+    The transform cumulates, along root paths, the held stock times the
+    shadow price change, and cost = value - transform.  Its increment at
+    a node is then the cash flow of that node's trade valued at the shadow
+    price (the root trade counts, coming from the empty position), so the
+    cost never rises from parent to child and is at most 0 at the root.
     """
 
     cost: AdaptedProcess
@@ -156,9 +161,12 @@ def shadow_decomposition(
 ) -> ShadowDecomposition:
     """Split the marked value into its falling and its martingale part.
 
+    The transform is summed along root paths and cost = value - transform.
     Self-financing makes every cost increment nonpositive once the shadow
     price sits inside the market's own spread, which is why the system is
-    verified against the market's cost level, not its own.
+    verified against the market's cost level, not its own.  That makes the
+    cost never rise from parent to child, and never exceed 0 at the root;
+    each node is checked, and a breach raises RuntimeError naming it.
     """
     tree = market.tree
     report = check_self_financing(market, strategy)
@@ -183,11 +191,13 @@ def shadow_decomposition(
             # the root trade comes from the empty position: all of it is cost
             cost[n] = v
             transform[n] = _ZERO
+            if v.numerator > 0:
+                raise RuntimeError(f"node {n}: root cost {v} is positive")
             continue
-        c = cost[n] = cost[p] + (bond[n] - bond[p]) + s[n] * (stock[n] - stock[p])
         t = transform[n] = transform[p] + stock[p] * (s[n] - s[p])
-        if v != c + t:
-            raise RuntimeError(f"node {n}: marked value {v} != cost {c} + transform {t}")
+        c = cost[n] = v - t
+        if c > cost[p]:
+            raise RuntimeError(f"node {n}: cost rose from {cost[p]} to {c}")
     return ShadowDecomposition(
         cost=AdaptedProcess(cost),
         transform=AdaptedProcess(transform),
@@ -318,6 +328,9 @@ def frictionless_check(market: Market, positions: PredictableProcess, x) -> Theo
             f"market carries transaction costs (lambda = {market.fee}); this check needs lambda = 0"
         )
     ensure_predictable(tree, positions, "positions")
+    problems = _inexact(positions.values, tree.nodes, "position")
+    if problems:
+        raise TreeError(problems)
     children = tree.children
     plan = {n: positions[children[n][0]] if children[n] else positions[n] for n in tree.nodes}
     return check_admissibility_theorem(market, derive_bond_account(market, AdaptedProcess(plan)), x)

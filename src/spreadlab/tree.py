@@ -9,7 +9,9 @@ on integer depths.
 
 Every quantity is a `fractions.Fraction`, every operation is a pure
 function of immutable inputs, and no floating point appears anywhere in
-the package core.
+the package core.  A per-node sign test reads the sign from the value's
+``.numerator``, which is several times cheaper than comparing a Fraction
+with 0 and means the same for a Fraction or an int.
 """
 
 from __future__ import annotations
@@ -48,6 +50,17 @@ class NullEventError(ValueError):
 def is_mapping(value) -> bool:
     """isinstance(value, Mapping), with the common ``dict`` answered first."""
     return type(value) is dict or isinstance(value, Mapping)
+
+
+def _inexact(values: Mapping[NodeId, object], nodes: Iterable[NodeId], what: str) -> list[str]:
+    """A problem for each node whose value is neither a Fraction nor an int
+    (a float or a bool, say): the sign tests read ``.numerator``, which a
+    float lacks and a bool carries with the wrong meaning."""
+    return [
+        f"node {n}: {what} {v!r} is not a Fraction or an int"
+        for n in nodes
+        if type(v := values[n]) is not Fraction and (type(v) is bool or not isinstance(v, (Fraction, int)))
+    ]
 
 
 def _total(values: Iterable[Fraction]) -> Fraction:
@@ -200,7 +213,7 @@ class EventTree:
         if cond.get(0) != 1:
             problems.append(f"node 0: root probability must be 1 (got {cond.get(0)})")
         for n, q in cond.items():
-            if n != 0 and q <= 0:
+            if n != 0 and q.numerator <= 0:
                 problems.append(f"node {n}: transition probability {q} is not positive")
         for n in parent:
             kids = children[n]
@@ -376,16 +389,19 @@ def one_step_mean(tree: EventTree, values: Mapping[NodeId, Fraction], node: Node
 
 def density_problems(tree: EventTree, density: AdaptedProcess) -> list[str]:
     """Everything that keeps ``density`` from being a density process: a
-    nonnegative martingale under the reference measure with Z(root) = 1."""
+    nonnegative martingale under the reference measure with Z(root) = 1,
+    every value a Fraction or an int."""
     z = density.values
     missing = [n for n in tree.nodes if n not in z]
     if missing:
         return [f"density missing at nodes {missing}"]
-    problems = []
+    problems = _inexact(z, tree.nodes, "density")
+    if problems:
+        return problems
     if z[tree.root] != 1:
         problems.append(f"node {tree.root}: density at root is {z[tree.root]}, expected 1")
     for n in tree.nodes:
-        if z[n] < 0:
+        if z[n].numerator < 0:
             problems.append(f"node {n}: density {z[n]} is negative")
     for n in tree.internal:
         step = one_step_mean(tree, z, n)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .market import Market
+from .rationals import parse_rational
 from .strategy import Strategy, ensure_strategy, pre_trade_holdings
 from .tree import AdaptedProcess, EventTree, NodeId
 
@@ -30,17 +31,20 @@ _ZERO = Fraction(0)
 def _liquidate(bond: Fraction, stock: Fraction, bid: Fraction, ask: Fraction) -> Fraction:
     """The liquidation formula: long stock sells at the bid, short stock
     covers at the ask."""
-    if stock > 0:
+    sign = stock.numerator
+    if sign > 0:
         return bond + stock * bid
-    if stock < 0:
+    if sign < 0:
         return bond + stock * ask
     return bond
 
 
 def liquidation_value(market: Market, bond: Fraction, stock: Fraction, node: NodeId) -> Fraction:
-    """Cash left after closing the stock leg at the node's quotes."""
+    """Cash left after closing the stock leg at the node's quotes; the
+    holdings are read by `parse_rational`, so a float or a bool is a
+    ValueError."""
     ask = market.price[node]
-    return _liquidate(bond, stock, (1 - market.fee) * ask, ask)
+    return _liquidate(parse_rational(bond), parse_rational(stock), (1 - market.fee) * ask, ask)
 
 
 def shadow_value(
@@ -94,7 +98,7 @@ def admissibility_bound(market: Market, strategy: Strategy, mode: str = NUMERAIR
         v_pre = _ZERO if p is None else _liquidate(bond[p], stock[p], bid, ask)
         v_post = _liquidate(bond[n], stock[n], bid, ask)
         v = v_pre if v_pre < v_post else v_post
-        if v < 0:
+        if v.numerator < 0:
             need = -v / (1 + ask) if numeraire_free else -v
             if need > bound:
                 bound = need

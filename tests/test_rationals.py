@@ -13,11 +13,16 @@ from spreadlab import (
     EventTree,
     Market,
     PredictableProcess,
+    Strategy,
     brute_force_cps,
     check_admissibility_theorem,
+    check_ossm,
     cps_threshold,
+    derive_bond_account,
     deterministic_counterexample,
+    doob_decompose,
     frictionless_check,
+    liquidation_value,
     make_market,
     max_equivalence_margin,
     replay_admissibility_argument,
@@ -36,6 +41,7 @@ from spreadlab import (
     strategy_to_doc,
 )
 from spreadlab.rationals import rational_reader
+from spreadlab.tree import density_problems
 
 from helpers import random_density, random_market, random_sf_strategy
 
@@ -104,6 +110,8 @@ NUMBER_ARGUMENTS = {
     "stochastic_counterexample.up_price": lambda bad: stochastic_counterexample(up_price=bad),
     "up_price_for_target_loss.target": lambda bad: up_price_for_target_loss(F(1, 2), F(1, 4), bad),
     "AdaptedProcess.constant": lambda bad: AdaptedProcess.constant(_det().market.tree, bad),
+    "liquidation_value.bond": lambda bad: liquidation_value(_det().market, bad, F(0), 1),
+    "liquidation_value.stock": lambda bad: liquidation_value(_det().market, F(0), bad, 1),
 }
 
 
@@ -114,6 +122,85 @@ def test_api_rejects_floats_and_bools(site, bad):
     # check CpsQuery(0.1).fee was 3602879701896397/36028797018963968
     with pytest.raises(ValueError, match="malformed rational"):
         NUMBER_ARGUMENTS[site](bad)
+
+
+def _at_node_1(values, bad):
+    """``values`` with the value at node 1 replaced by ``bad``."""
+    return AdaptedProcess({**values, 1: bad})
+
+
+def _holdings(bad, leg):
+    strategy = _det().strategy
+    bond, stock = strategy.bond.values, strategy.stock.values
+    if leg == "bond":
+        return Strategy(_at_node_1(bond, bad), AdaptedProcess(stock))
+    return Strategy(AdaptedProcess(bond), _at_node_1(stock, bad))
+
+
+def _flat(tree):
+    return {n: F(0) for n in tree.nodes}
+
+
+# every public entry point that takes a caller's per-node values, with the
+# value at node 1 replaced by `bad` (every position, for the predictable
+# one, whose siblings must agree); the sign tests read `.numerator`, which
+# a float lacks and a bool carries as an int
+NODE_VALUES = {
+    "Strategy.bond": lambda bad: _holdings(bad, "bond"),
+    "Strategy.stock": lambda bad: _holdings(bad, "stock"),
+    "derive_bond_account.stock_plan": lambda bad: derive_bond_account(
+        _det().market, _at_node_1(_flat(_det().market.tree), bad)
+    ),
+    "frictionless_check.positions": lambda bad: frictionless_check(
+        _frictionless(), PredictableProcess({n: bad for n in _frictionless().tree.nodes}), 1
+    ),
+    "check_ossm.process": lambda bad: check_ossm(
+        _det().market.tree, _at_node_1(_flat(_det().market.tree), bad), _det().cps_witness.density
+    ),
+    "check_ossm.density": lambda bad: check_ossm(
+        _det().market.tree,
+        AdaptedProcess(_flat(_det().market.tree)),
+        _at_node_1(_det().cps_witness.density.values, bad),
+    ),
+    "doob_decompose.process": lambda bad: doob_decompose(
+        _det().market.tree, _at_node_1(_flat(_det().market.tree), bad), _det().cps_witness.density
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [0.5, True])
+@pytest.mark.parametrize("site", sorted(NODE_VALUES))
+def test_api_rejects_float_and_bool_node_values(site, bad):
+    # a float at node 1 used to raise AttributeError: 'float' object has
+    # no attribute 'numerator', from the first sign test that read it
+    with pytest.raises(ValueError, match=f"node 1: [a-z ]+ {bad!r} is not a Fraction or an int"):
+        NODE_VALUES[site](bad)
+
+
+def test_strategy_names_every_inexact_holding():
+    # the strategy holding 1/2 bond and 1/4 stock, given as floats
+    tree = _one_period_tree()
+    with pytest.raises(StrategyError) as info:
+        Strategy(AdaptedProcess(dict.fromkeys(tree.nodes, 0.5)), AdaptedProcess(dict.fromkeys(tree.nodes, 0.25)))
+    assert info.value.problems == [
+        *(f"node {n}: bond holding 0.5 is not a Fraction or an int" for n in tree.nodes),
+        *(f"node {n}: stock holding 0.25 is not a Fraction or an int" for n in tree.nodes),
+    ]
+
+
+@pytest.mark.parametrize("bad", [0.5, True])
+def test_density_problems_lists_a_float_or_bool_density(bad):
+    tree = _one_period_tree()
+    # listed alone: the sign and martingale tests do not run on it
+    density = AdaptedProcess({0: F(1), 1: bad, 2: F(-5)})
+    assert density_problems(tree, density) == [f"node 1: density {bad!r} is not a Fraction or an int"]
+
+
+def test_int_node_values_are_exact():
+    tree = _one_period_tree()
+    strategy = Strategy(AdaptedProcess({0: -1, 1: 2, 2: 0}), AdaptedProcess({0: 1, 1: -1, 2: 0}))
+    assert strategy.bond[1] == 2
+    assert density_problems(tree, AdaptedProcess({0: 1, 1: 2, 2: 0})) == []
 
 
 def _one_period_tree():

@@ -100,6 +100,71 @@ LOST_MASS = market(
 )
 # a price that only rises: no martingale measure at lambda = 0
 RISING = market([(0, None, "1", "1"), (1, 0, "1", "2")], fee="0")
+# two periods at lambda = 1/4 for the strategy reports
+TRADED = market(
+    [
+        (0, None, "1", "2"),
+        (1, 0, "1/2", "3"),
+        (2, 0, "1/2", "1"),
+        (3, 1, "1/2", "4"),
+        (4, 1, "1/2", "2"),
+        (5, 2, "1/2", "2"),
+        (6, 2, "1/2", "1/2"),
+    ],
+    times=("0", "1", "2"),
+    fee="1/4",
+)
+# buy one at the root; node 1 sells two at the bid 9/4 and goes short,
+# throwing 1/2 away; node 2 sells out to flat; node 3 does not trade;
+# node 4 covers at the ask 2 with 1/2 it does not have; node 5 stays flat;
+# node 6 buys one at the ask 1/2
+TRADED_STRATEGY = {
+    "holdings": [
+        {"node": 0, "phi0": "-2", "phi1": "1"},
+        {"node": 1, "phi0": "2", "phi1": "-1"},
+        {"node": 2, "phi0": "-5/4", "phi1": "0"},
+        {"node": 4, "phi0": "1/2", "phi1": "0"},
+        {"node": 6, "phi0": "-7/4", "phi1": "1"},
+    ]
+}
+# a float, a node outside the tree, and a missing stock holding
+BAD_STRATEGY = {
+    "holdings": [
+        {"node": 0, "phi0": 0.5, "phi1": "1"},
+        {"node": 9, "phi0": "0", "phi1": "0"},
+        {"node": 2, "phi0": "1"},
+    ]
+}
+# TRADED's tree at lambda = 1/2: every spread is [S/2, S]
+SPREAD = {**TRADED, "lambda": "1/2"}
+# self-financing: buy one at the root at 2; node 1 sells two at the bid
+# 3/2 and burns 1/4; node 3 covers at the ask 4; node 5 buys one at 2
+SPREAD_STRATEGY = {
+    "holdings": [
+        {"node": 0, "phi0": "-2", "phi1": "1"},
+        {"node": 1, "phi0": "3/4", "phi1": "-1"},
+        {"node": 3, "phi0": "-13/4", "phi1": "0"},
+        {"node": 5, "phi0": "-4", "phi1": "2"},
+    ]
+}
+
+
+def price_system(shadow, density):
+    """Price-system document at SPREAD's own cost level."""
+    return {
+        "S_tilde": {str(n): s for n, s in enumerate(shadow)},
+        "Z": {str(n): z for n, z in enumerate(density)},
+        "lambda_prime": "1/2",
+        "epsilon": "0",
+    }
+
+
+# Q puts 1/4 on node 1 and 1/3 on node 3 below it, so Z is not 1
+TILTED = price_system(
+    ["5/4", "2", "1", "3", "3/2", "3/2", "1/2"], ["1", "1/2", "3/2", "1/3", "2/3", "3/2", "3/2"]
+)
+# shadow prices that are P-martingales: Z = 1
+UNTILTED = price_system(["3/2", "2", "1", "3", "1", "3/2", "1/2"], ["1"] * 7)
 
 CASES = {
     # name: (market, argv, exit code, environment)
@@ -125,6 +190,34 @@ CASES = {
     "theorem_counterexample": (
         None, ["theorem", "--strategy", "det/strategy.json", "--x", "1"], 1, {},
     ),
+    "validate_bad_strategy": (TRADED, ["validate", "--strategy", "bad-strategy.json"], 2, {}),
+    "check_strategy_nb": (
+        TRADED, ["check-strategy", "--strategy", "traded-strategy.json", "--mode", "nb"], 1, {},
+    ),
+    "check_strategy_nf": (
+        TRADED, ["check-strategy", "--strategy", "traded-strategy.json", "--mode", "nf"], 1, {},
+    ),
+    "decompose_tilted": (
+        SPREAD,
+        ["decompose", "--strategy", "spread-strategy.json", "--cps", "tilted-cps.json"],
+        0,
+        {},
+    ),
+    "decompose_untilted": (
+        SPREAD,
+        ["decompose", "--strategy", "spread-strategy.json", "--cps", "untilted-cps.json"],
+        0,
+        {},
+    ),
+}
+# the other input files a case may read, written beside its market
+INPUTS = {
+    "idle-strategy.json": {"holdings": []},  # no trade anywhere
+    "bad-strategy.json": BAD_STRATEGY,
+    "traded-strategy.json": TRADED_STRATEGY,
+    "spread-strategy.json": SPREAD_STRATEGY,
+    "tilted-cps.json": TILTED,
+    "untilted-cps.json": UNTILTED,
 }
 
 
@@ -140,8 +233,9 @@ def run_case(name: str) -> "tuple[int, bytes]":
         path = f"{name}-market.json"
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(doc, handle)
-        with open("idle-strategy.json", "w", encoding="utf-8") as handle:
-            json.dump({"holdings": []}, handle)  # no trade anywhere
+        for input_name, input_doc in INPUTS.items():
+            with open(input_name, "w", encoding="utf-8") as handle:
+                json.dump(input_doc, handle)
     report = f"{name}-report.json"
     os.environ.update(environment)
     try:
