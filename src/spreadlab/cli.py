@@ -53,6 +53,10 @@ class CommandResult:
     human_summary: str
 
 
+# a handler's exit code, report and summary lines; run_command writes the report
+_Outcome = tuple[int, dict, list]
+
+
 def _default_epsilon() -> Fraction:
     raw = os.environ.get(EPSILON_ENV)
     if raw is None:
@@ -122,7 +126,7 @@ def _rational_map(process) -> dict:
     return {str(k): format_rational(v) for k, v in sorted(process.values.items())}
 
 
-def _cmd_validate(args) -> CommandResult:
+def _cmd_validate(args) -> _Outcome:
     report: dict = {"market_file": args.market, "market_ok": False}
     lines = []
     market = None
@@ -152,12 +156,10 @@ def _cmd_validate(args) -> CommandResult:
                 lines.extend(f"  {p}" for p in exc.problems)
 
     ok = report["market_ok"] and report.get("strategy_ok", True)
-    path = _write_report(args.report, report)
-    lines.append(f"report: {path}")
-    return CommandResult(0 if ok else 2, path, "\n".join(lines))
+    return 0 if ok else 2, report, lines
 
 
-def _cmd_check_strategy(args) -> CommandResult:
+def _cmd_check_strategy(args) -> _Outcome:
     market = load_market(_load_json(args.market))
     strategy = load_strategy(_load_json(args.strategy), market.tree)
     mode = NUMERAIRE_FREE if args.mode == "nf" else NUMERAIRE_BASED
@@ -172,21 +174,16 @@ def _cmd_check_strategy(args) -> CommandResult:
         "worst_node": adm.worst_node,
         "per_node_requirement": _rational_map(adm.per_node),
     }
-    path = _write_report(args.report, report)
-    lines = []
-    if sf.ok:
-        lines.append("self-financing: yes")
-    else:
-        lines.append(f"self-financing: NO (bond overdrawn at nodes {list(sf.violations)})")
-    lines.append(
+    overdrawn = f"NO (bond overdrawn at nodes {list(sf.violations)})"
+    lines = [
+        f"self-financing: {'yes' if sf.ok else overdrawn}",
         f"admissibility ({mode}): minimal bound {_fmt(adm.minimal_bound, args.decimal)}"
-        f" binding at node {adm.worst_node}"
-    )
-    lines.append(f"report: {path}")
-    return CommandResult(0 if sf.ok else 1, path, "\n".join(lines))
+        f" binding at node {adm.worst_node}",
+    ]
+    return 0 if sf.ok else 1, report, lines
 
 
-def _cmd_find_cps(args) -> CommandResult:
+def _cmd_find_cps(args) -> _Outcome:
     market = load_market(_load_json(args.market))
     mode = ABSOLUTELY_CONTINUOUS if args.ac else EQUIVALENT
     query = CpsQuery(args.fee, Fraction(0) if args.ac else DEFAULT_EPSILON, mode)
@@ -197,17 +194,14 @@ def _cmd_find_cps(args) -> CommandResult:
         report = cps_to_doc(result.cps, epsilon)
         report["feasible"] = True
         report["Y"] = _rational_map(result.price_mass)
-        if result.cps.off_support:
-            report["off_support"] = list(result.cps.off_support)
-        path = _write_report(args.report, report)
         lines = [
             f"feasible: consistent price system at lambda' = {_fmt(query.fee, args.decimal)}"
             f" (epsilon = {_fmt(epsilon, args.decimal)}, mode {mode})"
         ]
         if result.cps.off_support:
+            report["off_support"] = list(result.cps.off_support)
             lines.append(f"off support: nodes {list(result.cps.off_support)}")
-        lines.append(f"report: {path}")
-        return CommandResult(0, path, "\n".join(lines))
+        return 0, report, lines
     cert = result.infeasibility
     report = {
         "feasible": False,
@@ -219,17 +213,15 @@ def _cmd_find_cps(args) -> CommandResult:
             "verified": cert.verify(),
         },
     }
-    path = _write_report(args.report, report)
-    summary = (
+    lines = [
         f"infeasible: no consistent price system at lambda' = {_fmt(query.fee, args.decimal)}"
-        f" (epsilon = {_fmt(query.epsilon, args.decimal)}, mode {mode})\n"
-        f"certificate verified: {report['certificate']['verified']}\n"
-        f"report: {path}"
-    )
-    return CommandResult(3, path, summary)
+        f" (epsilon = {_fmt(query.epsilon, args.decimal)}, mode {mode})",
+        f"certificate verified: {report['certificate']['verified']}",
+    ]
+    return 3, report, lines
 
 
-def _cmd_cps_threshold(args) -> CommandResult:
+def _cmd_cps_threshold(args) -> _Outcome:
     market = load_market(_load_json(args.market))
     equivalent = _default_epsilon() > 0
     threshold, attained = _threshold(market, equivalent)
@@ -238,48 +230,46 @@ def _cmd_cps_threshold(args) -> CommandResult:
         "attained": attained,
         "mode": EQUIVALENT if equivalent else ABSOLUTELY_CONTINUOUS,
     }
-    path = _write_report(args.report, report)
     if attained:
         line = f"smallest feasible cost level: {_fmt(threshold, args.decimal)}"
     else:
         line = f"infimum of feasible cost levels: {_fmt(threshold, args.decimal)} (not attained)"
-    summary = f"{line}\nreport: {path}"
-    return CommandResult(0, path, summary)
+    return 0, report, [line]
 
 
-def _cmd_decompose(args) -> CommandResult:
+def _cmd_decompose(args) -> _Outcome:
     market = load_market(_load_json(args.market))
     strategy = load_strategy(_load_json(args.strategy), market.tree)
     # only here are nodes keys, which json.load alone merges when repeated
     cps, _ = load_cps(_load_json(args.cps, _unique_keys), market.tree)
-    # shadow_decomposition has verified cps.density, and the value covers every node
+    # shadow_decomposition has verified cps.density, self-financing, the system
+    # at the market's level and a cost that never rises, so the value covers
+    # every node and its drift under the system's measure, E_Q[dC], is <= 0
     decomposition = shadow_decomposition(market, strategy, cps)
     ossm = _ossm(market.tree, decomposition.value, cps.density)
+    if not ossm.ok:
+        n, d = ossm.violations[0]
+        raise RuntimeError(f"node {n}: marked value has positive drift {d} under the system's measure")
     report = {
         "value": _rational_map(decomposition.value),
         "cost": _rational_map(decomposition.cost),
         "transform": _rational_map(decomposition.transform),
-        "supermartingale": ossm.ok,
-        "drift_violations": {str(n): format_rational(d) for n, d in ossm.violations},
+        "supermartingale": True,
+        "drift_violations": {},
+        "martingale": _rational_map(ossm.decomposition.martingale),
+        "compensator": _rational_map(ossm.decomposition.compensator),
     }
-    if ossm.ok:
-        report["martingale"] = _rational_map(ossm.decomposition.martingale)
-        report["compensator"] = _rational_map(ossm.decomposition.compensator)
-    path = _write_report(args.report, report)
-    root = market.tree.root
-    leaves = market.tree.leaves
-    summary = (
-        f"marked value at root: {_fmt(decomposition.value[root], args.decimal)}; "
+    leaf_costs = [decomposition.cost[leaf] for leaf in market.tree.leaves]
+    lines = [
+        f"marked value at root: {_fmt(decomposition.value[market.tree.root], args.decimal)}; "
         f"cumulative cost over leaves in "
-        f"[{_fmt(min(decomposition.cost[l] for l in leaves), args.decimal)}, "
-        f"{_fmt(max(decomposition.cost[l] for l in leaves), args.decimal)}]\n"
-        f"supermartingale under the system's measure: {ossm.ok}\n"
-        f"report: {path}"
-    )
-    return CommandResult(0, path, summary)
+        f"[{_fmt(min(leaf_costs), args.decimal)}, {_fmt(max(leaf_costs), args.decimal)}]",
+        "supermartingale under the system's measure: True",
+    ]
+    return 0, report, lines
 
 
-def _cmd_theorem(args) -> CommandResult:
+def _cmd_theorem(args) -> _Outcome:
     market = load_market(_load_json(args.market))
     strategy = load_strategy(_load_json(args.strategy), market.tree)
     mode = NUMERAIRE_FREE if args.numeraire_free else NUMERAIRE_BASED
@@ -313,48 +303,39 @@ def _cmd_theorem(args) -> CommandResult:
     if not verdict.hypothesis_ok:
         lines.append("hypothesis unmet:")
         lines.extend(f"  {msg}" for msg in verdict.hypothesis_failures)
-    path = _write_report(args.report, report)
-    lines.append(f"report: {path}")
     if not verdict.holds:
-        code = 1
-    elif not verdict.hypothesis_ok:
-        code = 3
-    else:
-        code = 0
-    return CommandResult(code, path, "\n".join(lines))
+        return 1, report, lines
+    return 0 if verdict.hypothesis_ok else 3, report, lines
 
 
-def _cmd_counterexample(args) -> CommandResult:
+def _cmd_counterexample(args) -> _Outcome:
     if args.variant == counterexamples.DETERMINISTIC:
         report = counterexamples.deterministic_counterexample(args.fee, args.steps)
     else:
         report = counterexamples.stochastic_counterexample(
-            args.fee,
-            args.witness_fee,
-            args.up_price,
-            literal_sale=args.literal_sale,
+            args.fee, args.witness_fee, args.up_price, literal_sale=args.literal_sale
         )
     out = Path(args.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValueError(f"{out}: cannot create output directory ({exc.strerror or exc})")
-    market_path = _write_report(str(out / "market.json"), market_to_doc(report.market))
-    strategy_path = _write_report(
-        str(out / "strategy.json"), strategy_to_doc(report.market.tree, report.strategy)
-    )
-    cps_path = _write_report(
-        str(out / "cps.json"), cps_to_doc(report.cps_witness, DEFAULT_EPSILON)
-    )
-    report_path = _write_report(str(out / "report.json"), counterexamples.report_to_doc(report))
-    summary = (
+    inputs = {
+        "market.json": market_to_doc(report.market),
+        "strategy.json": strategy_to_doc(report.market.tree, report.strategy),
+        "cps.json": cps_to_doc(report.cps_witness, DEFAULT_EPSILON),
+    }
+    written = [_write_report(str(out / name), doc) for name, doc in inputs.items()]
+    if args.report is None:  # the default report sits beside the files it describes
+        args.report = str(out / "report.json")
+    lines = [
         f"{args.variant} instance at lambda = {_fmt(report.fee, args.decimal)}: "
         f"terminal bound {_fmt(report.expected_terminal_bound, args.decimal)}, "
         f"dip value {_fmt(report.expected_midtime_value, args.decimal)}"
-        f" at node {report.midtime_node}\n"
-        f"wrote {market_path}, {strategy_path}, {cps_path}, {report_path}"
-    )
-    return CommandResult(0, str(report_path), summary)
+        f" at node {report.midtime_node}",
+        f"wrote {', '.join(written)}",
+    ]
+    return 0, counterexamples.report_to_doc(report), lines
 
 
 def _rational_flag(text: str) -> Fraction:
@@ -379,23 +360,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, name: str) -> None:
+    def common(p: argparse.ArgumentParser, name: str, handler) -> None:
         p.add_argument("--report", default=f"{name}-report.json", help="report file path")
         p.add_argument(
             "--decimal", action="store_true", help="add approximate values to the summary"
         )
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("validate", help="validate a market file (and optionally a strategy)")
     p.add_argument("--market", required=True)
     p.add_argument("--strategy")
-    common(p, "validate")
+    common(p, "validate", _cmd_validate)
 
     p = sub.add_parser("check-strategy", help="self-financing and admissibility report")
     p.add_argument("--market", required=True)
     p.add_argument("--strategy", required=True)
     p.add_argument("--mode", choices=("nb", "nf"), default="nb",
                    help="admissibility notion: numeraire-based or numeraire-free")
-    common(p, "check-strategy")
+    common(p, "check-strategy", _cmd_check_strategy)
 
     p = sub.add_parser("find-cps", help="search for a consistent price system")
     p.add_argument("--market", required=True)
@@ -403,17 +385,17 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="cost level lambda' to certify")
     p.add_argument("--ac", action="store_true",
                    help="absolutely continuous mode: allow the measure to die out")
-    common(p, "find-cps")
+    common(p, "find-cps", _cmd_find_cps)
 
     p = sub.add_parser("cps-threshold", help="exact smallest feasible cost level")
     p.add_argument("--market", required=True)
-    common(p, "cps-threshold")
+    common(p, "cps-threshold", _cmd_cps_threshold)
 
     p = sub.add_parser("decompose", help="marked-value decomposition under a price system")
     p.add_argument("--market", required=True)
     p.add_argument("--strategy", required=True)
     p.add_argument("--cps", required=True)
-    common(p, "decompose")
+    common(p, "decompose", _cmd_decompose)
 
     p = sub.add_parser("theorem", help="does the terminal bound propagate node-wise?")
     p.add_argument("--market", required=True)
@@ -421,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=_rational_flag, required=True, help="terminal bound is -x")
     p.add_argument("--numeraire-free", action="store_true",
                    help="report the numeraire-free admissibility bound")
-    common(p, "theorem")
+    common(p, "theorem", _cmd_theorem)
 
     p = sub.add_parser("counterexample", help="generate a bound-propagation failure")
     p.add_argument("--variant", choices=(counterexamples.DETERMINISTIC, counterexamples.STOCHASTIC),
@@ -437,32 +419,28 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="stochastic variant: price the up-branch sale at 1 - lambda' "
                         "(breaks self-financing; for comparison only)")
     p.add_argument("--out-dir", default="counterexample-out")
-    common(p, "counterexample")
+    common(p, "counterexample", _cmd_counterexample)
+    p.set_defaults(report=None)  # the handler puts it at <out-dir>/report.json
 
     return parser
 
 
 _PARSER = _build_parser()
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "check-strategy": _cmd_check_strategy,
-    "find-cps": _cmd_find_cps,
-    "cps-threshold": _cmd_cps_threshold,
-    "decompose": _cmd_decompose,
-    "theorem": _cmd_theorem,
-    "counterexample": _cmd_counterexample,
-}
-
 
 def run_command(argv) -> CommandResult:
+    """Run one command and write its report; a ValueError exits 2 with its reason."""
+    path = None
     try:
         args = _PARSER.parse_args(argv)
-        return _HANDLERS[args.command](args)
+        code, report, lines = args.handler(args)
+        path = _write_report(args.report, report)
+        summary = "\n".join([*lines, f"report: {path}"])
     except SystemExit as exc:  # --help, after printing the help text
-        return CommandResult(exc.code, None, "")
+        code, summary = exc.code, ""
     except ValueError as exc:
-        return CommandResult(2, None, f"error: {exc}")
+        code, summary = 2, f"error: {exc}"
+    return CommandResult(code, path, summary)
 
 
 def main(argv=None) -> int:

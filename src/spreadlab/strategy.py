@@ -80,22 +80,14 @@ def _slack(
     return slack
 
 
-def trade_slack(market: Market, strategy: Strategy, node: NodeId) -> Fraction:
-    """Cash left on the table by the trade at ``node``.
+def check_self_financing(market: Market, strategy: Strategy) -> SelfFinancingReport:
+    """The cash each node's trade leaves on the table, in one sweep.
 
     The bond can increase by at most the bid proceeds of stock sold, minus
-    the ask cost of stock bought; the slack is that ceiling minus the
+    the ask cost of stock bought; a node's slack is that ceiling minus the
     actual bond increment.  Nonnegative slack everywhere is exactly the
     self-financing property.
     """
-    bond_in, stock_in = pre_trade_holdings(market.tree, strategy, node)
-    return _slack(
-        bond_in, stock_in, strategy.bond[node], strategy.stock[node], market.price[node], 1 - market.fee
-    )
-
-
-def check_self_financing(market: Market, strategy: Strategy) -> SelfFinancingReport:
-    """``trade_slack`` at every node, in one sweep."""
     tree = market.tree
     ensure_strategy(tree, strategy)
     keep = 1 - market.fee

@@ -8,6 +8,7 @@ import pytest
 
 from spreadlab import (
     CpsQuery,
+    OssmReport,
     check_ossm,
     cps_to_doc,
     doob_decompose,
@@ -21,6 +22,7 @@ from spreadlab import (
     strategy_to_doc,
     verify_cps,
 )
+from spreadlab import cli as cli_module
 from spreadlab import cps as cps_module
 from spreadlab import theorems as theorems_module
 from spreadlab.cli import main, run_command
@@ -541,6 +543,19 @@ class TestDecompose:
         assert set(report["martingale"].values()) == {"-1"}
         assert set(report["compensator"].values()) == {"0"}
 
+    def test_positive_drift_is_a_broken_invariant(self, det_files, monkeypatch):
+        # the checks before the drift leave it no way to be positive, so a
+        # positive drift is a fault of the program, not a verdict
+        def rising(tree, process, density):
+            return OssmReport(ok=False, violations=((0, F(1, 4)),))
+
+        monkeypatch.setattr(cli_module, "_ossm", rising)
+        with pytest.raises(RuntimeError, match="node 0: marked value has positive drift 1/4"):
+            run_command([
+                "decompose", "--market", "det/market.json",
+                "--strategy", "det/strategy.json", "--cps", "det/cps.json",
+            ])
+
     def test_precondition_failure_exits_2(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         run_command([
@@ -706,6 +721,20 @@ class TestTheorem:
         assert report["admissibility_bound"] == "1"
 
 
+# every command, on the deterministic counterexample's files
+DET_ARGV = {
+    "validate": ["--market", "det/market.json", "--strategy", "det/strategy.json"],
+    "check-strategy": ["--market", "det/market.json", "--strategy", "det/strategy.json"],
+    "find-cps": ["--market", "det/market.json", "--lambda", "1/2"],
+    "cps-threshold": ["--market", "det/market.json"],
+    "decompose": [
+        "--market", "det/market.json", "--strategy", "det/strategy.json", "--cps", "det/cps.json",
+    ],
+    "theorem": ["--market", "det/market.json", "--strategy", "det/strategy.json", "--x", "1"],
+    "counterexample": ["--variant", "det", "--out-dir", "cx"],
+}
+
+
 class TestParsing:
     def test_unknown_command(self):
         result = run_command(["frobnicate"])
@@ -745,6 +774,25 @@ class TestParsing:
         ])
         assert result.report_path == "custom.json"
         assert read_json("custom.json")["threshold"] == "1/2"
+
+    @pytest.mark.parametrize("command", list(DET_ARGV))
+    def test_every_command_writes_its_report_at_report(self, det_files, command):
+        result = run_command([command, *DET_ARGV[command], "--report", "r.json"])
+        assert result.report_path == "r.json", result.human_summary
+        assert isinstance(read_json("r.json"), dict)
+        assert result.human_summary.splitlines()[-1] == "report: r.json"
+        if command == "counterexample":
+            assert {p.name for p in Path("cx").iterdir()} == {"market.json", "strategy.json", "cps.json"}
+
+    def test_counterexample_report_defaults_to_its_out_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        result = run_command(["counterexample", "--variant", "det", "--out-dir", "cx"])
+        assert result.report_path == str(Path("cx", "report.json"))
+        assert result.human_summary.splitlines()[-2:] == [
+            f"wrote {Path('cx', 'market.json')}, {Path('cx', 'strategy.json')}, {Path('cx', 'cps.json')}",
+            f"report: {Path('cx', 'report.json')}",
+        ]
+        assert read_json(result.report_path)["variant"] == "det"
 
 
 class TestMain:

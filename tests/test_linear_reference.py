@@ -103,6 +103,7 @@ def test_sweeps_match_reference():
         sf = check_self_financing(market, strategy)
         slack, bad = linear_reference.self_financing(market, strategy)
         assert same_values(sf.slack.values, slack) and list(sf.violations) == bad
+        assert sf.ok == (not bad)
 
         for mode in (NUMERAIRE_BASED, NUMERAIRE_FREE):
             report = admissibility_bound(market, strategy, mode)

@@ -14,7 +14,6 @@ from spreadlab import (
     make_market,
     pre_trade_holdings,
     strategy_to_doc,
-    trade_slack,
 )
 
 from helpers import random_market, random_sf_strategy, random_stock_plan
@@ -47,8 +46,9 @@ class TestSlack:
     def test_funded_purchase_has_zero_slack(self):
         market = chain_market()
         strat = hold(-2, 2)
-        assert trade_slack(market, strat, 0) == 0
-        assert trade_slack(market, strat, 1) == 0
+        slack = check_self_financing(market, strat).slack
+        assert slack[0] == 0
+        assert slack[1] == 0
 
     def test_overdrawn_bond_is_negative_slack(self):
         market = chain_market()
@@ -56,7 +56,7 @@ class TestSlack:
             bond=AdaptedProcess({0: F(1), 1: F(1), 2: F(1)}),
             stock=AdaptedProcess({0: F(0), 1: F(0), 2: F(0)}),
         )
-        assert trade_slack(market, strat, 0) == -1
+        assert check_self_financing(market, strat).slack[0] == -1
 
     def test_sale_credits_bid_not_ask(self):
         market = chain_market()
@@ -65,7 +65,7 @@ class TestSlack:
             stock=AdaptedProcess({0: F(1), 1: F(0), 2: F(0)}),
         )
         # selling 1 at node 1: bid = 1/4, so crediting exactly 1/4 is tight
-        assert trade_slack(market, strat, 1) == 0
+        assert check_self_financing(market, strat).slack[1] == 0
 
     def test_report_lists_violating_nodes(self):
         market = chain_market()
@@ -86,6 +86,7 @@ class TestSlack:
         for _ in range(40):
             market = random_market(rng)
             strat = random_sf_strategy(rng, market)
+            slack = check_self_financing(market, strat).slack
             for n in market.tree.nodes:
                 bid = (1 - market.fee) * market.price[n]
                 ask = market.price[n]
@@ -93,33 +94,7 @@ class TestSlack:
                 delta = strat.stock[n] - stock_in
                 buy, sell = max(delta, 0), max(-delta, 0)
                 ceiling = bid * sell - ask * buy
-                assert trade_slack(market, strat, n) == ceiling - (strat.bond[n] - bond_in)
-
-
-    def test_sweep_matches_trade_slack(self):
-        # check_self_financing's one-pass loop against the per-node
-        # function, on strategies that overdraw at some nodes
-        rng = random.Random(61)
-        overdrawn = 0
-        for i in range(40):
-            market = random_market(rng, fee=F(0) if i % 4 == 0 else None)
-            strat = random_sf_strategy(rng, market)
-            strat = Strategy(
-                bond=AdaptedProcess({
-                    n: strat.bond[n] + rng.choice([F(0), F(0), F(1, 8), F(-1, 8)])
-                    for n in market.tree.nodes
-                }),
-                stock=strat.stock,
-            )
-            report = check_self_financing(market, strat)
-            nodes = market.tree.nodes
-            assert set(report.slack.values) == set(nodes)
-            for n in nodes:
-                assert report.slack[n] == trade_slack(market, strat, n)
-            assert report.violations == tuple(n for n in nodes if report.slack[n] < 0)
-            assert report.ok == (not report.violations)
-            overdrawn += not report.ok
-        assert 5 < overdrawn < 40
+                assert slack[n] == ceiling - (strat.bond[n] - bond_in)
 
 
 class TestDeriveBondAccount:
