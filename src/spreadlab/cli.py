@@ -57,19 +57,6 @@ class CommandResult:
 _Outcome = tuple[int, dict, list]
 
 
-def _default_epsilon() -> Fraction:
-    raw = os.environ.get(EPSILON_ENV)
-    if raw is None:
-        return DEFAULT_EPSILON
-    try:
-        value = parse_rational(raw)
-    except ValueError as exc:
-        raise ValueError(f"{EPSILON_ENV}: {exc}") from exc
-    if value < 0:
-        raise ValueError(f"{EPSILON_ENV} must be nonnegative, got {value}")
-    return value
-
-
 def _unique_keys(pairs: list) -> dict:
     """json.load's object hook: a key given twice is an error, not a merge."""
     doc = dict(pairs)
@@ -82,10 +69,10 @@ def _unique_keys(pairs: list) -> dict:
     return doc
 
 
-def _load_json(path: str, object_pairs_hook=None) -> dict:
+def _load_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle, object_pairs_hook=object_pairs_hook)
+            return json.load(handle, object_pairs_hook=_unique_keys)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON (not UTF-8: {exc})")
     except FileNotFoundError:
@@ -185,18 +172,18 @@ def _cmd_check_strategy(args) -> _Outcome:
 
 def _cmd_find_cps(args) -> _Outcome:
     market = load_market(_load_json(args.market))
-    mode = ABSOLUTELY_CONTINUOUS if args.ac else EQUIVALENT
-    query = CpsQuery(args.fee, Fraction(0) if args.ac else DEFAULT_EPSILON, mode)
+    ac = args.measure == ABSOLUTELY_CONTINUOUS
+    query = CpsQuery(args.fee, Fraction(0) if ac else DEFAULT_EPSILON, args.measure)
     result = find_cps(market, query)
     if result.feasible:
         # an equivalent system reports the floor it clears: its minimum leaf density
-        epsilon = Fraction(0) if args.ac else min(result.cps.density[leaf] for leaf in market.tree.leaves)
+        epsilon = Fraction(0) if ac else min(result.cps.density[leaf] for leaf in market.tree.leaves)
         report = cps_to_doc(result.cps, epsilon)
         report["feasible"] = True
         report["Y"] = _rational_map(result.price_mass)
         lines = [
             f"feasible: consistent price system at lambda' = {_fmt(query.fee, args.decimal)}"
-            f" (epsilon = {_fmt(epsilon, args.decimal)}, mode {mode})"
+            f" (epsilon = {_fmt(epsilon, args.decimal)}, mode {query.mode})"
         ]
         if result.cps.off_support:
             report["off_support"] = list(result.cps.off_support)
@@ -215,7 +202,7 @@ def _cmd_find_cps(args) -> _Outcome:
     }
     lines = [
         f"infeasible: no consistent price system at lambda' = {_fmt(query.fee, args.decimal)}"
-        f" (epsilon = {_fmt(query.epsilon, args.decimal)}, mode {mode})",
+        f" (epsilon = {_fmt(query.epsilon, args.decimal)}, mode {query.mode})",
         f"certificate verified: {report['certificate']['verified']}",
     ]
     return 3, report, lines
@@ -223,13 +210,8 @@ def _cmd_find_cps(args) -> _Outcome:
 
 def _cmd_cps_threshold(args) -> _Outcome:
     market = load_market(_load_json(args.market))
-    equivalent = _default_epsilon() > 0
-    threshold, attained = _threshold(market, equivalent)
-    report = {
-        "threshold": format_rational(threshold),
-        "attained": attained,
-        "mode": EQUIVALENT if equivalent else ABSOLUTELY_CONTINUOUS,
-    }
+    threshold, attained = _threshold(market, args.measure == EQUIVALENT)
+    report = {"threshold": format_rational(threshold), "attained": attained, "mode": args.measure}
     if attained:
         line = f"smallest feasible cost level: {_fmt(threshold, args.decimal)}"
     else:
@@ -240,8 +222,7 @@ def _cmd_cps_threshold(args) -> _Outcome:
 def _cmd_decompose(args) -> _Outcome:
     market = load_market(_load_json(args.market))
     strategy = load_strategy(_load_json(args.strategy), market.tree)
-    # only here are nodes keys, which json.load alone merges when repeated
-    cps, _ = load_cps(_load_json(args.cps, _unique_keys), market.tree)
+    cps, _ = load_cps(_load_json(args.cps), market.tree)
     # shadow_decomposition has verified cps.density, self-financing, the system
     # at the market's level and a cost that never rises, so the value covers
     # every node and its drift under the system's measure, E_Q[dC], is <= 0
@@ -273,9 +254,7 @@ def _cmd_theorem(args) -> _Outcome:
     market = load_market(_load_json(args.market))
     strategy = load_strategy(_load_json(args.strategy), market.tree)
     mode = NUMERAIRE_FREE if args.numeraire_free else NUMERAIRE_BASED
-    verdict = check_admissibility_theorem(
-        market, strategy, args.x, mode=mode, epsilon=_default_epsilon()
-    )
+    verdict = check_admissibility_theorem(market, strategy, args.x, mode=mode, measure=args.measure)
     report = {
         "holds": verdict.holds,
         "x": format_rational(verdict.x),
@@ -367,6 +346,11 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.set_defaults(handler=handler)
 
+    def measure_class(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--ac", dest="measure", action="store_const", const=ABSOLUTELY_CONTINUOUS,
+                       default=EQUIVALENT,
+                       help="absolutely continuous mode: allow the measure to die out")
+
     p = sub.add_parser("validate", help="validate a market file (and optionally a strategy)")
     p.add_argument("--market", required=True)
     p.add_argument("--strategy")
@@ -383,12 +367,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--market", required=True)
     p.add_argument("--lambda", dest="fee", type=_rational_flag, required=True,
                    help="cost level lambda' to certify")
-    p.add_argument("--ac", action="store_true",
-                   help="absolutely continuous mode: allow the measure to die out")
+    measure_class(p)
     common(p, "find-cps", _cmd_find_cps)
 
     p = sub.add_parser("cps-threshold", help="exact smallest feasible cost level")
     p.add_argument("--market", required=True)
+    measure_class(p)
     common(p, "cps-threshold", _cmd_cps_threshold)
 
     p = sub.add_parser("decompose", help="marked-value decomposition under a price system")
@@ -403,6 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=_rational_flag, required=True, help="terminal bound is -x")
     p.add_argument("--numeraire-free", action="store_true",
                    help="report the numeraire-free admissibility bound")
+    measure_class(p)
     common(p, "theorem", _cmd_theorem)
 
     p = sub.add_parser("counterexample", help="generate a bound-propagation failure")
@@ -433,6 +418,10 @@ def run_command(argv) -> CommandResult:
     path = None
     try:
         args = _PARSER.parse_args(argv)
+        # a script that still sets it fails loudly instead of silently getting the equivalent mode
+        if EPSILON_ENV in os.environ:
+            raise ValueError(f"{EPSILON_ENV} is set, but no command reads it: unset it,"
+                             " and pass --ac for the absolutely continuous mode")
         code, report, lines = args.handler(args)
         path = _write_report(args.report, report)
         summary = "\n".join([*lines, f"report: {path}"])

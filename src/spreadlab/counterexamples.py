@@ -61,6 +61,12 @@ def _post_trade_liquidation(market: Market, strategy: Strategy, node: NodeId) ->
     return liquidation_value(market, strategy.bond[node], strategy.stock[node], node)
 
 
+def _dip_value(sale_wealth: Fraction, fee: Fraction, witness_fee: Fraction) -> Fraction:
+    """The stochastic instance's liquidation value at its dip node, from
+    the wealth after the up-branch sale."""
+    return sale_wealth - (sale_wealth + 1) * (1 + witness_fee * (1 / fee - 1))
+
+
 def deterministic_counterexample(fee, steps: int = 2) -> CounterexampleReport:
     """Single-path market whose dip defeats the terminal bound.
 
@@ -245,7 +251,7 @@ def stochastic_counterexample(
     _require(ok, f"witness system fails: {violations}")
 
     midtime_value = _post_trade_liquidation(market, strategy, 7)
-    expected = sale_wealth - (sale_wealth + 1) * (1 + witness_fee * (1 / fee - 1))
+    expected = _dip_value(sale_wealth, fee, witness_fee)
     _require(midtime_value == expected, f"dip value {midtime_value}, expected {expected}")
 
     for leaf in tree.leaves:
@@ -297,9 +303,7 @@ def up_price_for_target_loss(fee, witness_fee, target) -> Fraction:
         )
     up = Fraction(2)
     while True:
-        wealth = -1 + up * (1 - fee)
-        value = wealth - (wealth + 1) * (1 + witness_fee * (1 / fee - 1))
-        if value <= -target:
+        if _dip_value(-1 + up * (1 - fee), fee, witness_fee) <= -target:
             return up
         up *= 2
 

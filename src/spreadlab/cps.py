@@ -39,9 +39,9 @@ An empty interval is turned into a Farkas certificate over the same
 rows, read off the intervals in one top-down pass from the node where
 the contradiction closes, so infeasibility stays checkable independently
 of how it was found.  Its multipliers do not depend on the
-leaf floor epsilon > 0 of the rows, so epsilon only selects the mode:
-epsilon = 0 is the absolutely continuous mode, where the shadow price is
-only defined on the support.
+leaf floor epsilon > 0 of the rows, so its size never matters; epsilon = 0
+goes with the absolutely continuous mode, where the shadow price is only
+defined on the support.
 """
 
 from __future__ import annotations
@@ -72,11 +72,12 @@ class CpsError(InputError):
 
 @dataclass(frozen=True)
 class CpsQuery:
-    """What to search for: cost level, leaf floor, and mode.
+    """What to search for: cost level, leaf floor, and mode, the measure
+    class EQUIVALENT or ABSOLUTELY_CONTINUOUS.
 
-    The floor does not decide feasibility: it selects the mode (epsilon > 0
-    for equivalent, 0 for absolutely continuous) and is the right-hand side
-    of the ``floor:`` rows in an infeasibility certificate.
+    The floor must agree with the mode (epsilon > 0 for equivalent, 0 for
+    absolutely continuous).  It does not decide feasibility: it is the
+    right-hand side of the ``floor:`` rows in an infeasibility certificate.
     """
 
     fee: Fraction
@@ -645,13 +646,11 @@ def max_equivalence_margin(
     return result.objective, cps
 
 
-def _equivalent_mode(epsilon) -> bool:
-    """The mode a leaf floor selects: True (equivalent) for epsilon > 0,
-    False (absolutely continuous) for epsilon = 0."""
-    epsilon = parse_rational(epsilon)
-    if epsilon < 0:
-        raise CpsError([f"epsilon must be nonnegative, got {epsilon}"])
-    return epsilon > 0
+def _equivalent_mode(measure: str) -> bool:
+    """True for the EQUIVALENT measure class, False for ABSOLUTELY_CONTINUOUS."""
+    if measure not in (EQUIVALENT, ABSOLUTELY_CONTINUOUS):
+        raise CpsError([f"unknown measure class {measure!r}"])
+    return measure == EQUIVALENT
 
 
 def _threshold(market: Market, equivalent: bool) -> tuple[Fraction, bool]:
@@ -709,16 +708,15 @@ def _threshold(market: Market, equivalent: bool) -> tuple[Fraction, bool]:
     return levels[bisect.bisect_left(levels, True, key=feasible)], True
 
 
-def cps_threshold(market: Market, epsilon: Fraction = DEFAULT_EPSILON) -> Fraction:
+def cps_threshold(market: Market, measure: str = EQUIVALENT) -> Fraction:
     """The threshold: the infimum of the cost levels at which a price
     system exists, computed exactly.
 
-    epsilon > 0 asks for an equivalent system and epsilon = 0 for an
-    absolutely continuous one; the size of the floor does not move the
-    threshold.  The infimum need not be attained: a market can admit a
-    system at every positive level but not at 0.
+    ``measure`` is the class of the system's measure, EQUIVALENT or
+    ABSOLUTELY_CONTINUOUS.  The infimum need not be attained: a market
+    can admit an equivalent system at every positive level but not at 0.
     """
-    return _threshold(market, _equivalent_mode(epsilon))[0]
+    return _threshold(market, _equivalent_mode(measure))[0]
 
 
 def scale_cps(

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cps import DEFAULT_EPSILON, ConsistentPriceSystem, _equivalent_mode, _threshold, scale_cps, verify_cps
+from .cps import EQUIVALENT, ConsistentPriceSystem, _equivalent_mode, _threshold, scale_cps, verify_cps
 from .market import Market
 from .rationals import parse_rational
 from .strategy import Strategy, check_self_financing, derive_bond_account, pre_trade_holdings
@@ -244,14 +244,14 @@ def check_admissibility_theorem(
     strategy: Strategy,
     x,
     mode: str = NUMERAIRE_BASED,
-    epsilon: Fraction = DEFAULT_EPSILON,
+    measure: str = EQUIVALENT,
 ) -> TheoremVerdict:
     """Does a terminal liquidation bound propagate to every node?
 
     Hypotheses checked: the strategy is self-financing, its pre-trade
     liquidation value at every leaf is >= -x, and a price system exists at
-    every cost level in (0, lambda), equivalent when epsilon > 0 and
-    absolutely continuous when epsilon = 0.  That holds exactly when the
+    every cost level in (0, lambda), its measure of the class ``measure``:
+    EQUIVALENT or ABSOLUTELY_CONTINUOUS.  That holds exactly when the
     threshold is 0, and at lambda = 0 it must also be attained: a
     martingale measure, as that failure then reads.  The conclusion asks
     the same bound node-wise, always against pre-trade holdings: the
@@ -265,7 +265,7 @@ def check_admissibility_theorem(
     x = parse_rational(x)
     if mode not in (NUMERAIRE_BASED, NUMERAIRE_FREE):
         raise ValueError(f"unknown admissibility mode {mode!r}")
-    equivalent = _equivalent_mode(epsilon)
+    equivalent = _equivalent_mode(measure)
 
     failures: list[str] = []
     sf = check_self_financing(market, strategy)

@@ -90,7 +90,6 @@ class TestCounterexampleCommand:
     @pytest.mark.parametrize("variant", ["det", "stoch"])
     def test_cps_file_verifies_at_its_epsilon(self, tmp_path, monkeypatch, variant):
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("SPREADLAB_EPSILON", "2")
         result = run_command(["counterexample", "--variant", variant, "--out-dir", "out"])
         assert result.exit_code == 0
         market = load_market(read_json(tmp_path / "out" / "market.json"))
@@ -272,9 +271,24 @@ class TestMalformedShapes:
         assert result.exit_code == 2
         assert result.human_summary == "error: det/c.json: key '0' given twice"
 
+    @pytest.mark.parametrize("file, old, new, key", [
+        ("market", '"lambda": "1/2"', '"lambda": "1/2", "lambda": "0"', "lambda"),
+        ("market", '"S": ', '"S": "7", "S": ', "S"),
+        ("strategy", '"phi1": ', '"phi1": "5", "phi1": ', "phi1"),
+    ])
+    def test_key_given_twice_in_any_input(self, det_files, capsys, file, old, new, key):
+        # json.load alone would keep the last value: a market at lambda = 0
+        text = (det_files / f"{file}.json").read_text()
+        (det_files / "twice.json").write_text(text.replace(old, new, 1))
+        files = {"market": "det/market.json", "strategy": "det/strategy.json", file: "det/twice.json"}
+        result = run_command(["validate", "--market", files["market"], "--strategy", files["strategy"]])
+        assert result.exit_code == 2
+        assert result.human_summary == f"error: det/twice.json: key {key!r} given twice"
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("flag", ["--market", "--cps"])
     def test_nested_too_deeply(self, det_files, flag):
-        # json.load recurses once per level; --cps reads through the duplicate-key hook
+        # json.load recurses once per level, through the duplicate-key hook
         (det_files / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
         argv = {"--market": "det/market.json", "--strategy": "det/strategy.json", "--cps": "det/cps.json"}
         argv[flag] = "det/deep.json"
@@ -476,25 +490,6 @@ class TestFindCps:
         ])
         assert result.exit_code == 2
 
-    def test_reports_ignore_env_epsilon(self, det_files, monkeypatch):
-        def outputs():
-            for name, extra in (("feasible", ["1/2"]), ("infeasible", ["1/4"]), ("ac", ["1/4", "--ac"])):
-                run_command([
-                    "find-cps", "--market", "det/market.json", "--lambda", *extra,
-                    "--report", f"out/{name}.json",
-                ])
-            for variant in ("det", "stoch"):
-                run_command(["counterexample", "--variant", variant, "--out-dir", f"out/{variant}"])
-            return {str(p): p.read_text() for p in sorted(Path("out").rglob("*.json"))}
-
-        Path("out").mkdir()
-        monkeypatch.delenv("SPREADLAB_EPSILON", raising=False)
-        unset = outputs()
-        assert len(unset) == 11
-        for value in ("0", "2"):
-            monkeypatch.setenv("SPREADLAB_EPSILON", value)
-            assert outputs() == unset, value
-
 
 class TestThreshold:
     def test_deterministic_market(self, det_files):
@@ -510,21 +505,13 @@ class TestThreshold:
         ])
         assert "~0.5" in result.human_summary
 
-    def test_env_epsilon_selects_the_reported_mode(self, det_files, monkeypatch):
-        # the variable only picks the mode; its value is not echoed
-        for value, mode in (("2", "equivalent"), ("0", "absolutely_continuous")):
-            monkeypatch.setenv("SPREADLAB_EPSILON", value)
-            result = run_command(["cps-threshold", "--market", "det/market.json"])
+    def test_ac_selects_the_reported_mode(self, det_files):
+        for extra, mode in (([], "equivalent"), (["--ac"], "absolutely_continuous")):
+            result = run_command(["cps-threshold", "--market", "det/market.json", *extra])
             assert result.exit_code == 0
             report = read_json(result.report_path)
             assert "epsilon" not in report
             assert report["mode"] == mode
-
-    def test_malformed_env_epsilon(self, det_files, monkeypatch):
-        monkeypatch.setenv("SPREADLAB_EPSILON", "0.5")
-        result = run_command(["cps-threshold", "--market", "det/market.json"])
-        assert result.exit_code == 2
-        assert "SPREADLAB_EPSILON" in result.human_summary
 
 
 class TestDecompose:
@@ -710,6 +697,29 @@ class TestTheorem:
         assert report["holds"] is True and report["hypothesis_ok"] is False
         assert report["witness"] is None
 
+    def test_ac_premise(self, tmp_path, monkeypatch):
+        # at lambda = 0 the only martingale measure puts no mass on node 2
+        monkeypatch.chdir(tmp_path)
+        write_json("market.json", {
+            "times": ["0", "1"],
+            "lambda": "0",
+            "nodes": [
+                {"id": 0, "parent": None, "prob": "1", "S": "1"},
+                {"id": 1, "parent": 0, "prob": "1/2", "S": "1"},
+                {"id": 2, "parent": 0, "prob": "1/2", "S": "2"},
+            ],
+        })
+        write_json("strategy.json", {"holdings": []})
+        argv = ["theorem", "--market", "market.json", "--strategy", "strategy.json", "--x", "0"]
+        result = run_command(argv)
+        assert result.exit_code == 3
+        assert read_json(result.report_path)["cps_levels"] == [{"lambda_prime": "0", "feasible": False}]
+        result = run_command([*argv, "--ac"])
+        assert result.exit_code == 0
+        report = read_json(result.report_path)
+        assert report["hypothesis_ok"] is True
+        assert report["cps_levels"] == [{"lambda_prime": "0", "feasible": True}]
+
     def test_numeraire_free_bound(self, det_files):
         result = run_command([
             "theorem", "--market", "det/market.json",
@@ -761,6 +771,21 @@ class TestParsing:
     def test_help_exits_0(self, capsys):
         assert run_command(["find-cps", "--help"]).exit_code == 0
         assert "--lambda" in capsys.readouterr().out
+
+    def test_env_epsilon_refused_by_every_command(self, det_files, monkeypatch, capsys):
+        # it once picked the measure class of cps-threshold and theorem
+        for value in ("0", "2", ""):
+            monkeypatch.setenv("SPREADLAB_EPSILON", value)
+            for command, argv in DET_ARGV.items():
+                result = run_command([command, *argv, "--report", "r.json"])
+                assert result.exit_code == 2, (value, command)
+                assert result.report_path is None
+                assert "SPREADLAB_EPSILON" in result.human_summary
+                assert "--ac" in result.human_summary
+        assert not Path("r.json").exists() and not Path("cx").exists()
+        assert run_command(["theorem", "--help"]).exit_code == 0
+        out, err = capsys.readouterr()
+        assert "--ac" in out and err == ""
 
     def test_float_flag_rejected(self, det_files):
         result = run_command([

@@ -6,7 +6,8 @@ times each (a value replaced by an odd atom, a key deleted or added, a
 list element duplicated), the flags take odd texts too, and all seven
 commands run on the result.  ``--steps`` is not mutated: a huge even
 value asks for a path that long, which exhausts memory rather than
-failing.
+failing.  ``SPREADLAB_EPSILON`` is set in some cases: then every command
+that parses must refuse it with exit 2.
 """
 
 import copy
@@ -99,10 +100,11 @@ def test_every_command_exits_with_a_contract_code(seed_documents, data):
             ],
             "find-cps": ["--market", market, "--lambda", data.draw(text)]
             + (["--ac"] if data.draw(st.booleans()) else []),
-            "cps-threshold": ["--market", market],
+            "cps-threshold": ["--market", market] + (["--ac"] if data.draw(st.booleans()) else []),
             "decompose": ["--market", market, "--strategy", strategy, "--cps", cps],
             "theorem": ["--market", market, "--strategy", strategy, "--x", data.draw(text)]
-            + (["--numeraire-free"] if data.draw(st.booleans()) else []),
+            + (["--numeraire-free"] if data.draw(st.booleans()) else [])
+            + (["--ac"] if data.draw(st.booleans()) else []),
             "counterexample": [
                 "--variant", data.draw(st.sampled_from(["det", "stoch"])),
                 "--lambda", data.draw(text),
@@ -121,6 +123,11 @@ def test_every_command_exits_with_a_contract_code(seed_documents, data):
                 result = run_command([command, *argv, "--report", report])
                 assert result.exit_code in (0, 1, 2, 3), (command, result)
                 assert result.exit_code != 2 or result.human_summary, (command, argv)
+                if epsilon is not None:
+                    # a usage error, reported as "argument --flag: ...", comes first
+                    assert result.exit_code == 2, (command, result)
+                    summary = result.human_summary
+                    assert EPSILON_ENV in summary or summary.startswith("error: argument "), summary
         finally:
             os.environ.pop(EPSILON_ENV, None)
             if saved is not None:

@@ -241,14 +241,14 @@ class TestThreshold:
         assert cps_module._threshold(market, True) == (0, False)
         assert cps_module._threshold(market, False) == (0, True)
         assert cps_threshold(market) == 0
-        assert cps_threshold(market, epsilon=0) == 0
+        assert cps_threshold(market, measure=ABSOLUTELY_CONTINUOUS) == 0
         assert not find_cps(market, CpsQuery(F(0))).feasible
         assert find_cps(market, CpsQuery(F(1, 1000))).feasible
         assert find_cps(market, CpsQuery(F(0), F(0), ABSOLUTELY_CONTINUOUS)).feasible
 
-    def test_negative_epsilon_rejected(self):
-        with pytest.raises(CpsError, match="epsilon"):
-            cps_threshold(increasing_chain(), epsilon=F(-1))
+    def test_unknown_measure_rejected(self):
+        with pytest.raises(CpsError, match="unknown measure class 'bogus'"):
+            cps_threshold(increasing_chain(), measure="bogus")
 
     def test_equivalent_threshold_matches_closed_form(self):
         # L_n = max(S_n, min_c L_c), H_n = min(S_n, max_c H_c): the
@@ -281,7 +281,7 @@ class TestThreshold:
         for _ in range(50):
             market = random_market(rng)
             level, attained = cps_module._threshold(market, False)
-            assert cps_threshold(market, epsilon=0) == level
+            assert cps_threshold(market, measure=ABSOLUTELY_CONTINUOUS) == level
 
             def lp(fee):
                 query = CpsQuery(fee, F(0), ABSOLUTELY_CONTINUOUS)

@@ -80,7 +80,6 @@ def _frictionless():
 NUMBER_ARGUMENTS = {
     "CpsQuery.fee": lambda bad: CpsQuery(bad),
     "CpsQuery.epsilon": lambda bad: CpsQuery(F(0), bad),
-    "cps_threshold.epsilon": lambda bad: cps_threshold(_det().market, bad),
     "max_equivalence_margin.fee": lambda bad: max_equivalence_margin(_det().market, bad),
     "scale_cps.fee": lambda bad: scale_cps(_det().cps_witness, bad, F(1, 2)),
     "scale_cps.alpha": lambda bad: scale_cps(_det().cps_witness, F(1, 2), bad),
@@ -89,9 +88,6 @@ NUMBER_ARGUMENTS = {
     "make_market.fee": lambda bad: make_market(_det().market.tree, _det().market.price, bad),
     "check_admissibility_theorem.x": lambda bad: check_admissibility_theorem(
         _det().market, _det().strategy, bad
-    ),
-    "check_admissibility_theorem.epsilon": lambda bad: check_admissibility_theorem(
-        _det().market, _det().strategy, 1, epsilon=bad
     ),
     "frictionless_check.x": lambda bad: frictionless_check(
         _frictionless(),

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from spreadlab.cli import EPSILON_ENV, run_command
+from spreadlab.cli import run_command
 
 EXPECTED = Path(__file__).resolve().parent / "reports"
 
@@ -67,6 +67,8 @@ DIP_AND_FLAT = market(
 )
 # an equivalent system at every positive level but not at 0
 DELICATE = market([(0, None, "1", "1"), (1, 0, "1/2", "1"), (2, 0, "1/2", "2")])
+# the same tree at lambda = 0: a martingale measure exists only if node 2 may lose its mass
+DELICATE_FREE = {**DELICATE, "lambda": "0"}
 # node 1 at 2 over a leaf at 3 is empty below level 1/3, yet the hull of
 # its empty box with node 2's [(1 - lambda') / 2, 1/2] covers the root's spread
 INNER = market(
@@ -167,47 +169,46 @@ TILTED = price_system(
 UNTILTED = price_system(["3/2", "2", "1", "3", "1", "3/2", "1/2"], ["1"] * 7)
 
 CASES = {
-    # name: (market, argv, exit code, environment)
-    "find_cps_equivalent": (SKEWED, ["find-cps", "--lambda", "1/8"], 0, {}),
-    "find_cps_low_slide": (LOW_SLIDE, ["find-cps", "--lambda", "1/4"], 0, {}),
-    "find_cps_ac_lost_mass": (LOST_MASS, ["find-cps", "--lambda", "1/4", "--ac"], 0, {}),
-    "find_cps_ac_off_support": (PINNED, ["find-cps", "--lambda", "0", "--ac"], 0, {}),
-    "find_cps_infeasible": (PINNED, ["find-cps", "--lambda", "0"], 3, {}),
-    "find_cps_ac_infeasible": (DIP_AND_FLAT, ["find-cps", "--lambda", "0", "--ac"], 3, {}),
-    "find_cps_inner_infeasible": (INNER, ["find-cps", "--lambda", "1/8"], 3, {}),
-    "threshold_attained": (DIP, ["cps-threshold"], 0, {}),
-    "threshold_unattained": (DELICATE, ["cps-threshold"], 0, {}),
+    # name: (market, argv, exit code)
+    "find_cps_equivalent": (SKEWED, ["find-cps", "--lambda", "1/8"], 0),
+    "find_cps_low_slide": (LOW_SLIDE, ["find-cps", "--lambda", "1/4"], 0),
+    "find_cps_ac_lost_mass": (LOST_MASS, ["find-cps", "--lambda", "1/4", "--ac"], 0),
+    "find_cps_ac_off_support": (PINNED, ["find-cps", "--lambda", "0", "--ac"], 0),
+    "find_cps_infeasible": (PINNED, ["find-cps", "--lambda", "0"], 3),
+    "find_cps_ac_infeasible": (DIP_AND_FLAT, ["find-cps", "--lambda", "0", "--ac"], 3),
+    "find_cps_inner_infeasible": (INNER, ["find-cps", "--lambda", "1/8"], 3),
+    "threshold_attained": (DIP, ["cps-threshold"], 0),
+    "threshold_unattained": (DELICATE, ["cps-threshold"], 0),
     # positive and not attained: at 1/10000 the root's bid 9999/10000 is the
     # top of its children's hull, which node 2 does not reach
-    "threshold_positive_unattained": (DIP_AND_FLAT, ["cps-threshold"], 0, {}),
+    "threshold_positive_unattained": (DIP_AND_FLAT, ["cps-threshold"], 0),
     # the same market, absolutely continuous: node 2 may lose its mass
-    "threshold_ac_attained": (DIP_AND_FLAT, ["cps-threshold"], 0, {EPSILON_ENV: "0"}),
+    "threshold_ac_attained": (DIP_AND_FLAT, ["cps-threshold", "--ac"], 0),
     # the theorem at lambda = 0, whose premise is a martingale measure
-    "theorem_frictionless": (
-        RISING, ["theorem", "--strategy", "idle-strategy.json", "--x", "0"], 3, {},
+    "theorem_frictionless": (RISING, ["theorem", "--strategy", "idle-strategy.json", "--x", "0"], 3),
+    # the same premise in the absolutely continuous class: it holds, and
+    # exits 3 without --ac
+    "theorem_ac": (
+        DELICATE_FREE, ["theorem", "--strategy", "idle-strategy.json", "--x", "0", "--ac"], 0,
     ),
     # the market and strategy of `counterexample --variant det`
-    "theorem_counterexample": (
-        None, ["theorem", "--strategy", "det/strategy.json", "--x", "1"], 1, {},
-    ),
-    "validate_bad_strategy": (TRADED, ["validate", "--strategy", "bad-strategy.json"], 2, {}),
+    "theorem_counterexample": (None, ["theorem", "--strategy", "det/strategy.json", "--x", "1"], 1),
+    "validate_bad_strategy": (TRADED, ["validate", "--strategy", "bad-strategy.json"], 2),
     "check_strategy_nb": (
-        TRADED, ["check-strategy", "--strategy", "traded-strategy.json", "--mode", "nb"], 1, {},
+        TRADED, ["check-strategy", "--strategy", "traded-strategy.json", "--mode", "nb"], 1,
     ),
     "check_strategy_nf": (
-        TRADED, ["check-strategy", "--strategy", "traded-strategy.json", "--mode", "nf"], 1, {},
+        TRADED, ["check-strategy", "--strategy", "traded-strategy.json", "--mode", "nf"], 1,
     ),
     "decompose_tilted": (
         SPREAD,
         ["decompose", "--strategy", "spread-strategy.json", "--cps", "tilted-cps.json"],
         0,
-        {},
     ),
     "decompose_untilted": (
         SPREAD,
         ["decompose", "--strategy", "spread-strategy.json", "--cps", "untilted-cps.json"],
         0,
-        {},
     ),
 }
 # the other input files a case may read, written beside its market
@@ -224,7 +225,7 @@ INPUTS = {
 def run_case(name: str) -> "tuple[int, bytes]":
     """Run one case in the current directory; returns the exit code and
     the report bytes."""
-    doc, argv, _, environment = CASES[name]
+    doc, argv, _ = CASES[name]
     if doc is None:
         result = run_command(["counterexample", "--variant", "det", "--out-dir", "det"])
         assert result.exit_code == 0, result.human_summary
@@ -237,12 +238,7 @@ def run_case(name: str) -> "tuple[int, bytes]":
             with open(input_name, "w", encoding="utf-8") as handle:
                 json.dump(input_doc, handle)
     report = f"{name}-report.json"
-    os.environ.update(environment)
-    try:
-        result = run_command([*argv, "--market", path, "--report", report])
-    finally:
-        for key in environment:
-            del os.environ[key]
+    result = run_command([*argv, "--market", path, "--report", report])
     assert result.report_path == report, result.human_summary
     return result.exit_code, Path(report).read_bytes()
 
@@ -250,7 +246,6 @@ def run_case(name: str) -> "tuple[int, bytes]":
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_bytes_unchanged(tmp_path, monkeypatch, name):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(EPSILON_ENV, raising=False)
     code, data = run_case(name)
     assert code == CASES[name][2]
     assert data == (EXPECTED / f"{name}.json").read_bytes()
@@ -258,7 +253,6 @@ def test_report_bytes_unchanged(tmp_path, monkeypatch, name):
 
 if __name__ == "__main__":
     # rewrite the expected files from the package on sys.path
-    os.environ.pop(EPSILON_ENV, None)
     EXPECTED.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from spreadlab import (
+    ABSOLUTELY_CONTINUOUS,
     DEFAULT_EPSILON,
     LONG,
     NUMERAIRE_BASED,
@@ -12,6 +13,7 @@ from spreadlab import (
     SHORT,
     AdaptedProcess,
     ConsistentPriceSystem,
+    CpsError,
     CpsQuery,
     PredictableProcess,
     Strategy,
@@ -432,7 +434,7 @@ class TestAdmissibilityTheorem:
         assert not verdict.hypothesis_ok
         assert verdict.cps_levels == ((0, False),)
         assert any("no consistent price system" in f for f in verdict.hypothesis_failures)
-        verdict = check_admissibility_theorem(free, idle, 0, epsilon=0)
+        verdict = check_admissibility_theorem(free, idle, 0, measure=ABSOLUTELY_CONTINUOUS)
         assert verdict.hypothesis_ok, verdict.hypothesis_failures
         assert verdict.cps_levels == ((0, True),)
 
@@ -498,10 +500,10 @@ class TestAdmissibilityTheorem:
         with pytest.raises(ValueError, match="unknown admissibility mode"):
             check_admissibility_theorem(report.market, report.strategy, 1, mode="strict")
 
-    def test_negative_epsilon(self):
+    def test_unknown_measure(self):
         report = deterministic_counterexample(F(1, 2))
-        with pytest.raises(ValueError, match="epsilon must be nonnegative"):
-            check_admissibility_theorem(report.market, report.strategy, 1, epsilon=F(-1))
+        with pytest.raises(CpsError, match="unknown measure class 'bogus'"):
+            check_admissibility_theorem(report.market, report.strategy, 1, measure="bogus")
 
 
 def reference_frictionless_check(market, positions, x):
