@@ -19,14 +19,13 @@ attains it, and a system exists if the root's interval is nonempty.
 
 A nonempty root interval is turned into a witness top down: each node's
 value is placed inside its children's intervals, and the one-step
-weights maximize the minimum leaf density for the values placed.  Those
-weights have a closed form per node, one of three cases by which side of
-the node's value the children's margin-weighted mean falls, kept as each
-child's density ratio Z_c / Z_n, so the witness costs about one more
-pass and Z one product per node.  In the equivalent mode that minimum
-is positive, so the witness is equivalent and clears a leaf floor of
-exactly that minimum; `max_equivalence_margin` gives the best floor any
-system clears.
+weights are the plainest that average the children back to it: P
+itself when the children's P-mean is the node's value, else P scaled
+down with the rest on one extreme child.  So Z costs one product per
+node, in the same pass.  In the equivalent mode every leaf density is
+positive, so the witness is equivalent and clears a leaf floor of
+exactly its minimum leaf density; `max_equivalence_margin` gives the
+best floor any system clears.
 
 The threshold, the infimum of the feasible cost levels, is read off the
 same recursion.  In the equivalent mode the level only scales the low
@@ -70,6 +69,28 @@ class CpsError(InputError):
     """An invalid price-system description or query."""
 
 
+def _level_and_floor(fee, epsilon=_ZERO, names=("cost level", "epsilon")) -> tuple[Fraction, Fraction]:
+    """A cost level and a leaf floor read by `parse_rational`; raises
+    CpsError, naming each by ``names``, unless 0 <= lambda' < 1 and
+    epsilon >= 0."""
+    problems = []
+    try:
+        fee = parse_rational(fee)
+        if not 0 <= fee < 1:
+            problems.append(f"{names[0]} must satisfy 0 <= lambda' < 1, got {fee}")
+    except ValueError as exc:
+        problems.append(f"{names[0]}: {exc}")
+    try:
+        epsilon = parse_rational(epsilon)
+        if epsilon < 0:
+            problems.append(f"{names[1]} must be nonnegative, got {epsilon}")
+    except ValueError as exc:
+        problems.append(f"{names[1]}: {exc}")
+    if problems:
+        raise CpsError(problems)
+    return fee, epsilon
+
+
 @dataclass(frozen=True)
 class CpsQuery:
     """What to search for: cost level, leaf floor, and mode, the measure
@@ -85,22 +106,16 @@ class CpsQuery:
     mode: str = EQUIVALENT
 
     def __post_init__(self):
-        object.__setattr__(self, "fee", parse_rational(self.fee))
-        object.__setattr__(self, "epsilon", parse_rational(self.epsilon))
-        problems = []
-        if not (0 <= self.fee < 1):
-            problems.append(f"cost level must satisfy 0 <= lambda' < 1, got {self.fee}")
-        if self.epsilon < 0:
-            problems.append(f"epsilon must be nonnegative, got {self.epsilon}")
+        fee, epsilon = _level_and_floor(self.fee, self.epsilon)
+        object.__setattr__(self, "fee", fee)
+        object.__setattr__(self, "epsilon", epsilon)
         if self.mode not in (EQUIVALENT, ABSOLUTELY_CONTINUOUS):
-            problems.append(f"unknown mode {self.mode!r}")
-        elif (self.epsilon > 0) != (self.mode == EQUIVALENT):
-            problems.append(
-                f"mode {self.mode} and epsilon {self.epsilon} disagree: "
+            raise CpsError([f"unknown mode {self.mode!r}"])
+        if (epsilon > 0) != (self.mode == EQUIVALENT):
+            raise CpsError([
+                f"mode {self.mode} and epsilon {epsilon} disagree: "
                 "equivalent mode needs epsilon > 0, absolutely continuous needs epsilon = 0"
-            )
-        if problems:
-            raise CpsError(problems)
+            ])
 
 
 @dataclass(frozen=True)
@@ -320,73 +335,50 @@ def _place(v: Fraction, boxes: list, probs: list) -> list:
     return [u if f is u else u + s * (f - u) for u, f in zip(near, far)]
 
 
-def _max_min_density(
-    tree: EventTree, shadow: Mapping[NodeId, Fraction]
-) -> tuple[dict[NodeId, Fraction], Fraction]:
-    """Density for fixed shadow values that maximizes the minimum leaf
-    density; returns the density at every node and that minimum.
+def _density(tree: EventTree, shadow: Mapping[NodeId, Fraction]) -> dict[NodeId, Fraction]:
+    """Density of plain one-step weights for fixed shadow values, top down.
 
-    Children without a shadow value get no mass.  Bottom up, with the
-    subtree margins m_c already fixed, a node's margin is
-    min_c (q_c / p_c) m_c, maximized over one-step weights q >= 0 summing
-    to 1 that average the children's values u_c to the node's value v.
-    With beta_c = p_c / m_c, B = sum beta_c and M = sum beta_c u_c, the
-    optimum is q = t beta plus the residual 1 - t B on one extreme child,
-    and the node's margin is t itself:
-
-    * v B = M: the beta-weighted mean of the children is v already, so
-      t = 1 / B and there is no residual;
-    * v B < M: only the low side binds, t = (v - u_min) / (M - u_min B),
-      and the residual goes to the (first) lowest child;
-    * v B > M: only the high side binds, t = (u_max - v) / (u_max B - M),
-      and the residual goes to the (first) highest child.
-
-    A subtree that already loses mass (margin 0) is weighted as if its
-    margin were 1.  Each child records its density ratio
-    Z_c / Z_n = q_c / p_c, which is t / m_c, plus (1 - t B) / p_c on the
-    extreme child, so the top-down pass takes one product per node.
+    At a node with value v, the children that carry a value (all of them
+    in the equivalent mode), with values u_c and probabilities p_c, get
+    weights q_c = p_c / sum p when their P-mean is v.  Otherwise the
+    weights lean on one extreme child e, the (first) lowest when the mean
+    is above v and the highest when below: with t = (v - u_e) / (mean - u_e),
+    q_c = t p_c / sum p, plus 1 - t on e.  `_place` puts v strictly between
+    the lowest and the highest value, or makes every value v, so t is in
+    (0, 1] and every such child keeps mass.  Z_c = Z_n q_c / p_c; children
+    without a value get none.
     """
     prob = tree.cond_prob
-    margin: dict[NodeId, Fraction] = {}
-    ratio: dict[NodeId, Fraction] = {}
-    for n in reversed(tree.nodes):
+    density = dict.fromkeys(tree.nodes, _ZERO)
+    density[tree.root] = _ONE
+    for n in tree.internal:
         v = shadow.get(n)
         if v is None:
             continue
         children = tree.children[n]
-        if not children:
-            margin[n] = _ONE
-            continue
         kids = [c for c in children if c in shadow]
-        sub = [margin[c] for c in kids]
-        lost = len(kids) < len(children) or not all(sub)
-        # the margin each child's weight is divided by, None for 1
-        scale = [None if lost or m == 1 else m for m in sub]
-        beta = [prob[c] if m is None else prob[c] / m for c, m in zip(kids, scale)]
         u = [shadow[c] for c in kids]
-        total = _total(beta)
-        mean = _total(b * uc for b, uc in zip(beta, u))
-        gap = v * total - mean
+        full = len(kids) == len(children)
+        total = _ONE if full else _total(prob[c] for c in kids)
+        mass = _total(prob[c] * uc for c, uc in zip(kids, u))
+        z = density[n]
+        if full and mass == v:
+            for c in kids:
+                density[c] = z
+            continue
+        gap = v * total - mass
+        # r = t / sum p: every child's ratio Z_c / Z_n, e's without its surplus
         if gap:
             e = (min if gap < 0 else max)(range(len(u)), key=u.__getitem__)
-            t = (v - u[e]) / (mean - u[e] * total)
-            residual = 1 - t * total
+            r = (v - u[e]) / (mass - u[e] * total)
         else:
-            t, residual = 1 / total, 0
-        for c, m in zip(kids, scale):
-            ratio[c] = t if m is None else t / m
-        if residual:
-            ratio[kids[e]] += residual / prob[kids[e]]
-        margin[n] = _ZERO if lost else t
-    density: dict[NodeId, Fraction] = {}
-    for n in tree.nodes:
-        r = ratio.get(n)
-        if r is None:
-            density[n] = _ONE if n == tree.root else _ZERO
-        else:
-            z = density[tree.parent[n]]
-            density[n] = r if z == 1 else z if r == 1 else z * r
-    return density, margin[tree.root]
+            e, r = None, 1 / total
+        for c in kids:
+            density[c] = z * r
+        if e is not None:
+            c = kids[e]
+            density[c] += z * (1 - r * total) / prob[c]
+    return density
 
 
 def _interval_witness(
@@ -394,8 +386,8 @@ def _interval_witness(
 ) -> tuple[ConsistentPriceSystem, AdaptedProcess, Fraction]:
     """System built top down inside the intervals: the root takes its
     interval's midpoint, each node places its children's values with
-    `_place`, and `_max_min_density` weighs them.  Returns the system, the
-    mass process y = z * S-tilde and the minimum leaf density."""
+    `_place`, and `_density` weighs them.  Returns the system, the mass
+    process y = z * S-tilde and the minimum leaf density."""
     root = live[tree.root]
     shadow = {tree.root: (root.lo + root.hi) / 2}
     for n in tree.nodes:
@@ -405,9 +397,9 @@ def _interval_witness(
         kids = [c for c in tree.children[n] if c in live]
         if kids:
             shadow.update(zip(kids, _place(v, [live[c] for c in kids], [tree.cond_prob[c] for c in kids])))
-    density, margin = _max_min_density(tree, shadow)
+    density = _density(tree, shadow)
     cps, mass = _system(tree, density, shadow, fee)
-    return cps, mass, margin
+    return cps, mass, min(density[leaf] for leaf in tree.leaves)
 
 
 def _interval_certificate(
@@ -573,11 +565,13 @@ def verify_cps(
     Checks: density domain, Z(root) = 1, Z >= 0, zero one-step drift of Z
     and of Z * S-tilde, shadow price present on the support and inside the
     spread, and (when epsilon is given) the leaf floor.  Returns all
-    violations found, each naming its node.
+    violations found, each naming its node.  A level outside [0, 1) or a
+    negative epsilon raises CpsError.
     """
     tree = market.tree
-    if fee is None:
-        fee = cps.fee
+    fee, epsilon = _level_and_floor(
+        cps.fee if fee is None else fee, _ZERO if epsilon is None else epsilon
+    )
     violations = density_problems(tree, cps.density)
     z = cps.density.values
     if not all(n in z for n in tree.nodes):
@@ -609,7 +603,7 @@ def verify_cps(
                 f"node {n}: shadow price drift under Q (weighted drift {y_next - mass_price[n]})"
             )
 
-    if epsilon is not None and epsilon > 0:
+    if epsilon:
         for leaf in tree.leaves:
             if cps.density[leaf] < epsilon:
                 violations.append(
@@ -628,7 +622,7 @@ def max_equivalence_margin(
     the cost level is attainable only with a degenerate measure.
     """
     tree = market.tree
-    fee = parse_rational(fee)
+    fee, _ = _level_and_floor(fee)
     num_vars, cons, pos = _cps_constraints(market, fee, Fraction(0))
     t = num_vars
     for leaf in tree.leaves:
@@ -728,7 +722,7 @@ def scale_cps(
     keeps it a martingale under the same measure; the parameter window
     below keeps both inside the wider spread.
     """
-    fee = parse_rational(fee)
+    fee, _ = _level_and_floor(fee)
     alpha = parse_rational(alpha)
     if not (cps.fee <= alpha <= fee):
         raise ValueError(
@@ -811,21 +805,21 @@ def brute_force_cps(
     over per-node feasible value sets decides all grid assignments at once,
     which is equivalent to enumerating them.
 
-    In the equivalent mode a witness system is extracted and its weights
-    are chosen to maximize the minimum leaf density for the selected
-    values; the result is feasible only if that margin reaches epsilon.
-    Soundness is one-sided: a reported witness always verifies, while
-    infeasibility only speaks for the given grid.
+    In the equivalent mode a witness system is extracted and weighed by
+    `_density`, the rule `find_cps` uses; the result is feasible only if
+    its minimum leaf density, the margin, reaches epsilon.  That margin
+    can be below the best floor for the selected values, so the oracle
+    may report infeasible where a better-weighted system would clear
+    epsilon, never the reverse.  Soundness is one-sided: a reported
+    witness always verifies, while infeasibility only speaks for the
+    given grid and these weights.
     """
-    fee = parse_rational(fee)
-    epsilon = parse_rational(epsilon)
+    fee, epsilon = _level_and_floor(fee, epsilon)
     tree = market.tree
     if tree.horizon > 3 or any(len(tree.children[n]) > 3 for n in tree.internal):
         raise ValueError(
             "oracle scale exceeded: needs at most 3 periods and 3 children per node"
         )
-    if not (0 <= fee < 1):
-        raise ValueError(f"cost level must satisfy 0 <= lambda' < 1, got {fee}")
     if grid_resolution < 1:
         raise ValueError(f"grid resolution must be at least 1, got {grid_resolution}")
 
@@ -904,7 +898,8 @@ def brute_force_cps(
     # prefer the root value with the roomiest bracket; ties to the middle
     assign(tree.root, sorted(root_values)[len(root_values) // 2])
 
-    density, margin = _max_min_density(tree, shadow)
+    density = _density(tree, shadow)
+    margin = min(density[leaf] for leaf in tree.leaves)
     witness = ConsistentPriceSystem(
         shadow_price=dict(shadow),
         density=AdaptedProcess(density),
@@ -921,7 +916,8 @@ def load_cps(document: Mapping, tree: EventTree) -> tuple[ConsistentPriceSystem,
 
     Expected keys: "S_tilde" and "Z" as maps from node id text to rational
     text, "lambda_prime", "epsilon".  "S_tilde" may omit nodes (taken as
-    off-support); "Z" must cover every node.
+    off-support); "Z" must cover every node; "lambda_prime" must be in
+    [0, 1) and "epsilon" nonnegative.
     """
     if not isinstance(document, Mapping):
         raise CpsError(["price-system document must be a JSON object"])
@@ -962,15 +958,11 @@ def load_cps(document: Mapping, tree: EventTree) -> tuple[ConsistentPriceSystem,
     shadow = parse_map(document["S_tilde"], "S_tilde")
     density = parse_map(document["Z"], "Z")
     try:
-        fee = read(document["lambda_prime"])
-    except ValueError as exc:
-        problems.append(f"lambda_prime: {exc}")
-        fee = Fraction(0)
-    try:
-        epsilon = read(document["epsilon"])
-    except ValueError as exc:
-        problems.append(f"epsilon: {exc}")
-        epsilon = Fraction(0)
+        fee, epsilon = _level_and_floor(
+            document["lambda_prime"], document["epsilon"], ("lambda_prime", "epsilon")
+        )
+    except CpsError as exc:
+        problems.extend(exc.problems)
     missing = [n for n in tree.nodes if n not in density]
     if missing:
         problems.append(f"Z: missing nodes {missing}")

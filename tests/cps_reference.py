@@ -2,7 +2,7 @@
 tests compare `spreadlab.cps` against.
 
 These are the straightforward forms of `_cut`, `_shadow_intervals`,
-`_place` and `_max_min_density`, one comprehension per quantity, with no
+`_place` and `_density`, one comprehension per quantity, with no
 shortcut for values that stay put, products by 1 or sums of zeros.  The
 package computes the same `Fraction` values with fewer operations, so
 every interval end, shadow price, density and margin must come out equal.
@@ -107,51 +107,40 @@ def place(v, boxes, probs):
     return [u + s * (f - u) for u, f in zip(near, far)]
 
 
-def max_min_density(tree, shadow):
-    """Density maximizing the minimum leaf density for fixed shadow
-    values, and that minimum: the one-step weights q = t beta plus the
-    residual on one extreme child, then Z top down as Z_parent q / p."""
+def plain_density(tree, shadow):
+    """Density of the plain one-step weights: q proportional to P over the
+    children with a value when their P-mean is the node's value v, else
+    t P / sum P plus 1 - t on the extreme child, the lowest when the mean
+    is above v and the highest when below, with t = (v - u_e) / (mean - u_e);
+    then Z top down as Z_parent q / p."""
     prob = tree.cond_prob
-    margin, weights = {}, {}
-    for n in reversed(tree.nodes):
+    weights = {}
+    for n in tree.internal:
         if n not in shadow:
             continue
-        children = tree.children[n]
-        if not children:
-            margin[n] = Fraction(1)
-            continue
-        kids = [c for c in children if c in shadow]
-        sub = [margin[c] for c in kids]
-        lost = len(kids) < len(children) or min(sub) == 0
-        if lost:
-            beta = [prob[c] for c in kids]
-        else:
-            beta = [prob[c] / m for c, m in zip(kids, sub)]
+        kids = [c for c in tree.children[n] if c in shadow]
         v = shadow[n]
         u = [shadow[c] for c in kids]
-        total = sum(beta)
-        mean = sum(b * uc for b, uc in zip(beta, u))
-        gap = v * total - mean
-        if gap == 0:
-            t = 1 / total
-            q = [t * b for b in beta]
+        p = [prob[c] for c in kids]
+        mean = sum(pc * uc for pc, uc in zip(p, u)) / sum(p)
+        if mean == v:
+            q = [pc / sum(p) for pc in p]
         else:
-            extreme = min(u) if gap < 0 else max(u)
-            t = (v - extreme) / (mean - extreme * total)
-            q = [t * b for b in beta]
-            q[u.index(extreme)] += 1 - t * total
+            extreme = min(u) if mean > v else max(u)
+            t = (v - extreme) / (mean - extreme)
+            q = [t * pc / sum(p) for pc in p]
+            q[u.index(extreme)] += 1 - t
         weights[n] = dict(zip(kids, q))
-        margin[n] = Fraction(0) if lost else t
-    density = {}
+    z = {}
     for n in tree.nodes:
         up = tree.parent[n]
         if up is None:
-            density[n] = Fraction(1)
+            z[n] = Fraction(1)
         elif up in weights:
-            density[n] = density[up] * weights[up].get(n, 0) / tree.cond_prob[n]
+            z[n] = z[up] * weights[up].get(n, 0) / tree.cond_prob[n]
         else:
-            density[n] = Fraction(0)
-    return density, margin[tree.root]
+            z[n] = Fraction(0)
+    return z
 
 
 def interval_witness(tree, live, fee):
@@ -166,7 +155,8 @@ def interval_witness(tree, live, fee):
         if kids:
             values = place(shadow[n], [live[c] for c in kids], [tree.cond_prob[c] for c in kids])
             shadow.update(zip(kids, values))
-    density, margin = max_min_density(tree, shadow)
+    density = plain_density(tree, shadow)
+    margin = min(density[leaf] for leaf in tree.leaves)
     cps = ConsistentPriceSystem(
         shadow_price={n: s for n, s in shadow.items() if density[n] > 0},
         density=AdaptedProcess(density),

@@ -249,6 +249,21 @@ class TestMalformedShapes:
         assert result.exit_code == 2
         assert result.human_summary == "error: 'S_tilde' must be an object, got int"
 
+    def test_price_system_level_and_floor_out_of_range_in_decompose(self, det_files):
+        # a level of 2 makes every bid negative: one problem per key
+        doc = read_json(det_files / "cps.json")
+        doc["lambda_prime"], doc["epsilon"] = "2", "-5"
+        write_json(det_files / "c.json", doc)
+        result = run_command([
+            "decompose", "--market", "det/market.json", "--strategy", "det/strategy.json",
+            "--cps", "det/c.json",
+        ])
+        assert result.exit_code == 2
+        assert result.human_summary == (
+            "error: lambda_prime must satisfy 0 <= lambda' < 1, got 2; "
+            "epsilon must be nonnegative, got -5"
+        )
+
     def test_price_system_node_given_twice_in_decompose(self, det_files):
         doc = read_json(det_files / "cps.json")
         doc["S_tilde"]["00"] = doc["S_tilde"]["0"]

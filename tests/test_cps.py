@@ -18,6 +18,7 @@ from spreadlab import (
     find_cps,
     load_cps,
     load_market,
+    make_market,
     max_equivalence_margin,
     scale_cps,
     stochastic_counterexample,
@@ -25,10 +26,9 @@ from spreadlab import (
 )
 from spreadlab import cps as cps_module
 from spreadlab import simplex
-from spreadlab.simplex import Constraint
 
 import cps_reference
-from helpers import random_market
+from helpers import binomial_martingale_market, random_market
 
 F = Fraction
 
@@ -652,38 +652,117 @@ class TestIntervalDecider:
 
 
 class TestWitnessWeights:
-    def test_minimum_leaf_density_is_optimal_for_its_prices(self):
-        # with the witness's shadow prices fixed, the best weights solve an
-        # LP in the density alone: maximize t over the mass drifts, the
-        # drifts of Z * S-tilde and z_leaf >= t; the closed-form weights
-        # must reach its optimum
+    @staticmethod
+    def leans_on_one_extreme(ratios, values, v, mean):
+        """The ratios are equal but on at most one child, which holds an
+        extreme value on the other side of v from the P-mean and takes
+        more than the others."""
+        if len(set(ratios)) == 1:
+            return True
+        for e, (r, u) in enumerate(zip(ratios, values)):
+            rest = ratios[:e] + ratios[e + 1:]
+            if (
+                u in (min(values), max(values))
+                and (u - v) * (mean - v) < 0
+                and len(set(rest)) == 1
+                and r > rest[0]
+            ):
+                return True
+        return False
+
+    def test_plain_weights_on_random_markets(self):
+        # at every node with mass the one-step ratios Z_c / Z_n follow the
+        # plain rule; the system clears its own minimum leaf density, which
+        # is positive and at most the best floor (the simplex's
+        # max_equivalence_margin, on a subset)
         rng = random.Random(6007)
-        checked = nonunit = 0
+        checked = leaning = 0
         while checked < 120:
             market = random_market(rng)
-            tree = market.tree
-            pos = {n: i for i, n in enumerate(tree.nodes)}
-            t = len(pos)
+            tree, prob = market.tree, market.tree.cond_prob
             for level in (F(0), F(1, 8), F(1, 4), F(1, 2)):
                 result = find_cps(market, CpsQuery(level))
                 if not result.feasible:
                     continue
                 shadow, density = result.cps.shadow_price, result.cps.density
                 assert result.cps.off_support == ()
-                cons = [Constraint({pos[tree.root]: F(1)}, simplex.EQ, F(1))]
                 for n in tree.internal:
-                    zrow = {pos[n]: F(-1)}
-                    yrow = {pos[n]: -shadow[n]}
-                    for c in tree.children[n]:
-                        zrow[pos[c]] = tree.cond_prob[c]
-                        yrow[pos[c]] = tree.cond_prob[c] * shadow[c]
-                    cons.append(Constraint(zrow, simplex.EQ, F(0)))
-                    cons.append(Constraint(yrow, simplex.EQ, F(0)))
-                for leaf in tree.leaves:
-                    cons.append(Constraint({pos[leaf]: F(1), t: F(-1)}, simplex.GE, F(0)))
-                lp = simplex.solve(t + 1, cons, objective={t: F(1)}, maximize=True)
-                assert lp.status == simplex.OPTIMAL
-                assert lp.objective == min(density[leaf] for leaf in tree.leaves)
+                    kids = tree.children[n]
+                    ratios = [density[c] / density[n] for c in kids]
+                    values = [shadow[c] for c in kids]
+                    mean = sum(prob[c] * shadow[c] for c in kids)
+                    if mean == shadow[n]:
+                        assert all(r == 1 for r in ratios)
+                    else:
+                        assert self.leans_on_one_extreme(ratios, values, shadow[n], mean)
+                        leaning += 1
+                margin = min(density[leaf] for leaf in tree.leaves)
+                ok, violations = verify_cps(market, result.cps, epsilon=margin)
+                assert ok, violations
+                if checked % 8 == 0:
+                    best, _ = max_equivalence_margin(market, level)
+                    assert 0 < margin <= best
                 checked += 1
-                nonunit += any(density[n] != 1 for n in tree.nodes)
-        assert nonunit >= 60
+        assert leaning >= 60
+
+    def test_random_price_witness_stays_small(self):
+        # a 2047-node martingale binomial market with every price moved by
+        # k/100, k in [90, 110]: Z multiplies one small one-step ratio per
+        # period, so its largest numerator and denominator stay in a few
+        # hundred bits
+        rng = random.Random(2047)
+        base = binomial_martingale_market(rng, 10)
+        price = {n: base.price[n] * F(rng.randint(90, 110), 100) for n in base.tree.nodes}
+        market = make_market(base.tree, AdaptedProcess(price), F(1, 4))
+        result = find_cps(market, CpsQuery(F(1, 4)))
+        assert result.feasible
+        density = result.cps.density.values
+        assert max(z.numerator.bit_length() for z in density.values()) <= 256
+        assert max(z.denominator.bit_length() for z in density.values()) <= 256
+        margin = min(density[leaf] for leaf in market.tree.leaves)
+        ok, violations = verify_cps(market, result.cps, epsilon=margin)
+        assert ok, violations
+
+
+class TestLevelAndFloor:
+    # every entry that takes a cost level or a leaf floor reads and checks
+    # them one way: 0 <= lambda' < 1 and epsilon >= 0, else CpsError
+    @pytest.mark.parametrize("call, problem", [
+        (lambda m, c: verify_cps(m, c, fee=F(2)), "cost level must satisfy 0 <= lambda' < 1, got 2"),
+        (lambda m, c: verify_cps(m, c, epsilon=F(-1)), "epsilon must be nonnegative, got -1"),
+        (lambda m, c: max_equivalence_margin(m, F(3, 2)), "cost level must satisfy 0 <= lambda' < 1, got 3/2"),
+        (lambda m, c: max_equivalence_margin(m, F(-1)), "cost level must satisfy 0 <= lambda' < 1, got -1"),
+        (lambda m, c: scale_cps(c, F(2), F(3, 4)), "cost level must satisfy 0 <= lambda' < 1, got 2"),
+        (lambda m, c: brute_force_cps(m, F(1, 2), F(-1)), "epsilon must be nonnegative, got -1"),
+    ], ids=[
+        "verify_cps.fee", "verify_cps.epsilon", "max_equivalence_margin.above",
+        "max_equivalence_margin.below", "scale_cps.fee", "brute_force_cps.epsilon",
+    ])
+    def test_out_of_range_rejected(self, call, problem):
+        report = deterministic_counterexample(F(1, 2))
+        with pytest.raises(CpsError) as info:
+            call(report.market, report.cps_witness)
+        assert info.value.problems[0] == problem
+
+    def test_both_problems_listed(self):
+        with pytest.raises(CpsError) as info:
+            CpsQuery(F(1), F(-1))
+        assert info.value.problems == [
+            "cost level must satisfy 0 <= lambda' < 1, got 1",
+            "epsilon must be nonnegative, got -1",
+        ]
+
+    def test_load_cps_checks_level_and_floor(self):
+        market = binary_market()
+        doc = {
+            "S_tilde": {"0": "1", "1": "2", "2": "1/2"},
+            "Z": {"0": "1", "1": "1", "2": "1"},
+            "lambda_prime": "2",
+            "epsilon": "-5",
+        }
+        with pytest.raises(CpsError) as info:
+            load_cps(doc, market.tree)
+        assert info.value.problems == [
+            "lambda_prime must satisfy 0 <= lambda' < 1, got 2",
+            "epsilon must be nonnegative, got -5",
+        ]

@@ -29,6 +29,7 @@ from spreadlab import (
     scale_cps,
     stochastic_counterexample,
     up_price_for_target_loss,
+    verify_cps,
     MarketError,
     StrategyError,
     TreeError,
@@ -85,6 +86,8 @@ NUMBER_ARGUMENTS = {
     "scale_cps.alpha": lambda bad: scale_cps(_det().cps_witness, F(1, 2), bad),
     "brute_force_cps.fee": lambda bad: brute_force_cps(_det().market, bad),
     "brute_force_cps.epsilon": lambda bad: brute_force_cps(_det().market, F(1, 2), bad),
+    "verify_cps.fee": lambda bad: verify_cps(_det().market, _det().cps_witness, fee=bad),
+    "verify_cps.epsilon": lambda bad: verify_cps(_det().market, _det().cps_witness, epsilon=bad),
     "make_market.fee": lambda bad: make_market(_det().market.tree, _det().market.price, bad),
     "check_admissibility_theorem.x": lambda bad: check_admissibility_theorem(
         _det().market, _det().strategy, bad
