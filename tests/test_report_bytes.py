@@ -9,12 +9,19 @@ script: ``PYTHONPATH=src python tests/test_report_bytes.py``.
 
 import json
 import os
+import random
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from spreadlab import cps_to_doc, market_to_doc, strategy_to_doc
 from spreadlab.cli import run_command
+from spreadlab.cps import ConsistentPriceSystem
+from spreadlab.tree import AdaptedProcess
+
+from helpers import binomial_martingale_market, random_sf_strategy
 
 EXPECTED = Path(__file__).resolve().parent / "reports"
 
@@ -168,6 +175,47 @@ TILTED = price_system(
 # shadow prices that are P-martingales: Z = 1
 UNTILTED = price_system(["3/2", "2", "1", "3", "1", "3/2", "1/2"], ["1"] * 7)
 
+
+
+def deep_inputs(seed: int = 255, depth: int = 7, fee=Fraction(1, 4)):
+    """A 255-node binomial martingale market, a burning self-financing
+    strategy on it, and a price system at its cost level whose measure
+    is tilted wherever the tilt keeps the shadow price inside the spread.
+
+    Bottom up, each leaf's shadow price is the middle of its spread and
+    each internal node's the mean of its children's under the one-step
+    weights, tilted by 1/16 toward the first child when that mean stays
+    in the spread, else the plain P-weights.  P's mean always does: the
+    children sit in their spreads and S is a P-martingale.  So the value
+    processes of a `decompose` carry deep-tree denominators from the
+    prices, the strategy and the density alike.
+    """
+    rng = random.Random(seed)
+    market = binomial_martingale_market(rng, depth, fee)
+    strategy = random_sf_strategy(rng, market)
+    tree, price, keep = market.tree, market.price, 1 - fee
+    shadow, weights = {}, {}
+    for n in reversed(tree.nodes):
+        kids = tree.children[n]
+        if not kids:
+            shadow[n] = (1 + keep) * price[n] / 2
+            continue
+        p = [tree.cond_prob[c] for c in kids]
+        for q in ([p[0] + Fraction(1, 16), p[1] - Fraction(1, 16)], p):
+            mean = sum(w * shadow[c] for w, c in zip(q, kids))
+            if 0 < q[1] and keep * price[n] <= mean <= price[n]:
+                break
+        shadow[n] = mean
+        weights.update(zip(kids, q))
+    density = {tree.root: Fraction(1)}
+    for n in tree.nodes[1:]:
+        density[n] = density[tree.parent[n]] * weights[n] / tree.cond_prob[n]
+    cps = ConsistentPriceSystem(shadow, AdaptedProcess(density), fee)
+    return market_to_doc(market), strategy_to_doc(tree, strategy), cps_to_doc(cps, Fraction(0))
+
+
+DEEP, DEEP_STRATEGY, DEEP_CPS = deep_inputs()
+
 CASES = {
     # name: (market, argv, exit code)
     "find_cps_equivalent": (SKEWED, ["find-cps", "--lambda", "1/8"], 0),
@@ -210,6 +258,13 @@ CASES = {
         ["decompose", "--strategy", "spread-strategy.json", "--cps", "untilted-cps.json"],
         0,
     ),
+    # 255 nodes: the denominators of a deep tree, byte for byte
+    "check_strategy_deep_nf": (
+        DEEP, ["check-strategy", "--strategy", "deep-strategy.json", "--mode", "nf"], 0,
+    ),
+    "decompose_deep": (
+        DEEP, ["decompose", "--strategy", "deep-strategy.json", "--cps", "deep-cps.json"], 0,
+    ),
 }
 # the other input files a case may read, written beside its market
 INPUTS = {
@@ -219,6 +274,8 @@ INPUTS = {
     "spread-strategy.json": SPREAD_STRATEGY,
     "tilted-cps.json": TILTED,
     "untilted-cps.json": UNTILTED,
+    "deep-strategy.json": DEEP_STRATEGY,
+    "deep-cps.json": DEEP_CPS,
 }
 
 
