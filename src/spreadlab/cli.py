@@ -177,7 +177,7 @@ def _cmd_find_cps(args) -> _Outcome:
     result = find_cps(market, query)
     if result.feasible:
         # an equivalent system reports the floor it clears: its minimum leaf density
-        epsilon = Fraction(0) if ac else min(result.cps.density[leaf] for leaf in market.tree.leaves)
+        epsilon = Fraction(0) if ac else result.min_leaf_density
         report = cps_to_doc(result.cps, epsilon)
         report["feasible"] = True
         report["Y"] = _rational_map(result.price_mass)

@@ -55,7 +55,7 @@ from . import simplex
 from .market import Market
 from .rationals import format_rational, parse_rational, rational_reader
 from .simplex import Constraint, FarkasCertificate
-from .tree import AdaptedProcess, EventTree, InputError, NodeId, _total, density_problems, one_step_mean
+from .tree import AdaptedProcess, EventTree, InputError, NodeId, _step_sum, _total, density_problems
 
 EQUIVALENT = "equivalent"
 ABSOLUTELY_CONTINUOUS = "absolutely_continuous"
@@ -155,10 +155,15 @@ class CpsInfeasibility:
 
 @dataclass(frozen=True)
 class FindCpsResult:
+    """A feasible outcome carries the system, its mass process
+    y = z * S-tilde and its minimum leaf density, the floor the system
+    clears; an infeasible one carries the certificate."""
+
     feasible: bool
     cps: "ConsistentPriceSystem | None" = None
     price_mass: "AdaptedProcess | None" = None
     infeasibility: "CpsInfeasibility | None" = None
+    min_leaf_density: "Fraction | None" = None
 
 
 def _cps_constraints(
@@ -536,8 +541,9 @@ def find_cps(market: Market, query: CpsQuery) -> FindCpsResult:
     """Decide whether a price system exists at the queried cost level.
 
     The interval recursion decides exactly.  Feasible outcomes carry the
-    system plus the raw price-weighted mass process y = z * S-tilde; in
-    the equivalent mode every leaf density of the system is positive.
+    system, the raw price-weighted mass process y = z * S-tilde and the
+    system's minimum leaf density, which is positive in the equivalent
+    mode.
     Infeasible outcomes carry an exact Farkas certificate over the
     constraints of `_cps_constraints`.
     """
@@ -551,7 +557,7 @@ def find_cps(market: Market, query: CpsQuery) -> FindCpsResult:
     cps, price_mass, margin = _interval_witness(market.tree, live, query.fee)
     if equivalent and margin <= 0:
         raise RuntimeError(f"equivalent-mode witness has minimum leaf density {margin}")
-    return FindCpsResult(feasible=True, cps=cps, price_mass=price_mass)
+    return FindCpsResult(feasible=True, cps=cps, price_mass=price_mass, min_leaf_density=margin)
 
 
 def verify_cps(
@@ -578,30 +584,35 @@ def verify_cps(
         return False, violations
 
     keep = 1 - fee
+    kn, kd = keep.as_integer_ratio()
     price, shadow = market.price.values, cps.shadow_price
     mass_price: dict[NodeId, Fraction] = {}
     for n in tree.nodes:
         if n in shadow:
             s = shadow[n]
+            sn, sd = s.as_integer_ratio()
             hi = price[n]
-            lo = keep * hi
-            if not (lo <= s <= hi):
+            hn, hd = hi.as_integer_ratio()
+            # keep * hi <= s <= hi, cross-multiplied
+            if not (kn * hn * sd <= sn * kd * hd and sn * hd <= hn * sd):
                 violations.append(
-                    f"node {n}: shadow price {s} outside spread [{lo}, {hi}]"
+                    f"node {n}: shadow price {s} outside spread [{keep * hi}, {hi}]"
                 )
-            mass_price[n] = z[n] * s
+            zn, zd = z[n].as_integer_ratio()
+            mass_price[n] = Fraction(zn * sn, zd * sd)
         elif z[n] == 0:
             mass_price[n] = Fraction(0)
         else:
             violations.append(f"node {n}: shadow price missing on support (density {z[n]})")
             mass_price[n] = Fraction(0)
 
+    cond, children = tree.cond_prob, tree.children
     for n in tree.internal:
-        y_next = one_step_mean(tree, mass_price, n)
-        if y_next != mass_price[n]:
-            violations.append(
-                f"node {n}: shadow price drift under Q (weighted drift {y_next - mass_price[n]})"
-            )
+        num, den = _step_sum(cond, children[n], mass_price)
+        yn, yd = mass_price[n].as_integer_ratio()
+        if num * yd != yn * den:
+            drift = Fraction(num * yd - yn * den, den * yd)
+            violations.append(f"node {n}: shadow price drift under Q (weighted drift {drift})")
 
     if epsilon:
         for leaf in tree.leaves:

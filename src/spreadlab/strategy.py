@@ -69,15 +69,25 @@ def _slack(
 ) -> Fraction:
     """The self-financing formula: the bond ceiling after trading from
     (bond_in, stock_in) to ``stock`` at quotes [keep * ask, ask], minus
-    ``bond``.  Purchases pay the ask, sales are credited the bid."""
-    slack = bond_in - bond
-    delta = stock - stock_in
-    sign = delta.numerator
-    if sign > 0:
-        slack -= ask * delta
-    elif sign < 0:
-        slack -= keep * ask * delta
-    return slack
+    ``bond``.  Purchases pay the ask, sales are credited the bid.
+
+    One integer expression and one normalization, as the tree module
+    describes: bond_in - bond - r * (stock - stock_in), r the ask or the
+    bid by the sign of the trade.  A node that does not trade subtracts
+    its bonds alone, so two int bonds still give an int.
+    """
+    sn, sd = stock.as_integer_ratio()
+    tn, td = stock_in.as_integer_ratio()
+    dn, dd = sn * td - tn * sd, sd * td  # the trade, stock - stock_in
+    if not dn:
+        return bond_in - bond
+    rn, rd = ask.as_integer_ratio()
+    if dn < 0:
+        kn, kd = keep.as_integer_ratio()
+        rn, rd = rn * kn, rd * kd
+    in_n, in_d = bond_in.as_integer_ratio()
+    bn, bd = bond.as_integer_ratio()
+    return Fraction((in_n * bd - bn * in_d) * rd * dd - rn * dn * in_d * bd, in_d * bd * rd * dd)
 
 
 def check_self_financing(market: Market, strategy: Strategy) -> SelfFinancingReport:

@@ -30,7 +30,14 @@ from .tree import (
     ensure_predictable,
     support_drift,
 )
-from .valuation import NUMERAIRE_BASED, NUMERAIRE_FREE, admissibility_bound, liquidation_value, shadow_value
+from .valuation import (
+    NUMERAIRE_BASED,
+    NUMERAIRE_FREE,
+    _liquidate,
+    admissibility_bound,
+    liquidation_value,
+    shadow_value,
+)
 
 LONG = "long"
 SHORT = "short"
@@ -92,11 +99,20 @@ def _ossm(tree: EventTree, process: AdaptedProcess, density: AdaptedProcess) -> 
 
     compensator: dict[NodeId, Fraction] = {tree.root: _ZERO}
     for n in tree.internal:
+        level = compensator[n]
         d = drift.get(n)
-        level = compensator[n] - d if d else compensator[n]
+        if d:
+            ln, ld = level.as_integer_ratio()
+            dn, dd = d.as_integer_ratio()
+            level = Fraction(ln * dd - dn * ld, ld * dd)
         for c in tree.children[n]:
             compensator[c] = level
-    martingale = {n: process[n] + compensator[n] for n in tree.nodes}
+    x = process.values
+    martingale = {}
+    for n in tree.nodes:
+        xn, xd = x[n].as_integer_ratio()
+        cn, cd = compensator[n].as_integer_ratio()
+        martingale[n] = Fraction(xn * cd + cn * xd, xd * cd)
     decomposition = Decomposition(
         martingale=AdaptedProcess(martingale),
         compensator=PredictableProcess(compensator),
@@ -184,19 +200,33 @@ def shadow_decomposition(
     cost: dict[NodeId, Fraction] = {}
     transform: dict[NodeId, Fraction] = {}
     value: dict[NodeId, Fraction] = {}
+    # each of v, t and c is one integer expression and one normalization
     for n in tree.nodes:
         p = parent[n]
-        v = value[n] = bond[n] + s[n] * stock[n]
+        bn, bd = bond[n].as_integer_ratio()
+        sn, sd = s[n].as_integer_ratio()
+        hn, hd = stock[n].as_integer_ratio()
+        # v = bond + S-tilde * stock
+        vn, vd = bn * sd * hd + sn * hn * bd, bd * sd * hd
+        v = value[n] = Fraction(vn, vd)
         if p is None:
             # the root trade comes from the empty position: all of it is cost
             cost[n] = v
             transform[n] = _ZERO
-            if v.numerator > 0:
+            if vn > 0:
                 raise RuntimeError(f"node {n}: root cost {v} is positive")
             continue
-        t = transform[n] = transform[p] + stock[p] * (s[n] - s[p])
-        c = cost[n] = v - t
-        if c > cost[p]:
+        # t = t_p + stock_p * (S-tilde - S-tilde_p), then c = v - t
+        tn, td = transform[p].as_integer_ratio()
+        hn, hd = stock[p].as_integer_ratio()
+        un, ud = s[p].as_integer_ratio()
+        mn, md = hn * (sn * ud - un * sd), hd * sd * ud
+        tn, td = tn * md + mn * td, td * md
+        transform[n] = Fraction(tn, td)
+        cn, cd = vn * td - tn * vd, vd * td
+        c = cost[n] = Fraction(cn, cd)
+        pn, pd = cost[p].as_integer_ratio()
+        if cn * pd > pn * cd:
             raise RuntimeError(f"node {n}: cost rose from {cost[p]} to {c}")
     return ShadowDecomposition(
         cost=AdaptedProcess(cost),
@@ -287,15 +317,18 @@ def check_admissibility_theorem(
     # leaves come last in node order, in the order of tree.leaves
     witness = None
     floor = -x
+    fn, fd = floor.as_integer_ratio()
+    keep, price = 1 - market.fee, market.price.values
     for n in tree.nodes:
         bond, stock = pre_trade_holdings(tree, strategy, n)
-        v = liquidation_value(market, bond, stock, n)
-        if v < floor:
+        v = _liquidate(bond, stock, keep, price[n])
+        vn, vd = v.as_integer_ratio()
+        if vn * fd < fn * vd:
             if witness is None:
                 witness = TheoremWitness(
                     node=n,
                     classification=LONG if stock >= 0 else SHORT,
-                    value=v,
+                    value=Fraction(v),
                 )
             if not tree.children[n]:
                 failures.append(f"terminal bound fails at leaf {n}: {v} < {floor}")

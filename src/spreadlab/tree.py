@@ -12,6 +12,18 @@ function of immutable inputs, and no floating point appears anywhere in
 the package core.  A per-node sign test reads the sign from the value's
 ``.numerator``, which is several times cheaper than comparing a Fraction
 with 0 and means the same for a Fraction or an int.
+
+The per-node formulas of the linear sweeps go one step further, with the
+deferred-gcd rational arithmetic of Knuth (TAOCP vol. 2, 4.5.1): each
+reads its operands' numerators and denominators once
+(``as_integer_ratio``), computes in integers and builds one
+``Fraction(num, den)``; an equality or order test cross-multiplies and
+builds none.  Stored values, arguments and results stay Fractions (or
+the ints a caller passed in): integers appear only inside one formula,
+and ``_step_sum``, the one-step formulas' shared inside, hands its pair
+straight to the formula that asked for it.  A normalized Fraction is
+canonical, so the values are the ones step-by-step Fraction arithmetic
+gives.
 """
 
 from __future__ import annotations
@@ -70,6 +82,33 @@ def _total(values: Iterable[Fraction]) -> Fraction:
     for v in values:
         total += v
     return total
+
+
+def _step_sum(
+    cond: Mapping[NodeId, Fraction],
+    kids: Iterable[NodeId],
+    values: "Mapping[NodeId, Fraction] | None" = None,
+    weights: "Mapping[NodeId, Fraction] | None" = None,
+) -> tuple[int, int]:
+    """The sum of p_c (* w_c) (* x_c) over ``kids`` as one unnormalized
+    pair (num, den), den > 0: the integer inside of a one-step formula.
+
+    Each operand's numerator and denominator are read once; the sum is
+    never normalized here.  The caller ends the formula at once: with one
+    ``Fraction(num, den)``, or with a cross-multiplied comparison that
+    builds no Fraction.  The pair is never stored.
+    """
+    num, den = 0, 1
+    for c in kids:
+        n, d = cond[c].as_integer_ratio()
+        if values is not None:
+            xn, xd = values[c].as_integer_ratio()
+            n, d = n * xn, d * xd
+        if weights is not None:
+            wn, wd = weights[c].as_integer_ratio()
+            n, d = n * wn, d * wd
+        num, den = num * d + n * den, den * d
+    return num, den
 
 
 @dataclass(frozen=True)
@@ -218,10 +257,10 @@ class EventTree:
         for n in parent:
             kids = children[n]
             if kids:
-                total = _total(cond[c] for c in kids)
-                if total != 1:
+                num, den = _step_sum(cond, kids)
+                if num != den:
                     problems.append(
-                        f"node {n}: children probabilities sum to {total}, expected 1"
+                        f"node {n}: children probabilities sum to {Fraction(num, den)}, expected 1"
                     )
 
         if len(times) != horizon + 1:
@@ -383,8 +422,7 @@ def conditional_expectation(
 
 def one_step_mean(tree: EventTree, values: Mapping[NodeId, Fraction], node: NodeId) -> Fraction:
     """E[X_next | node] under the reference measure, at an internal node."""
-    cond = tree.cond_prob
-    return _total(cond[c] * values[c] for c in tree.children[node])
+    return Fraction(*_step_sum(tree.cond_prob, tree.children[node], values))
 
 
 def density_problems(tree: EventTree, density: AdaptedProcess) -> list[str]:
@@ -403,10 +441,13 @@ def density_problems(tree: EventTree, density: AdaptedProcess) -> list[str]:
     for n in tree.nodes:
         if z[n].numerator < 0:
             problems.append(f"node {n}: density {z[n]} is negative")
+    cond, children = tree.cond_prob, tree.children
     for n in tree.internal:
-        step = one_step_mean(tree, z, n)
-        if step != z[n]:
-            problems.append(f"node {n}: density drift {step - z[n]} (martingale property fails)")
+        num, den = _step_sum(cond, children[n], z)
+        zn, zd = z[n].as_integer_ratio()
+        if num * zd != zn * den:
+            drift = Fraction(num * zd - zn * den, den * zd)
+            problems.append(f"node {n}: density drift {drift} (martingale property fails)")
     return problems
 
 
@@ -419,12 +460,17 @@ def support_drift(
     under the reference measure when ``density`` is None, else under the
     measure with that density (internal nodes where it vanishes are left
     out)."""
-    x = process.values
-    if density is None:
-        return {n: one_step_mean(tree, x, n) - x[n] for n in tree.internal}
-    z = density.values
-    mass = {n: z[n] * x[n] for n in tree.nodes}
-    return {n: one_step_mean(tree, mass, n) / z[n] - x[n] for n in tree.internal if z[n]}
+    x, cond, children = process.values, tree.cond_prob, tree.children
+    z = None if density is None else density.values
+    drift: dict[NodeId, Fraction] = {}
+    for n in tree.internal:
+        zn, zd = (1, 1) if z is None else z[n].as_integer_ratio()
+        if zn:
+            # (sum p_c z_c x_c - z_n x_n) / z_n
+            num, den = _step_sum(cond, children[n], x, z)
+            xn, xd = x[n].as_integer_ratio()
+            drift[n] = Fraction(num * zd * xd - zn * xn * den, den * xd * zn)
+    return drift
 
 
 def one_step_drift(

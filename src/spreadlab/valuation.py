@@ -28,23 +28,29 @@ NUMERAIRE_FREE = "numeraire_free"
 _ZERO = Fraction(0)
 
 
-def _liquidate(bond: Fraction, stock: Fraction, bid: Fraction, ask: Fraction) -> Fraction:
-    """The liquidation formula: long stock sells at the bid, short stock
-    covers at the ask."""
-    sign = stock.numerator
-    if sign > 0:
-        return bond + stock * bid
-    if sign < 0:
-        return bond + stock * ask
-    return bond
+def _liquidate(bond: Fraction, stock: Fraction, keep: Fraction, ask: Fraction) -> Fraction:
+    """The liquidation formula: long stock sells at the bid keep * ask,
+    short stock covers at the ask.
+
+    One integer expression and one normalization, as the tree module
+    describes; a flat position is its bond, unchanged.
+    """
+    sn, sd = stock.as_integer_ratio()
+    if not sn:
+        return bond
+    rn, rd = ask.as_integer_ratio()
+    if sn > 0:
+        kn, kd = keep.as_integer_ratio()
+        rn, rd = rn * kn, rd * kd
+    bn, bd = bond.as_integer_ratio()
+    return Fraction(bn * sd * rd + sn * rn * bd, bd * sd * rd)
 
 
 def liquidation_value(market: Market, bond: Fraction, stock: Fraction, node: NodeId) -> Fraction:
     """Cash left after closing the stock leg at the node's quotes; the
     holdings are read by `parse_rational`, so a float or a bool is a
     ValueError."""
-    ask = market.price[node]
-    return _liquidate(parse_rational(bond), parse_rational(stock), (1 - market.fee) * ask, ask)
+    return _liquidate(parse_rational(bond), parse_rational(stock), 1 - market.fee, market.price[node])
 
 
 def shadow_value(
@@ -92,15 +98,26 @@ def admissibility_bound(market: Market, strategy: Strategy, mode: str = NUMERAIR
     bound = _ZERO
     for n in tree.nodes:
         ask = price[n]
-        bid = keep * ask
         p = parent[n]
-        # the root carries nothing in, and the empty position is worth 0
-        v_pre = _ZERO if p is None else _liquidate(bond[p], stock[p], bid, ask)
-        v_post = _liquidate(bond[n], stock[n], bid, ask)
-        v = v_pre if v_pre < v_post else v_post
-        if v.numerator < 0:
-            need = -v / (1 + ask) if numeraire_free else -v
-            if need > bound:
+        v = _liquidate(bond[n], stock[n], keep, ask)
+        vn, vd = v.as_integer_ratio()
+        # the root carries nothing in; elsewhere the lower value binds
+        if p is not None:
+            v_pre = _liquidate(bond[p], stock[p], keep, ask)
+            un, ud = v_pre.as_integer_ratio()
+            if un * vd < vn * ud:
+                v, vn, vd = v_pre, un, ud
+        if vn < 0:
+            if numeraire_free:
+                # -v / (1 + S)
+                an, ad = ask.as_integer_ratio()
+                nn, nd = -vn * ad, vd * (ad + an)
+                need = Fraction(nn, nd)
+            else:
+                nn, nd = -vn, vd
+                need = -v
+            bn, bd = bound.as_integer_ratio()
+            if nn * bd > bn * nd:
                 bound = need
                 worst = n
         else:

@@ -188,7 +188,8 @@ def lp_find_cps(market, query):
     nodes, x = market.tree.nodes, result.x
     shadow = {n: y / z for n, z, y in zip(nodes, x, x[len(nodes):]) if z > 0}
     cps, price_mass = _system(market.tree, dict(zip(nodes, x)), shadow, query.fee)
-    return FindCpsResult(feasible=True, cps=cps, price_mass=price_mass)
+    margin = min(cps.density[leaf] for leaf in market.tree.leaves)
+    return FindCpsResult(feasible=True, cps=cps, price_mass=price_mass, min_leaf_density=margin)
 
 
 def ac_threshold(market):

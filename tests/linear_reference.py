@@ -1,12 +1,14 @@
 """The linear sweeps written out plainly: the reference the tests compare
-`spreadlab.strategy`, `spreadlab.valuation` and `spreadlab.theorems`
-against.
+`spreadlab.strategy`, `spreadlab.valuation`, `spreadlab.theorems`,
+`spreadlab.tree` and `verify_cps` against.
 
-Every sign here comes from comparing a value with 0, and the shadow
-decomposition's cost is its own cash-flow recursion, checked against
-value = cost + transform at every node.  The package reads signs from
-numerators and sets cost = value - transform, so every value must come
-out equal, node for node and in the same order.
+Every value here is built by step-by-step Fraction arithmetic and every
+sign comes from comparing a value with 0; the shadow decomposition's
+cost is its own cash-flow recursion, checked against value = cost +
+transform at every node.  The package evaluates each per-node formula
+as one integer expression with one normalization, reads signs from
+numerators and sets cost = value - transform, so every value and every
+message must come out equal, node for node and in the same order.
 """
 
 from fractions import Fraction
@@ -91,3 +93,84 @@ def shadow_decomposition(market, strategy, shadow):
         if v != c + t:
             raise RuntimeError(f"node {n}: marked value {v} != cost {c} + transform {t}")
     return cost, transform, value
+
+
+def total(values):
+    """Exact sum of a nonempty iterable, term by term."""
+    values = iter(values)
+    result = next(values)
+    for v in values:
+        result += v
+    return result
+
+
+def one_step_mean(tree, values, node):
+    """E[X_next | node] under the reference measure."""
+    return total(tree.cond_prob[c] * values[c] for c in tree.children[node])
+
+
+def probability_sum_problems(children, cond):
+    """The tree's check that each node's children probabilities sum to 1."""
+    problems = []
+    for n, kids in children.items():
+        if kids:
+            s = total(cond[c] for c in kids)
+            if s != 1:
+                problems.append(f"node {n}: children probabilities sum to {s}, expected 1")
+    return problems
+
+
+def density_problems(tree, z):
+    """Z(root) = 1, Z >= 0 and zero one-step drift, for a density whose
+    values are all Fractions or ints."""
+    problems = []
+    if z[tree.root] != 1:
+        problems.append(f"node {tree.root}: density at root is {z[tree.root]}, expected 1")
+    for n in tree.nodes:
+        if z[n] < 0:
+            problems.append(f"node {n}: density {z[n]} is negative")
+    for n in tree.internal:
+        step = one_step_mean(tree, z, n)
+        if step != z[n]:
+            problems.append(f"node {n}: density drift {step - z[n]} (martingale property fails)")
+    return problems
+
+
+def support_drift(tree, x, z=None):
+    """E[X_next | n] - X(n) at the internal nodes the measure charges."""
+    if z is None:
+        return {n: one_step_mean(tree, x, n) - x[n] for n in tree.internal}
+    mass = {n: z[n] * x[n] for n in tree.nodes}
+    return {n: one_step_mean(tree, mass, n) / z[n] - x[n] for n in tree.internal if z[n] != 0}
+
+
+def verify_cps(market, shadow, z, fee, epsilon):
+    """(ok, violations) of `verify_cps` for a density defined at every node."""
+    tree = market.tree
+    violations = density_problems(tree, z)
+    keep = 1 - fee
+    mass_price = {}
+    for n in tree.nodes:
+        if n in shadow:
+            s = shadow[n]
+            hi = market.price[n]
+            lo = keep * hi
+            if not (lo <= s <= hi):
+                violations.append(f"node {n}: shadow price {s} outside spread [{lo}, {hi}]")
+            mass_price[n] = z[n] * s
+        elif z[n] == 0:
+            mass_price[n] = Fraction(0)
+        else:
+            violations.append(f"node {n}: shadow price missing on support (density {z[n]})")
+            mass_price[n] = Fraction(0)
+    for n in tree.internal:
+        y_next = one_step_mean(tree, mass_price, n)
+        if y_next != mass_price[n]:
+            violations.append(
+                f"node {n}: shadow price drift under Q (weighted drift {y_next - mass_price[n]})"
+            )
+    if epsilon:
+        for leaf in tree.leaves:
+            if z[leaf] < epsilon:
+                violations.append(f"node {leaf}: leaf density {z[leaf]} below floor {epsilon}")
+    return not violations, violations

@@ -122,6 +122,20 @@ class TestFindCps:
                 assert ok, violations
             checked += 1
 
+    def test_result_carries_the_minimum_leaf_density(self):
+        rng = random.Random(73)
+        feasible = {EQUIVALENT: 0, ABSOLUTELY_CONTINUOUS: 0}
+        while min(feasible.values()) < 20:
+            market = random_market(rng)
+            for mode, epsilon in ((EQUIVALENT, DEFAULT_EPSILON), (ABSOLUTELY_CONTINUOUS, F(0))):
+                result = find_cps(market, CpsQuery(market.fee, epsilon, mode))
+                if result.feasible:
+                    leaves = [result.cps.density[leaf] for leaf in market.tree.leaves]
+                    assert result.min_leaf_density == min(leaves)
+                    feasible[mode] += 1
+                else:
+                    assert result.min_leaf_density is None
+
     def test_shadow_price_is_mass_quotient(self):
         rng = random.Random(73)
         checked = 0

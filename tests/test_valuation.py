@@ -155,6 +155,14 @@ class TestAdmissibilityBound:
                 first = next(n for n in nodes if expected[n] == report.minimal_bound)
                 assert report.worst_node == first
 
+    def test_numeraire_free_bound_is_exact_for_int_inputs(self):
+        # an int price and a flat int bond: -v / (1 + S) was int / int, a float
+        market = make_market(flat_market().tree, AdaptedProcess({0: 2}), F(1, 4))
+        strat = Strategy(bond=AdaptedProcess({0: -5}), stock=AdaptedProcess({0: 0}))
+        report = admissibility_bound(market, strat, NUMERAIRE_FREE)
+        assert report.minimal_bound == F(5, 3) and type(report.minimal_bound) is Fraction
+        assert type(report.per_node[0]) is Fraction
+
     def test_unknown_mode_rejected(self):
         market = flat_market()
         strat = Strategy(bond=AdaptedProcess({0: F(0)}), stock=AdaptedProcess({0: F(0)}))
