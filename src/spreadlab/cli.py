@@ -180,23 +180,24 @@ def _cmd_find_cps(args) -> _Outcome:
         epsilon = Fraction(0) if ac else result.min_leaf_density
         report = cps_to_doc(result.cps, epsilon)
         report["feasible"] = True
-        report["Y"] = _rational_map(result.price_mass)
         lines = [
             f"feasible: consistent price system at lambda' = {_fmt(query.fee, args.decimal)}"
             f" (epsilon = {_fmt(epsilon, args.decimal)}, mode {query.mode})"
         ]
-        if result.cps.off_support:
-            report["off_support"] = list(result.cps.off_support)
-            lines.append(f"off support: nodes {list(result.cps.off_support)}")
+        off_support = [n for n in market.tree.nodes if n not in result.cps.shadow_price]
+        if off_support:
+            report["off_support"] = off_support
+            lines.append(f"off support: nodes {off_support}")
         return 0, report, lines
     cert = result.infeasibility
+    # a row with a zero multiplier adds nothing to the aggregation
+    used = zip(cert.constraints, cert.certificate.multipliers)
     report = {
         "feasible": False,
         "lambda_prime": format_rational(query.fee),
         "epsilon": format_rational(query.epsilon),
         "certificate": {
-            "constraints": [c.label for c in cert.constraints],
-            "multipliers": [format_rational(m) for m in cert.certificate.multipliers],
+            "multipliers": {con.label: format_rational(mu) for con, mu in used if mu},
             "verified": cert.verify(),
         },
     }

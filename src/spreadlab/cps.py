@@ -3,8 +3,9 @@
 A consistent price system at cost level lambda' is a pair (S-tilde, Q):
 a shadow price lying inside every node's spread together with a measure
 under which it is a martingale.  Q is carried by its density process Z
-against the reference measure; with Y = Z * S-tilde the conditions are
-linear in (Z, Y), and `_cps_constraints` writes them out as rows.
+against the reference measure; in Z and the price-weighted mass
+Z * S-tilde the conditions are linear, and `_cps_constraints` writes
+them out as rows.
 
 On a tree the shadow prices a node can carry form an interval, so
 existence is decided exactly by one backward pass (the recursion of
@@ -55,7 +56,7 @@ from . import simplex
 from .market import Market
 from .rationals import format_rational, parse_rational, rational_reader
 from .simplex import Constraint, FarkasCertificate
-from .tree import AdaptedProcess, EventTree, InputError, NodeId, _step_sum, _total, density_problems
+from .tree import AdaptedProcess, EventTree, InputError, NodeId, _inexact, _step_sum, _total, density_problems
 
 EQUIVALENT = "equivalent"
 ABSOLUTELY_CONTINUOUS = "absolutely_continuous"
@@ -109,9 +110,7 @@ class CpsQuery:
         fee, epsilon = _level_and_floor(self.fee, self.epsilon)
         object.__setattr__(self, "fee", fee)
         object.__setattr__(self, "epsilon", epsilon)
-        if self.mode not in (EQUIVALENT, ABSOLUTELY_CONTINUOUS):
-            raise CpsError([f"unknown mode {self.mode!r}"])
-        if (epsilon > 0) != (self.mode == EQUIVALENT):
+        if (epsilon > 0) != _equivalent_mode(self.mode):
             raise CpsError([
                 f"mode {self.mode} and epsilon {epsilon} disagree: "
                 "equivalent mode needs epsilon > 0, absolutely continuous needs epsilon = 0"
@@ -125,14 +124,13 @@ class ConsistentPriceSystem:
     reference measure.
 
     ``shadow_price`` may be partial: in the absolutely continuous mode it
-    is only defined where the density is positive, and ``off_support``
-    lists the nodes left out.
+    is only defined where the density is positive, and the nodes it omits
+    are off the support.
     """
 
     shadow_price: Mapping[NodeId, Fraction]
     density: AdaptedProcess
     fee: Fraction
-    off_support: tuple[NodeId, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -143,8 +141,6 @@ class CpsInfeasibility:
     contradiction; verify() recomputes that aggregation from scratch.
     """
 
-    fee: Fraction
-    epsilon: Fraction
     certificate: FarkasCertificate
     num_vars: int
     constraints: tuple[Constraint, ...]
@@ -155,13 +151,12 @@ class CpsInfeasibility:
 
 @dataclass(frozen=True)
 class FindCpsResult:
-    """A feasible outcome carries the system, its mass process
-    y = z * S-tilde and its minimum leaf density, the floor the system
-    clears; an infeasible one carries the certificate."""
+    """A feasible outcome carries the system and its minimum leaf
+    density, the floor the system clears; an infeasible one carries the
+    certificate."""
 
     feasible: bool
     cps: "ConsistentPriceSystem | None" = None
-    price_mass: "AdaptedProcess | None" = None
     infeasibility: "CpsInfeasibility | None" = None
     min_leaf_density: "Fraction | None" = None
 
@@ -201,25 +196,14 @@ def _cps_constraints(
 
 
 def _system(
-    tree: EventTree,
-    density: Mapping[NodeId, Fraction],
-    shadow: Mapping[NodeId, Fraction],
-    fee: Fraction,
-) -> tuple[ConsistentPriceSystem, AdaptedProcess]:
-    """The system with density Z and the shadow values kept where Z > 0,
-    and its mass process Y = Z * S-tilde."""
-    support = {n for n in tree.nodes if density[n].numerator > 0}
-    cps = ConsistentPriceSystem(
-        shadow_price={n: s for n, s in shadow.items() if n in support},
+    density: Mapping[NodeId, Fraction], shadow: Mapping[NodeId, Fraction], fee: Fraction
+) -> ConsistentPriceSystem:
+    """The system with density Z and the shadow values kept where Z > 0."""
+    return ConsistentPriceSystem(
+        shadow_price={n: s for n, s in shadow.items() if density[n].numerator > 0},
         density=AdaptedProcess(density),
         fee=fee,
-        off_support=tuple(n for n in tree.nodes if n not in support),
     )
-    mass = {
-        n: (shadow[n] if density[n] == 1 else density[n] * shadow[n]) if n in support else _ZERO
-        for n in tree.nodes
-    }
-    return cps, AdaptedProcess(mass)
 
 
 class _Box(NamedTuple):
@@ -388,11 +372,11 @@ def _density(tree: EventTree, shadow: Mapping[NodeId, Fraction]) -> dict[NodeId,
 
 def _interval_witness(
     tree: EventTree, live: Mapping[NodeId, _Box], fee: Fraction
-) -> tuple[ConsistentPriceSystem, AdaptedProcess, Fraction]:
+) -> tuple[ConsistentPriceSystem, Fraction]:
     """System built top down inside the intervals: the root takes its
     interval's midpoint, each node places its children's values with
-    `_place`, and `_density` weighs them.  Returns the system, the mass
-    process y = z * S-tilde and the minimum leaf density."""
+    `_place`, and `_density` weighs them.  Returns the system and its
+    minimum leaf density."""
     root = live[tree.root]
     shadow = {tree.root: (root.lo + root.hi) / 2}
     for n in tree.nodes:
@@ -403,8 +387,7 @@ def _interval_witness(
         if kids:
             shadow.update(zip(kids, _place(v, [live[c] for c in kids], [tree.cond_prob[c] for c in kids])))
     density = _density(tree, shadow)
-    cps, mass = _system(tree, density, shadow, fee)
-    return cps, mass, min(density[leaf] for leaf in tree.leaves)
+    return _system(density, shadow, fee), min(density[leaf] for leaf in tree.leaves)
 
 
 def _interval_certificate(
@@ -529,8 +512,6 @@ def _interval_certificate(
             else:
                 add(f"floor:{n}", -w)
     return CpsInfeasibility(
-        fee=query.fee,
-        epsilon=query.epsilon,
         certificate=FarkasCertificate(tuple(multipliers)),
         num_vars=num_vars,
         constraints=tuple(cons),
@@ -541,9 +522,8 @@ def find_cps(market: Market, query: CpsQuery) -> FindCpsResult:
     """Decide whether a price system exists at the queried cost level.
 
     The interval recursion decides exactly.  Feasible outcomes carry the
-    system, the raw price-weighted mass process y = z * S-tilde and the
-    system's minimum leaf density, which is positive in the equivalent
-    mode.
+    system and its minimum leaf density, which is positive in the
+    equivalent mode.
     Infeasible outcomes carry an exact Farkas certificate over the
     constraints of `_cps_constraints`.
     """
@@ -554,10 +534,10 @@ def find_cps(market: Market, query: CpsQuery) -> FindCpsResult:
         return FindCpsResult(
             feasible=False, infeasibility=_interval_certificate(market, query, live, dead)
         )
-    cps, price_mass, margin = _interval_witness(market.tree, live, query.fee)
+    cps, margin = _interval_witness(market.tree, live, query.fee)
     if equivalent and margin <= 0:
         raise RuntimeError(f"equivalent-mode witness has minimum leaf density {margin}")
-    return FindCpsResult(feasible=True, cps=cps, price_mass=price_mass, min_leaf_density=margin)
+    return FindCpsResult(feasible=True, cps=cps, min_leaf_density=margin)
 
 
 def verify_cps(
@@ -571,21 +551,24 @@ def verify_cps(
     Checks: density domain, Z(root) = 1, Z >= 0, zero one-step drift of Z
     and of Z * S-tilde, shadow price present on the support and inside the
     spread, and (when epsilon is given) the leaf floor.  Returns all
-    violations found, each naming its node.  A level outside [0, 1) or a
-    negative epsilon raises CpsError.
+    violations found, each naming its node; a density or shadow value that
+    is not a Fraction or an int is reported before any arithmetic.  A
+    level outside [0, 1) or a negative epsilon raises CpsError.
     """
     tree = market.tree
     fee, epsilon = _level_and_floor(
         cps.fee if fee is None else fee, _ZERO if epsilon is None else epsilon
     )
     violations = density_problems(tree, cps.density)
-    z = cps.density.values
-    if not all(n in z for n in tree.nodes):
-        return False, violations
+    z, shadow = cps.density.values, cps.shadow_price
+    # the sums below need a density at every node, and every value exact
+    inexact = _inexact(shadow, [n for n in tree.nodes if n in shadow], "shadow price")
+    if inexact or any(n not in z for n in tree.nodes) or _inexact(z, tree.nodes, "density"):
+        return False, violations + inexact
 
     keep = 1 - fee
     kn, kd = keep.as_integer_ratio()
-    price, shadow = market.price.values, cps.shadow_price
+    price = market.price.values
     mass_price: dict[NodeId, Fraction] = {}
     for n in tree.nodes:
         if n in shadow:
@@ -647,8 +630,7 @@ def max_equivalence_margin(
         raise RuntimeError("margin is bounded by the unit root mass")
     nodes, x = tree.nodes, result.x
     shadow = {n: y / z for n, z, y in zip(nodes, x, x[len(nodes):]) if z > 0}
-    cps, _ = _system(tree, dict(zip(nodes, x)), shadow, fee)
-    return result.objective, cps
+    return result.objective, _system(dict(zip(nodes, x)), shadow, fee)
 
 
 def _equivalent_mode(measure: str) -> bool:
@@ -750,13 +732,11 @@ def scale_cps(
         shadow_price={n: down * s for n, s in cps.shadow_price.items()},
         density=cps.density,
         fee=fee,
-        off_support=cps.off_support,
     )
     second = ConsistentPriceSystem(
         shadow_price={n: up * s for n, s in cps.shadow_price.items()},
         density=cps.density,
         fee=fee,
-        off_support=cps.off_support,
     )
     return first, second
 
@@ -915,7 +895,6 @@ def brute_force_cps(
         shadow_price=dict(shadow),
         density=AdaptedProcess(density),
         fee=fee,
-        off_support=(),
     )
     if margin >= epsilon:
         return BruteForceResult(True, witness, margin, grid_resolution)
@@ -980,13 +959,7 @@ def load_cps(document: Mapping, tree: EventTree) -> tuple[ConsistentPriceSystem,
     if problems:
         raise CpsError(problems)
 
-    cps = ConsistentPriceSystem(
-        shadow_price=shadow,
-        density=AdaptedProcess(density),
-        fee=fee,
-        off_support=tuple(n for n in tree.nodes if n not in shadow),
-    )
-    return cps, epsilon
+    return ConsistentPriceSystem(shadow_price=shadow, density=AdaptedProcess(density), fee=fee), epsilon
 
 
 def cps_to_doc(cps: ConsistentPriceSystem, epsilon: Fraction) -> dict:

@@ -420,11 +420,6 @@ def conditional_expectation(
     return Fraction(total) / density[node]
 
 
-def one_step_mean(tree: EventTree, values: Mapping[NodeId, Fraction], node: NodeId) -> Fraction:
-    """E[X_next | node] under the reference measure, at an internal node."""
-    return Fraction(*_step_sum(tree.cond_prob, tree.children[node], values))
-
-
 def density_problems(tree: EventTree, density: AdaptedProcess) -> list[str]:
     """Everything that keeps ``density`` from being a density process: a
     nonnegative martingale under the reference measure with Z(root) = 1,

@@ -144,7 +144,7 @@ def plain_density(tree, shadow):
 
 
 def interval_witness(tree, live, fee):
-    """(system, Y, minimum leaf density) as
+    """(system, minimum leaf density) as
     `spreadlab.cps._interval_witness` returns them."""
     root = live[tree.root]
     shadow = {tree.root: (root.lo + root.hi) / 2}
@@ -161,10 +161,8 @@ def interval_witness(tree, live, fee):
         shadow_price={n: s for n, s in shadow.items() if density[n] > 0},
         density=AdaptedProcess(density),
         fee=fee,
-        off_support=tuple(n for n in tree.nodes if density[n] == 0),
     )
-    mass = {n: density[n] * shadow[n] if density[n] > 0 else Fraction(0) for n in tree.nodes}
-    return cps, AdaptedProcess(mass), margin
+    return cps, margin
 
 
 def lp_find_cps(market, query):
@@ -178,8 +176,6 @@ def lp_find_cps(market, query):
         return FindCpsResult(
             feasible=False,
             infeasibility=CpsInfeasibility(
-                fee=query.fee,
-                epsilon=query.epsilon,
                 certificate=result.certificate,
                 num_vars=num_vars,
                 constraints=tuple(cons),
@@ -187,9 +183,9 @@ def lp_find_cps(market, query):
         )
     nodes, x = market.tree.nodes, result.x
     shadow = {n: y / z for n, z, y in zip(nodes, x, x[len(nodes):]) if z > 0}
-    cps, price_mass = _system(market.tree, dict(zip(nodes, x)), shadow, query.fee)
+    cps = _system(dict(zip(nodes, x)), shadow, query.fee)
     margin = min(cps.density[leaf] for leaf in market.tree.leaves)
-    return FindCpsResult(feasible=True, cps=cps, price_mass=price_mass, min_leaf_density=margin)
+    return FindCpsResult(feasible=True, cps=cps, min_leaf_density=margin)
 
 
 def ac_threshold(market):

@@ -1,4 +1,5 @@
-"""Seeded generators shared across the suite.
+"""Seeded generators shared across the suite, and the check of a
+find-cps report read back from its file.
 
 Everything takes an explicit random.Random so each test controls its
 seed; sizes default to the scale the brute-force oracle accepts.
@@ -14,8 +15,13 @@ from spreadlab import (
     PredictableProcess,
     Strategy,
     derive_bond_account,
+    load_cps,
     make_market,
+    parse_rational,
+    verify_cps,
 )
+from spreadlab.cps import _cps_constraints
+from spreadlab.simplex import FarkasCertificate
 
 EIGHTHS = [Fraction(k, 8) for k in range(2, 33)]  # [1/4, 4]
 
@@ -140,3 +146,33 @@ def random_density(rng: random.Random, tree: EventTree, allow_zero: bool = False
 def random_adapted(rng: random.Random, tree: EventTree, lo: int = -4, hi: int = 4) -> AdaptedProcess:
     grid = [Fraction(k, 2) for k in range(2 * lo, 2 * hi + 1)]
     return AdaptedProcess({n: rng.choice(grid) for n in tree.nodes})
+
+
+def check_find_cps_report(market: Market, report: dict) -> bool:
+    """Check a find-cps report with nothing but the report and its market;
+    returns whether it is feasible.
+
+    A system must load, and `verify_cps` must accept it at the report's
+    epsilon; ``off_support`` lists the nodes without a shadow price, in
+    tree order.  A certificate names its rows by label: rebuilt from
+    `_cps_constraints` at the report's level and epsilon, those rows alone
+    must carry the contradiction, each with a nonzero multiplier, in row
+    order.
+    """
+    if report["feasible"]:
+        cps, epsilon = load_cps(report, market.tree)
+        ok, violations = verify_cps(market, cps, epsilon=epsilon)
+        assert ok, violations
+        off_support = [n for n in market.tree.nodes if n not in cps.shadow_price]
+        assert report.get("off_support", []) == off_support
+        return True
+    fee, epsilon = parse_rational(report["lambda_prime"]), parse_rational(report["epsilon"])
+    multipliers = report["certificate"]["multipliers"]
+    num_vars, rows, _ = _cps_constraints(market, fee, epsilon)
+    used = [row for row in rows if row.label in multipliers]
+    assert [row.label for row in used] == list(multipliers)
+    certificate = FarkasCertificate(tuple(parse_rational(mu) for mu in multipliers.values()))
+    assert all(certificate.multipliers)
+    assert certificate.verify(num_vars, used)
+    assert report["certificate"]["verified"] is True
+    return False

@@ -28,7 +28,8 @@ from spreadlab import theorems as theorems_module
 from spreadlab.cli import main, run_command
 from spreadlab.tree import density_problems
 
-from helpers import random_market, random_sf_strategy
+from helpers import check_find_cps_report, random_market, random_sf_strategy
+from test_cps_reference import family_market
 
 F = Fraction
 
@@ -432,7 +433,7 @@ class TestFindCps:
         assert result.exit_code == 0
         report = read_json(result.report_path)
         assert report["feasible"] is True
-        assert set(report) >= {"S_tilde", "Z", "lambda_prime", "epsilon", "Y"}
+        assert set(report) == {"S_tilde", "Z", "lambda_prime", "epsilon", "feasible"}
         market = load_market(read_json(det_files / "market.json"))
         cps, epsilon = load_cps(report, market.tree)
         assert epsilon == min(cps.density[leaf] for leaf in market.tree.leaves)
@@ -447,8 +448,27 @@ class TestFindCps:
         assert report["feasible"] is False
         cert = report["certificate"]
         assert cert["verified"] is True
-        assert len(cert["constraints"]) == len(cert["multipliers"]) > 0
+        assert set(cert) == {"multipliers", "verified"}
+        assert cert["multipliers"] and "0" not in cert["multipliers"].values()
         assert "infeasible" in result.human_summary
+
+    def test_random_reports_check_from_their_bytes(self, tmp_path, monkeypatch):
+        # random prices and lifted roots, where most systems fail, in both modes
+        monkeypatch.chdir(tmp_path)
+        rng = random.Random("find-cps-reports")
+        infeasible = {(): 0, ("--ac",): 0}
+        feasible_reports = 0
+        for i in range(120):
+            market = random_market(rng) if i % 2 else family_market(rng, "lifted_root")
+            write_json("m.json", market_to_doc(market))
+            for level in ("0", "1/8", "1/4"):
+                for flags in infeasible:
+                    result = run_command(["find-cps", "--market", "m.json", "--lambda", level, *flags])
+                    feasible = check_find_cps_report(market, read_json(result.report_path))
+                    assert result.exit_code == (0 if feasible else 3)
+                    infeasible[flags] += not feasible
+                    feasible_reports += feasible
+        assert min(infeasible.values()) >= 200 and feasible_reports >= 50, (infeasible, feasible_reports)
 
     def test_ac_mode_reports_dead_branch(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -11,6 +11,7 @@ from spreadlab import (
     ConsistentPriceSystem,
     CpsError,
     CpsQuery,
+    Strategy,
     brute_force_cps,
     cps_threshold,
     cps_to_doc,
@@ -21,6 +22,7 @@ from spreadlab import (
     make_market,
     max_equivalence_margin,
     scale_cps,
+    shadow_decomposition,
     stochastic_counterexample,
     verify_cps,
 )
@@ -73,7 +75,7 @@ class TestQuery:
             CpsQuery(F(1, 4), epsilon=F(0), mode=EQUIVALENT)
         with pytest.raises(CpsError, match="mode"):
             CpsQuery(F(1, 4), epsilon=F(1, 10), mode=ABSOLUTELY_CONTINUOUS)
-        with pytest.raises(CpsError, match="unknown mode"):
+        with pytest.raises(CpsError, match="unknown measure class"):
             CpsQuery(F(1, 4), mode="exact")
 
 
@@ -137,6 +139,8 @@ class TestFindCps:
                     assert result.min_leaf_density is None
 
     def test_shadow_price_is_mass_quotient(self):
+        # the system is the point z, y = z * S-tilde of the linear rows,
+        # which it satisfies at its own minimum leaf density as the floor
         rng = random.Random(73)
         checked = 0
         while checked < 12:
@@ -144,10 +148,15 @@ class TestFindCps:
             result = find_cps(market, CpsQuery(F(1, 4)))
             if not result.feasible:
                 continue
-            for n in market.tree.nodes:
-                z = result.cps.density[n]
-                assert z > 0
-                assert result.cps.shadow_price[n] == result.price_mass[n] / z
+            cps = result.cps
+            z = [cps.density[n] for n in market.tree.nodes]
+            y = [zn * cps.shadow_price[n] for zn, n in zip(z, market.tree.nodes)]
+            assert all(zn > 0 for zn in z)
+            _, rows, _ = cps_module._cps_constraints(market, F(1, 4), result.min_leaf_density)
+            for row in rows:
+                lhs = sum(a * (z + y)[j] for j, a in row.coeffs.items())
+                holds = {simplex.EQ: lhs == row.rhs, simplex.LE: lhs <= row.rhs, simplex.GE: lhs >= row.rhs}
+                assert holds[row.relation], row.label
             checked += 1
 
     def test_rejects_invalid_market(self):
@@ -160,6 +169,25 @@ class TestFindCps:
 
 
 class TestVerifyCps:
+    @pytest.mark.parametrize("bad", ["1", True, 1.0])
+    @pytest.mark.parametrize("field", ["Z", "S_tilde"])
+    def test_inexact_value_reported_not_raised(self, field, bad):
+        # a flat market at lambda = 1/2: Z = 1 and S-tilde = S make a system,
+        # and one value of the wrong type at node 1 must be named, whatever
+        # the arithmetic on it would have done
+        market = binary_market(fee="1/2", p_up="1/2", up="1", down="1")
+        shadow, density = {0: F(1), 1: F(1), 2: F(1)}, {0: 1, 1: 1, 2: 1}
+        (density if field == "Z" else shadow)[1] = bad
+        cps = ConsistentPriceSystem(shadow, AdaptedProcess(density), F(1, 2))
+        ok, violations = verify_cps(market, cps)
+        assert not ok
+        assert violations == [f"node 1: {'density' if field == 'Z' else 'shadow price'} {bad!r} "
+                              "is not a Fraction or an int"]
+        idle = Strategy(bond=AdaptedProcess.constant(market.tree, F(0)),
+                        stock=AdaptedProcess.constant(market.tree, F(0)))
+        with pytest.raises(ValueError, match="is not a Fraction or an int"):
+            shadow_decomposition(market, idle, cps)
+
     def test_drift_violation_named(self):
         market = increasing_chain()
         cps = ConsistentPriceSystem(
@@ -449,8 +477,7 @@ class TestWire:
         }
         cps, epsilon = load_cps(doc, market.tree)
         assert epsilon == 0
-        assert cps.off_support == (1,)
-        assert 1 not in cps.shadow_price
+        assert set(cps.shadow_price) == {0, 2}
 
     def test_missing_keys_rejected(self):
         market = binary_market()
@@ -516,9 +543,9 @@ class TestAbsolutelyContinuousMode:
         assert not find_cps(market, CpsQuery(F(0), F(1, 10**12))).feasible
         result = find_cps(market, CpsQuery(F(0), F(0), ABSOLUTELY_CONTINUOUS))
         assert result.feasible
-        assert result.cps.off_support == (1, 3)
+        assert set(result.cps.shadow_price) == {0, 2, 4}
+        assert result.cps.density[1] == result.cps.density[3] == 0
         assert result.cps.density[2] == 2
-        assert 1 not in result.cps.shadow_price
         ok, violations = verify_cps(market, result.cps)
         assert ok, violations
 
@@ -528,7 +555,7 @@ class TestAbsolutelyContinuousMode:
         doc = cps_to_doc(result.cps, F(0))
         assert set(doc["S_tilde"]) == {"0", "2", "4"}
         cps, _ = load_cps(doc, market.tree)
-        assert cps.off_support == (1, 3)
+        assert cps.shadow_price == result.cps.shadow_price
 
 
 class TestIntervalDecider:
@@ -620,7 +647,7 @@ class TestIntervalDecider:
         assert "floor:2" in used
         result = self.check_against_lp(market, F(0), ABSOLUTELY_CONTINUOUS)
         assert result.feasible
-        assert result.cps.off_support == (2,)
+        assert set(result.cps.shadow_price) == {0, 1}
         assert lp_calls == []
 
     def test_floor_above_the_best_margin_is_feasible(self, lp_calls):
@@ -699,7 +726,7 @@ class TestWitnessWeights:
                 if not result.feasible:
                     continue
                 shadow, density = result.cps.shadow_price, result.cps.density
-                assert result.cps.off_support == ()
+                assert len(shadow) == len(tree.nodes)
                 for n in tree.internal:
                     kids = tree.children[n]
                     ratios = [density[c] / density[n] for c in kids]

@@ -1,8 +1,8 @@
 """The package's interval pass and witness against the plain formulas of
 `cps_reference`, on random markets of every shape the CPS commands meet:
-the same intervals, and where a system exists the same S-tilde, Z, Y,
-off-support nodes and minimum leaf density, value for value; and the same
-absolutely continuous threshold as the reference's search."""
+the same intervals, and where a system exists the same S-tilde (so the
+same off-support nodes), Z and minimum leaf density, value for value;
+and the same absolutely continuous threshold as the reference's search."""
 
 import random
 from fractions import Fraction
@@ -74,12 +74,10 @@ def test_intervals_and_witness_match_reference(family):
                 if dead if equivalent else tree.root in dead:
                     continue
                 feasible += 1
-                cps, mass, margin = cps_module._interval_witness(tree, live, level)
-                ref_cps, ref_mass, ref_margin = cps_reference.interval_witness(tree, ref_live, level)
+                cps, margin = cps_module._interval_witness(tree, live, level)
+                ref_cps, ref_margin = cps_reference.interval_witness(tree, ref_live, level)
                 assert same_values(cps.shadow_price, ref_cps.shadow_price)
                 assert same_values(cps.density.values, ref_cps.density.values)
-                assert same_values(mass.values, ref_mass.values)
-                assert cps.off_support == ref_cps.off_support
                 assert margin == ref_margin and type(margin) is Fraction
     # every family reaches the witness often enough to mean something
     assert feasible >= MARKETS_PER_FAMILY

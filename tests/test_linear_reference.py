@@ -3,7 +3,7 @@
 the same slack, liquidation values, admissibility requirements and shadow
 decomposition, value for value and in the same node order.  And the
 one-step formulas on random processes, densities and price systems: the
-same means, drifts, probability-sum problems, density problems and
+same drifts, probability-sum problems, density problems and
 `verify_cps` violations, value for value and message for message."""
 
 import random
@@ -27,7 +27,7 @@ from spreadlab import (
     shadow_decomposition,
     verify_cps,
 )
-from spreadlab.tree import density_problems, one_step_mean, support_drift
+from spreadlab.tree import density_problems, support_drift
 
 import linear_reference
 from helpers import EIGHTHS, random_density, random_tree
@@ -168,11 +168,6 @@ def test_one_step_formulas_match_reference():
         tree = random_tree(rng)
         x = {n: rng.choice(PROCESS) for n in tree.nodes}
         z = density(rng, tree)
-        for n in tree.internal:
-            for values in (x, z):
-                mean = one_step_mean(tree, values, n)
-                expected = linear_reference.one_step_mean(tree, values, n)
-                assert mean == expected and type(mean) is type(expected)
         assert same_values(support_drift(tree, AdaptedProcess(x)), linear_reference.support_drift(tree, x))
         weighted = support_drift(tree, AdaptedProcess(x), AdaptedProcess(z))
         assert same_values(weighted, linear_reference.support_drift(tree, x, z))

@@ -16,12 +16,12 @@ from pathlib import Path
 
 import pytest
 
-from spreadlab import cps_to_doc, market_to_doc, strategy_to_doc
+from spreadlab import cps_to_doc, load_market, market_to_doc, strategy_to_doc
 from spreadlab.cli import run_command
 from spreadlab.cps import ConsistentPriceSystem
 from spreadlab.tree import AdaptedProcess
 
-from helpers import binomial_martingale_market, random_sf_strategy
+from helpers import binomial_martingale_market, check_find_cps_report, random_sf_strategy
 
 EXPECTED = Path(__file__).resolve().parent / "reports"
 
@@ -306,6 +306,13 @@ def test_report_bytes_unchanged(tmp_path, monkeypatch, name):
     code, data = run_case(name)
     assert code == CASES[name][2]
     assert data == (EXPECTED / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(name for name in CASES if name.startswith("find_cps_")))
+def test_find_cps_report_checks_from_its_bytes(name):
+    doc, _, code = CASES[name]
+    report = json.loads((EXPECTED / f"{name}.json").read_bytes())
+    assert check_find_cps_report(load_market(doc), report) is (code == 0)
 
 
 if __name__ == "__main__":

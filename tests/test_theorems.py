@@ -262,7 +262,6 @@ class TestShadowValues:
             shadow_price={n: v for n, v in cps.shadow_price.items() if n != 1},
             density=cps.density,
             fee=cps.fee,
-            off_support=(1,),
         )
         with pytest.raises(ValueError, match="shadow price missing at nodes"):
             shadow_values(tree, report.strategy, trimmed)
