@@ -190,14 +190,13 @@ def _cmd_find_cps(args) -> _Outcome:
             lines.append(f"off support: nodes {off_support}")
         return 0, report, lines
     cert = result.infeasibility
-    # a row with a zero multiplier adds nothing to the aggregation
     used = zip(cert.constraints, cert.certificate.multipliers)
     report = {
         "feasible": False,
         "lambda_prime": format_rational(query.fee),
         "epsilon": format_rational(query.epsilon),
         "certificate": {
-            "multipliers": {con.label: format_rational(mu) for con, mu in used if mu},
+            "multipliers": {con.label: format_rational(mu) for con, mu in used},
             "verified": cert.verify(),
         },
     }

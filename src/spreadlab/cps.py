@@ -56,7 +56,7 @@ from . import simplex
 from .market import Market
 from .rationals import format_rational, parse_rational, rational_reader
 from .simplex import Constraint, FarkasCertificate
-from .tree import AdaptedProcess, EventTree, InputError, NodeId, _inexact, _step_sum, _total, density_problems
+from .tree import AdaptedProcess, EventTree, InputError, NodeId, _inexact, _total, density_problems, support_drift
 
 EQUIVALENT = "equivalent"
 ABSOLUTELY_CONTINUOUS = "absolutely_continuous"
@@ -161,38 +161,46 @@ class FindCpsResult:
     min_leaf_density: "Fraction | None" = None
 
 
+def _row_keys(tree: EventTree, epsilon: Fraction) -> list[tuple[str, NodeId]]:
+    """The (kind, node) of each row of the CPS system, in row order."""
+    keys = [("unit_root_mass", tree.root)]
+    keys += ((kind, n) for n in tree.internal for kind in ("mass_drift", "price_drift"))
+    keys += ((kind, n) for n in tree.nodes for kind in ("bid", "ask"))
+    keys += (("floor", leaf) for leaf in tree.leaves if epsilon > 0)
+    return keys
+
+
+def _cps_row(
+    market: Market, fee: Fraction, epsilon: Fraction, pos: Mapping[NodeId, int], kind: str, node: NodeId
+) -> Constraint:
+    """One row in 2N nonnegative variables: mass z per node, at ``pos``,
+    then price-weighted mass y = z * S-tilde per node."""
+    z, label = pos[node], f"{kind}:{node}"
+    y = len(pos) + z
+    if kind == "bid":
+        return Constraint({y: _ONE, z: -(1 - fee) * market.price[node]}, simplex.GE, _ZERO, label)
+    if kind == "ask":
+        return Constraint({y: _ONE, z: -market.price[node]}, simplex.LE, _ZERO, label)
+    if kind == "floor":
+        return Constraint({z: _ONE}, simplex.GE, epsilon, label)
+    if kind == "unit_root_mass":
+        return Constraint({z: _ONE}, simplex.EQ, _ONE, kind)
+    # a drift row, sum p_c x_c - x_n = 0, in x = z or in x = y
+    shift, tree = (0 if kind == "mass_drift" else len(pos)), market.tree
+    row = {shift + z: -_ONE}
+    for c in tree.children[node]:
+        row[shift + pos[c]] = tree.cond_prob[c]
+    return Constraint(row, simplex.EQ, _ZERO, label)
+
+
 def _cps_constraints(
     market: Market, fee: Fraction, epsilon: Fraction
 ) -> tuple[int, list[Constraint], dict[NodeId, int]]:
-    """Feasibility system in 2N nonnegative variables: mass z per node,
-    then price-weighted mass y = z * S-tilde per node."""
+    """The whole system, (2N, `_cps_row` of each `_row_keys` entry, pos)."""
     tree = market.tree
     pos = {n: i for i, n in enumerate(tree.nodes)}
-    count = len(tree.nodes)
-    cons: list[Constraint] = []
-
-    cons.append(Constraint({pos[tree.root]: Fraction(1)}, simplex.EQ, Fraction(1), "unit_root_mass"))
-    for n in tree.internal:
-        zrow = {pos[n]: Fraction(-1)}
-        yrow = {count + pos[n]: Fraction(-1)}
-        for c in tree.children[n]:
-            zrow[pos[c]] = tree.cond_prob[c]
-            yrow[count + pos[c]] = tree.cond_prob[c]
-        cons.append(Constraint(zrow, simplex.EQ, Fraction(0), f"mass_drift:{n}"))
-        cons.append(Constraint(yrow, simplex.EQ, Fraction(0), f"price_drift:{n}"))
-    for n in tree.nodes:
-        lo = (1 - fee) * market.price[n]
-        hi = market.price[n]
-        cons.append(
-            Constraint({count + pos[n]: Fraction(1), pos[n]: -lo}, simplex.GE, Fraction(0), f"bid:{n}")
-        )
-        cons.append(
-            Constraint({count + pos[n]: Fraction(1), pos[n]: -hi}, simplex.LE, Fraction(0), f"ask:{n}")
-        )
-    if epsilon > 0:
-        for leaf in tree.leaves:
-            cons.append(Constraint({pos[leaf]: Fraction(1)}, simplex.GE, epsilon, f"floor:{leaf}"))
-    return 2 * count, cons, pos
+    rows = [_cps_row(market, fee, epsilon, pos, *key) for key in _row_keys(tree, epsilon)]
+    return 2 * len(pos), rows, pos
 
 
 def _system(
@@ -396,7 +404,7 @@ def _interval_certificate(
     live: Mapping[NodeId, _Box],
     dead: "Mapping[NodeId, _Box | None]",
 ) -> CpsInfeasibility:
-    """Farkas certificate over `_cps_constraints`, read off the intervals.
+    """Farkas certificate over the rows it uses, read off the intervals.
 
     Every row is used in its "<=" direction (">=" rows with a negative
     multiplier), and each node has up to five derived inequalities, each a
@@ -427,21 +435,14 @@ def _interval_certificate(
     (cap(n) uses gone(n), which uses lower(n) and upper(n)) and by its
     parent.  So one pass from the closing node down its subtree
     (equivalent mode) or the whole tree finds each node's weights final
-    when it gets there, and adds them onto the row multipliers and onto
-    the children's weights.
+    when it gets there, and adds them onto ``mu``, the row multipliers by
+    (kind, node), and onto the children's weights.
     """
     tree, price = market.tree, market.price
     prob = tree.cond_prob
     keep = 1 - query.fee
     equivalent = query.mode == EQUIVALENT
-    num_vars, cons, _ = _cps_constraints(market, query.fee, query.epsilon)
-    index = {con.label: i for i, con in enumerate(cons)}
-    multipliers = [Fraction(0)] * len(cons)
-
-    def add(label: str, mu: Fraction) -> None:
-        multipliers[index[label]] += mu
-
-    lower, upper, floor, gone, cap = (defaultdict(int) for _ in range(5))
+    mu, lower, upper, floor, gone, cap = (defaultdict(int) for _ in range(6))
     if equivalent:
         failed, box = next(iter(dead.items()))
         lower[failed] = upper[failed] = Fraction(1)
@@ -452,7 +453,7 @@ def _interval_certificate(
             scope.extend(frontier)
             frontier = [c for n in frontier for c in tree.children[n]]
     else:
-        add("unit_root_mass", -1)
+        mu["unit_root_mass", tree.root] = -_ONE
         gone[tree.root] = Fraction(1)
         scope = tree.nodes
 
@@ -461,12 +462,12 @@ def _interval_certificate(
         box = live.get(n, dead.get(n))
         w = cap[n]
         if w:
-            add(f"ask:{n}", w)
+            mu["ask", n] += w
             gone[n] += w * price[n]
         w = gone[n]
         if w:
             if box is None:
-                add(f"mass_drift:{n}", -w)
+                mu["mass_drift", n] -= w
                 for c in kids:
                     gone[c] += w * prob[c]
             else:
@@ -477,10 +478,10 @@ def _interval_certificate(
         if w:
             bottom = box.lo
             if box.lo_closed and bottom == keep * price[n]:
-                add(f"bid:{n}", -w)
+                mu["bid", n] -= w
             else:
-                add(f"price_drift:{n}", w)
-                add(f"mass_drift:{n}", -w * bottom)
+                mu["price_drift", n] += w
+                mu["mass_drift", n] -= w * bottom
                 for c in kids:
                     if c in live:
                         lower[c] += w * prob[c]
@@ -492,10 +493,10 @@ def _interval_certificate(
         if w:
             top = box.hi
             if box.hi_closed and top == price[n]:
-                add(f"ask:{n}", w)
+                mu["ask", n] += w
             else:
-                add(f"price_drift:{n}", -w)
-                add(f"mass_drift:{n}", w * top)
+                mu["price_drift", n] -= w
+                mu["mass_drift", n] += w * top
                 for c in kids:
                     if c in live:
                         upper[c] += w * prob[c]
@@ -506,15 +507,17 @@ def _interval_certificate(
         w = floor[n]
         if w:
             if kids:
-                add(f"mass_drift:{n}", w)
+                mu["mass_drift", n] += w
                 for c in kids:
                     floor[c] += w * prob[c]
             else:
-                add(f"floor:{n}", -w)
+                mu["floor", n] -= w
+    pos = {n: i for i, n in enumerate(tree.nodes)}
+    used = [key for key in _row_keys(tree, query.epsilon) if mu.get(key)]
     return CpsInfeasibility(
-        certificate=FarkasCertificate(tuple(multipliers)),
-        num_vars=num_vars,
-        constraints=tuple(cons),
+        certificate=FarkasCertificate(tuple(mu[key] for key in used)),
+        num_vars=2 * len(pos),
+        constraints=tuple(_cps_row(market, query.fee, query.epsilon, pos, *key) for key in used),
     )
 
 
@@ -524,8 +527,8 @@ def find_cps(market: Market, query: CpsQuery) -> FindCpsResult:
     The interval recursion decides exactly.  Feasible outcomes carry the
     system and its minimum leaf density, which is positive in the
     equivalent mode.
-    Infeasible outcomes carry an exact Farkas certificate over the
-    constraints of `_cps_constraints`.
+    Infeasible outcomes carry an exact Farkas certificate over the rows
+    of `_cps_constraints` that it uses.
     """
     equivalent = query.mode == EQUIVALENT
     live, dead = _shadow_intervals(market, query.fee, equivalent)
@@ -589,12 +592,8 @@ def verify_cps(
             violations.append(f"node {n}: shadow price missing on support (density {z[n]})")
             mass_price[n] = Fraction(0)
 
-    cond, children = tree.cond_prob, tree.children
-    for n in tree.internal:
-        num, den = _step_sum(cond, children[n], mass_price)
-        yn, yd = mass_price[n].as_integer_ratio()
-        if num * yd != yn * den:
-            drift = Fraction(num * yd - yn * den, den * yd)
+    for n, drift in support_drift(tree, AdaptedProcess(mass_price)).items():
+        if drift.numerator:
             violations.append(f"node {n}: shadow price drift under Q (weighted drift {drift})")
 
     if epsilon:

@@ -36,6 +36,8 @@ from .rationals import parse_rational, rational_reader
 
 NodeId = int
 
+_ZERO = Fraction(0)
+
 
 class InputError(ValueError):
     """An invalid input, with every problem found listed in ``problems``."""
@@ -436,12 +438,8 @@ def density_problems(tree: EventTree, density: AdaptedProcess) -> list[str]:
     for n in tree.nodes:
         if z[n].numerator < 0:
             problems.append(f"node {n}: density {z[n]} is negative")
-    cond, children = tree.cond_prob, tree.children
-    for n in tree.internal:
-        num, den = _step_sum(cond, children[n], z)
-        zn, zd = z[n].as_integer_ratio()
-        if num * zd != zn * den:
-            drift = Fraction(num * zd - zn * den, den * zd)
+    for n, drift in support_drift(tree, density).items():
+        if drift.numerator:
             problems.append(f"node {n}: density drift {drift} (martingale property fails)")
     return problems
 
@@ -464,7 +462,8 @@ def support_drift(
             # (sum p_c z_c x_c - z_n x_n) / z_n
             num, den = _step_sum(cond, children[n], x, z)
             xn, xd = x[n].as_integer_ratio()
-            drift[n] = Fraction(num * zd * xd - zn * xn * den, den * xd * zn)
+            num = num * zd * xd - zn * xn * den
+            drift[n] = Fraction(num, den * xd * zn) if num else _ZERO
     return drift
 
 
