@@ -4,8 +4,9 @@ A consistent price system at cost level lambda' is a pair (S-tilde, Q):
 a shadow price lying inside every node's spread together with a measure
 under which it is a martingale.  Q is carried by its density process Z
 against the reference measure; in Z and the price-weighted mass
-Z * S-tilde the conditions are linear, and `_cps_constraints` writes
-them out as rows.
+Z * S-tilde the conditions are linear: `_cps_row` writes each one as a
+labelled row, and `_cps_constraints` lists every row in `_row_keys`
+order.
 
 On a tree the shadow prices a node can carry form an interval, so
 existence is decided exactly by one backward pass (the recursion of
@@ -38,10 +39,12 @@ pass per probe.
 An empty interval is turned into a Farkas certificate over the same
 rows, read off the intervals in one top-down pass from the node where
 the contradiction closes, so infeasibility stays checkable independently
-of how it was found.  Its multipliers do not depend on the
-leaf floor epsilon > 0 of the rows, so its size never matters; epsilon = 0
-goes with the absolutely continuous mode, where the shadow price is only
-defined on the support.
+of how it was found.  The certificate holds only the rows it uses, those
+with a nonzero multiplier, in row order; `_cps_row`, the writer of the
+full system, writes them, and no other row is built.  Its multipliers do
+not depend on the leaf floor epsilon > 0 of the rows, so its size never
+matters; epsilon = 0 goes with the absolutely continuous mode, where the
+shadow price is only defined on the support.
 """
 
 from __future__ import annotations
@@ -137,8 +140,11 @@ class ConsistentPriceSystem:
 class CpsInfeasibility:
     """Proof that no price system exists at the queried level.
 
-    The certificate aggregates the stored constraint rows into a
-    contradiction; verify() recomputes that aggregation from scratch.
+    ``constraints`` are the rows the certificate uses, each with a nonzero
+    multiplier, in the order of the full system and written by the same
+    row writer; a row left out has multiplier 0.  The certificate
+    aggregates them into a contradiction; verify() recomputes that
+    aggregation from scratch.
     """
 
     certificate: FarkasCertificate

@@ -23,10 +23,10 @@ from .tree import (
     NodeId,
     PredictableProcess,
     TreeError,
+    _ensure_exact,
     _inexact,
     conditional_expectation,
     density_problems,
-    ensure_adapted,
     ensure_predictable,
     support_drift,
 )
@@ -79,10 +79,7 @@ def check_ossm(tree: EventTree, process: AdaptedProcess, density: AdaptedProcess
     Outside the support the compensator is frozen (the measure never sees
     those nodes).  Process and density values must be Fractions or ints.
     """
-    ensure_adapted(tree, process, "process")
-    problems = _inexact(process.values, tree.nodes, "process")
-    if problems:
-        raise TreeError(problems)
+    _ensure_exact(tree, process, "process")
     problems = density_problems(tree, density)
     if problems:
         raise ValueError("invalid density: " + "; ".join(problems))

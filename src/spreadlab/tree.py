@@ -365,6 +365,15 @@ def ensure_adapted(tree: EventTree, process: AdaptedProcess, name: str = "proces
         raise TreeError(problems)
 
 
+def _ensure_exact(tree: EventTree, process: AdaptedProcess, name: str) -> None:
+    """`ensure_adapted`, then a TreeError naming each node whose value is
+    not a Fraction or an int."""
+    ensure_adapted(tree, process, name)
+    problems = _inexact(process.values, tree.nodes, name)
+    if problems:
+        raise TreeError(problems)
+
+
 def ensure_predictable(tree: EventTree, process: PredictableProcess, name: str = "process") -> None:
     """Check domain and the sibling-agreement constraint."""
     ensure_adapted(tree, AdaptedProcess(process.values), name)
@@ -395,8 +404,13 @@ def conditional_expectation(
     With ``density`` = None this is the plain conditional expectation; with
     a density process Z (a nonnegative martingale with Z(root) = 1) it is
     the Bayes quotient E[Z_h X_h | node] / Z(node).  Raises NullEventError
-    when Z(node) = 0, since the conditioning event is then null.
+    when Z(node) = 0, since the conditioning event is then null, and
+    TreeError when the process or the density misses a node or holds a
+    value that is not a Fraction or an int.
     """
+    _ensure_exact(tree, process, "process")
+    if density is not None:
+        _ensure_exact(tree, density, "density")
     if node not in tree.node_set:
         raise TreeError([f"node {node}: not in tree"])
     start = tree.time_index[node]
@@ -425,7 +439,8 @@ def conditional_expectation(
 def density_problems(tree: EventTree, density: AdaptedProcess) -> list[str]:
     """Everything that keeps ``density`` from being a density process: a
     nonnegative martingale under the reference measure with Z(root) = 1,
-    every value a Fraction or an int."""
+    every value a Fraction or an int.  The martingale test reads Z's drift
+    from `support_drift`."""
     z = density.values
     missing = [n for n in tree.nodes if n not in z]
     if missing:
@@ -452,7 +467,13 @@ def support_drift(
     """E[X_next | n] - X(n) at every internal node the measure charges:
     under the reference measure when ``density`` is None, else under the
     measure with that density (internal nodes where it vanishes are left
-    out)."""
+    out).
+
+    This is the package's one drift formula: the martingale tests of a
+    density, of a price system and of a supermartingale all read it.  A
+    zero drift is the shared ``_ZERO``; a Fraction is built only for a
+    nonzero one.
+    """
     x, cond, children = process.values, tree.cond_prob, tree.children
     z = None if density is None else density.values
     drift: dict[NodeId, Fraction] = {}
@@ -476,12 +497,15 @@ def one_step_drift(
 
     The process is a martingale under the (possibly tilted) measure exactly
     when the drift vanishes everywhere.  Raises NullEventError at internal
-    nodes where the density vanishes, as in conditional_expectation.
+    nodes where the density vanishes, as in conditional_expectation, and
+    TreeError when the process or the density misses a node or holds a
+    value that is not a Fraction or an int.
     """
+    _ensure_exact(tree, process, "process")
     if density is not None:
+        _ensure_exact(tree, density, "density")
         for n in tree.internal:
             if density[n] == 0:
                 raise NullEventError(n)
     drift = support_drift(tree, process, density)
-    zero = Fraction(0)
-    return AdaptedProcess({n: drift.get(n, zero) for n in tree.nodes})
+    return AdaptedProcess({n: drift.get(n, _ZERO) for n in tree.nodes})

@@ -677,7 +677,13 @@ class TestIntervalDecider:
                     result = find_cps(market, CpsQuery(level, epsilon, mode))
                     assert result.feasible == (level > t or (level == t and attained))
                     if not result.feasible:
-                        assert result.infeasibility.verify()
+                        cert = result.infeasibility
+                        assert cert.verify()
+                        # the rows it uses, each as the full system writes it, in row order
+                        _, rows, _ = cps_module._cps_constraints(market, level, epsilon)
+                        labels = {con.label for con in cert.constraints}
+                        assert list(cert.constraints) == [row for row in rows if row.label in labels]
+                        assert all(cert.certificate.multipliers)
                         if equivalent:
                             # the floor only sets the right-hand side of the floor rows
                             other = find_cps(market, CpsQuery(level, F(1))).infeasibility

@@ -17,6 +17,7 @@ from spreadlab import (
     brute_force_cps,
     check_admissibility_theorem,
     check_ossm,
+    conditional_expectation,
     cps_threshold,
     derive_bond_account,
     deterministic_counterexample,
@@ -25,6 +26,7 @@ from spreadlab import (
     liquidation_value,
     make_market,
     max_equivalence_margin,
+    one_step_drift,
     replay_admissibility_argument,
     scale_cps,
     stochastic_counterexample,
@@ -164,6 +166,24 @@ NODE_VALUES = {
     "doob_decompose.process": lambda bad: doob_decompose(
         _det().market.tree, _at_node_1(_flat(_det().market.tree), bad), _det().cps_witness.density
     ),
+    "one_step_drift.process": lambda bad: one_step_drift(
+        _det().market.tree, _at_node_1(_flat(_det().market.tree), bad)
+    ),
+    "one_step_drift.density": lambda bad: one_step_drift(
+        _det().market.tree,
+        AdaptedProcess(_flat(_det().market.tree)),
+        _at_node_1(_det().cps_witness.density.values, bad),
+    ),
+    "conditional_expectation.process": lambda bad: conditional_expectation(
+        _det().market.tree, _at_node_1(_flat(_det().market.tree), bad), None, 0, 1
+    ),
+    "conditional_expectation.density": lambda bad: conditional_expectation(
+        _det().market.tree,
+        AdaptedProcess(_flat(_det().market.tree)),
+        _at_node_1(_det().cps_witness.density.values, bad),
+        0,
+        1,
+    ),
 }
 
 
@@ -174,6 +194,23 @@ def test_api_rejects_float_and_bool_node_values(site, bad):
     # no attribute 'numerator', from the first sign test that read it
     with pytest.raises(ValueError, match=f"node 1: [a-z ]+ {bad!r} is not a Fraction or an int"):
         NODE_VALUES[site](bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda tree, full, partial: one_step_drift(tree, partial),
+    lambda tree, full, partial: one_step_drift(tree, full, partial),
+    lambda tree, full, partial: conditional_expectation(tree, partial, None, 0, 1),
+    lambda tree, full, partial: conditional_expectation(tree, full, partial, 0, 1),
+], ids=[
+    "one_step_drift.process", "one_step_drift.density",
+    "conditional_expectation.process", "conditional_expectation.density",
+])
+def test_one_step_formulas_name_a_missing_node(call):
+    # a process or density without node 2 used to raise a bare KeyError: 2
+    tree = _one_period_tree()
+    full, partial = AdaptedProcess({0: 1, 1: 1, 2: 1}), AdaptedProcess({0: 1, 1: 1})
+    with pytest.raises(TreeError, match=r"(process|density) missing values at nodes \[2\]"):
+        call(tree, full, partial)
 
 
 def test_strategy_names_every_inexact_holding():
