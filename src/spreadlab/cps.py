@@ -59,7 +59,9 @@ from . import simplex
 from .market import Market
 from .rationals import format_rational, parse_rational, rational_reader
 from .simplex import Constraint, FarkasCertificate
-from .tree import AdaptedProcess, EventTree, InputError, NodeId, _inexact, _total, density_problems, support_drift
+from .tree import (
+    AdaptedProcess, EventTree, InputError, NodeId, _adapted_problems, _total, density_problems, support_drift
+)
 
 EQUIVALENT = "equivalent"
 ABSOLUTELY_CONTINUOUS = "absolutely_continuous"
@@ -570,10 +572,11 @@ def verify_cps(
     )
     violations = density_problems(tree, cps.density)
     z, shadow = cps.density.values, cps.shadow_price
-    # the sums below need a density at every node, and every value exact
-    inexact = _inexact(shadow, [n for n in tree.nodes if n in shadow], "shadow price")
-    if inexact or any(n not in z for n in tree.nodes) or _inexact(z, tree.nodes, "density"):
-        return False, violations + inexact
+    unusable = _adapted_problems(tree, shadow, "shadow price", partial=True)
+    # the sums below need every value exact and a density at every node;
+    # when density_problems fails, the one check tells whether that is why
+    if unusable or violations and _adapted_problems(tree, z, "density"):
+        return False, violations + unusable
 
     keep = 1 - fee
     kn, kd = keep.as_integer_ratio()

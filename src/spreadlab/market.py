@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .rationals import format_rational, parse_rational, rational_reader
-from .tree import AdaptedProcess, EventTree, InputError, TreeError, ensure_adapted, load_tree
+from .tree import AdaptedProcess, EventTree, InputError, _adapted_problems, load_tree
 
 
 class MarketError(InputError):
@@ -38,19 +38,12 @@ def validate_market(market: Market) -> list[str]:
     """Return all violations of the market's standing assumptions: every
     price a positive Fraction or int (no float, no bool), and lambda in
     [0, 1)."""
-    problems: list[str] = []
-    try:
-        ensure_adapted(market.tree, market.price, "price")
-    except TreeError as exc:
-        problems.extend(exc.problems)
-        return problems
     price = market.price.values
-    for n in market.tree.nodes:
-        s = price[n]
-        if type(s) is not Fraction and (type(s) is bool or not isinstance(s, (Fraction, int))):
-            problems.append(f"node {n}: price {s!r} is not a Fraction or an int")
-        elif s.numerator <= 0:
-            problems.append(f"node {n}: price {s} is not positive")
+    problems = _adapted_problems(market.tree, price, "price")
+    if not problems:
+        for n in market.tree.nodes:
+            if price[n].numerator <= 0:
+                problems.append(f"node {n}: price {price[n]} is not positive")
     fee = market.fee
     if type(fee) is bool or not isinstance(fee, (Fraction, int)):
         problems.append(f"lambda {fee!r} is not a Fraction or an int")

@@ -123,9 +123,6 @@ def derive_bond_account(market: Market, stock_plan: AdaptedProcess) -> Strategy:
     """
     tree = market.tree
     ensure_adapted(tree, stock_plan, "stock plan")
-    problems = _inexact(stock_plan.values, tree.nodes, "stock plan")
-    if problems:
-        raise StrategyError(problems)
     keep = 1 - market.fee
     bond: dict[NodeId, Fraction] = {}
     for n in tree.nodes:

@@ -22,11 +22,9 @@ from .tree import (
     EventTree,
     NodeId,
     PredictableProcess,
-    TreeError,
-    _ensure_exact,
-    _inexact,
     conditional_expectation,
     density_problems,
+    ensure_adapted,
     ensure_predictable,
     support_drift,
 )
@@ -79,7 +77,7 @@ def check_ossm(tree: EventTree, process: AdaptedProcess, density: AdaptedProcess
     Outside the support the compensator is frozen (the measure never sees
     those nodes).  Process and density values must be Fractions or ints.
     """
-    _ensure_exact(tree, process, "process")
+    ensure_adapted(tree, process, "process")
     problems = density_problems(tree, density)
     if problems:
         raise ValueError("invalid density: " + "; ".join(problems))
@@ -358,9 +356,6 @@ def frictionless_check(market: Market, positions: PredictableProcess, x) -> Theo
             f"market carries transaction costs (lambda = {market.fee}); this check needs lambda = 0"
         )
     ensure_predictable(tree, positions, "positions")
-    problems = _inexact(positions.values, tree.nodes, "position")
-    if problems:
-        raise TreeError(problems)
     children = tree.children
     plan = {n: positions[children[n][0]] if children[n] else positions[n] for n in tree.nodes}
     return check_admissibility_theorem(market, derive_bond_account(market, AdaptedProcess(plan)), x)

@@ -352,26 +352,28 @@ def load_tree(document: Mapping) -> EventTree:
 
 
 def ensure_adapted(tree: EventTree, process: AdaptedProcess, name: str = "process") -> None:
-    """Check that the process is defined on exactly this tree's nodes."""
-    values = process.values
-    missing = [n for n in tree.nodes if n not in values]
-    extra = [n for n in values if n not in tree.node_set]
-    problems = []
-    if missing:
-        problems.append(f"{name} missing values at nodes {missing}")
-    if extra:
-        problems.append(f"{name} has values at unknown nodes {sorted(extra)}")
+    """The package's one check of a per-node input: the process is defined
+    on exactly this tree's nodes and every value is a Fraction or an int.
+    Raises TreeError listing the nodes it misses and the nodes it has that
+    the tree does not, or else each value that is neither."""
+    problems = _adapted_problems(tree, process.values, name)
     if problems:
         raise TreeError(problems)
 
 
-def _ensure_exact(tree: EventTree, process: AdaptedProcess, name: str) -> None:
-    """`ensure_adapted`, then a TreeError naming each node whose value is
-    not a Fraction or an int."""
-    ensure_adapted(tree, process, name)
-    problems = _inexact(process.values, tree.nodes, name)
-    if problems:
-        raise TreeError(problems)
+def _adapted_problems(
+    tree: EventTree, values: Mapping[NodeId, object], name: str, partial: bool = False
+) -> list[str]:
+    """`ensure_adapted`'s problems as a list.  A ``partial`` input (a shadow
+    price off the support) may miss nodes, but not hold unknown ones."""
+    nodes = [n for n in tree.nodes if n in values] if partial else tree.nodes
+    missing = [] if partial else [n for n in nodes if n not in values]
+    problems = [f"{name} missing values at nodes {missing}"] if missing else []
+    # the values at tree nodes number len(nodes) - len(missing): any more are unknown
+    if len(values) + len(missing) != len(nodes):
+        extra = sorted(n for n in values if n not in tree.node_set)
+        problems.append(f"{name} has values at unknown nodes {extra}")
+    return problems or _inexact(values, nodes, name)
 
 
 def ensure_predictable(tree: EventTree, process: PredictableProcess, name: str = "process") -> None:
@@ -405,12 +407,11 @@ def conditional_expectation(
     a density process Z (a nonnegative martingale with Z(root) = 1) it is
     the Bayes quotient E[Z_h X_h | node] / Z(node).  Raises NullEventError
     when Z(node) = 0, since the conditioning event is then null, and
-    TreeError when the process or the density misses a node or holds a
-    value that is not a Fraction or an int.
+    TreeError when `ensure_adapted` refuses the process or the density.
     """
-    _ensure_exact(tree, process, "process")
+    ensure_adapted(tree, process, "process")
     if density is not None:
-        _ensure_exact(tree, density, "density")
+        ensure_adapted(tree, density, "density")
     if node not in tree.node_set:
         raise TreeError([f"node {node}: not in tree"])
     start = tree.time_index[node]
@@ -438,16 +439,14 @@ def conditional_expectation(
 
 def density_problems(tree: EventTree, density: AdaptedProcess) -> list[str]:
     """Everything that keeps ``density`` from being a density process: a
-    nonnegative martingale under the reference measure with Z(root) = 1,
-    every value a Fraction or an int.  The martingale test reads Z's drift
-    from `support_drift`."""
-    z = density.values
-    missing = [n for n in tree.nodes if n not in z]
-    if missing:
-        return [f"density missing at nodes {missing}"]
-    problems = _inexact(z, tree.nodes, "density")
+    nonnegative martingale under the reference measure with Z(root) = 1.
+    What `ensure_adapted` refuses (a node missed, a node the tree does not
+    have, a value that is not a Fraction or an int) is listed alone; the
+    martingale test reads Z's drift from `support_drift`."""
+    problems = _adapted_problems(tree, density.values, "density")
     if problems:
         return problems
+    z = density.values
     if z[tree.root] != 1:
         problems.append(f"node {tree.root}: density at root is {z[tree.root]}, expected 1")
     for n in tree.nodes:
@@ -498,12 +497,11 @@ def one_step_drift(
     The process is a martingale under the (possibly tilted) measure exactly
     when the drift vanishes everywhere.  Raises NullEventError at internal
     nodes where the density vanishes, as in conditional_expectation, and
-    TreeError when the process or the density misses a node or holds a
-    value that is not a Fraction or an int.
+    TreeError when `ensure_adapted` refuses the process or the density.
     """
-    _ensure_exact(tree, process, "process")
+    ensure_adapted(tree, process, "process")
     if density is not None:
-        _ensure_exact(tree, density, "density")
+        ensure_adapted(tree, density, "density")
         for n in tree.internal:
             if density[n] == 0:
                 raise NullEventError(n)

@@ -67,6 +67,13 @@ def test_validate_market_lists_problems_without_raising():
     market = load_market(DOC)
     object.__setattr__(market, "fee", F(2))
     assert validate_market(market)
+    # a missing price used to hide a bad lambda
+    with pytest.raises(MarketError) as info:
+        make_market(market.tree, AdaptedProcess({0: F(1), 1: F(1, 2)}), F(3, 2))
+    assert info.value.problems == [
+        "price missing values at nodes [2]",
+        "lambda must satisfy 0 <= lambda < 1, got 3/2",
+    ]
 
 
 def test_random_markets_validate(seed=71):

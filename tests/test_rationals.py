@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from spreadlab import (
     AdaptedProcess,
+    ConsistentPriceSystem,
     CpsError,
     CpsQuery,
     EventTree,
@@ -196,21 +197,61 @@ def test_api_rejects_float_and_bool_node_values(site, bad):
         NODE_VALUES[site](bad)
 
 
-@pytest.mark.parametrize("call", [
-    lambda tree, full, partial: one_step_drift(tree, partial),
-    lambda tree, full, partial: one_step_drift(tree, full, partial),
-    lambda tree, full, partial: conditional_expectation(tree, partial, None, 0, 1),
-    lambda tree, full, partial: conditional_expectation(tree, full, partial, 0, 1),
-], ids=[
-    "one_step_drift.process", "one_step_drift.density",
-    "conditional_expectation.process", "conditional_expectation.density",
+def _flat_system(shadow, density):
+    """What verify_cps lists for a system on the flat one-period market at
+    lambda = 1/2, where Z = 1 and S-tilde = S = 1 make a system."""
+    market = make_market(_one_period_tree(), AdaptedProcess({0: 1, 1: 1, 2: 1}), F(1, 2))
+    return verify_cps(market, ConsistentPriceSystem(shadow, density, F(1, 2)))[1]
+
+
+_MISSING = AdaptedProcess({0: 1, 1: 1})
+_UNKNOWN = AdaptedProcess({0: 1, 1: 1, 2: 1, 99: 1})
+
+
+# call(tree, full, bad) with `full` on every node; `error` None means the
+# problems are returned, not raised
+@pytest.mark.parametrize("call, bad, error, problem", [
+    pytest.param(lambda tree, full, bad: one_step_drift(tree, bad), _MISSING, TreeError,
+                 "process missing values at nodes [2]", id="one_step_drift.process"),
+    pytest.param(lambda tree, full, bad: one_step_drift(tree, full, bad), _MISSING, TreeError,
+                 "density missing values at nodes [2]", id="one_step_drift.density"),
+    pytest.param(lambda tree, full, bad: conditional_expectation(tree, bad, None, 0, 1), _MISSING, TreeError,
+                 "process missing values at nodes [2]", id="conditional_expectation.process"),
+    pytest.param(lambda tree, full, bad: conditional_expectation(tree, full, bad, 0, 1), _MISSING, TreeError,
+                 "density missing values at nodes [2]", id="conditional_expectation.density"),
+    pytest.param(lambda tree, full, bad: density_problems(tree, bad), _MISSING, None,
+                 "density missing values at nodes [2]", id="density_problems.missing"),
+    pytest.param(lambda tree, full, bad: one_step_drift(tree, bad), _UNKNOWN, TreeError,
+                 "process has values at unknown nodes [99]", id="one_step_drift.process.unknown"),
+    pytest.param(lambda tree, full, bad: one_step_drift(tree, full, bad), _UNKNOWN, TreeError,
+                 "density has values at unknown nodes [99]", id="one_step_drift.density.unknown"),
+    pytest.param(lambda tree, full, bad: conditional_expectation(tree, bad, None, 0, 1), _UNKNOWN, TreeError,
+                 "process has values at unknown nodes [99]", id="conditional_expectation.process.unknown"),
+    pytest.param(lambda tree, full, bad: conditional_expectation(tree, full, bad, 0, 1), _UNKNOWN, TreeError,
+                 "density has values at unknown nodes [99]", id="conditional_expectation.density.unknown"),
+    pytest.param(lambda tree, full, bad: density_problems(tree, bad), _UNKNOWN, None,
+                 "density has values at unknown nodes [99]", id="density_problems.unknown"),
+    pytest.param(lambda tree, full, bad: check_ossm(tree, full, bad), _UNKNOWN, ValueError,
+                 "invalid density: density has values at unknown nodes [99]", id="check_ossm.density.unknown"),
+    pytest.param(lambda tree, full, bad: _flat_system({0: 1, 1: 1, 2: 1}, bad), _UNKNOWN, None,
+                 "density has values at unknown nodes [99]", id="verify_cps.density.unknown"),
+    pytest.param(lambda tree, full, bad: _flat_system(bad.values, full), _UNKNOWN, None,
+                 "shadow price has values at unknown nodes [99]", id="verify_cps.shadow_price.unknown"),
 ])
-def test_one_step_formulas_name_a_missing_node(call):
-    # a process or density without node 2 used to raise a bare KeyError: 2
+def test_one_step_formulas_name_a_missing_node(call, bad, error, problem):
+    # a process or density without node 2 used to raise a bare KeyError: 2;
+    # a density with a value at node 99 passed density_problems, check_ossm
+    # and verify_cps but not one_step_drift, and verify_cps passed a shadow
+    # price there that load_cps refuses
     tree = _one_period_tree()
-    full, partial = AdaptedProcess({0: 1, 1: 1, 2: 1}), AdaptedProcess({0: 1, 1: 1})
-    with pytest.raises(TreeError, match=r"(process|density) missing values at nodes \[2\]"):
-        call(tree, full, partial)
+    full = AdaptedProcess({0: 1, 1: 1, 2: 1})
+    if error is None:
+        assert call(tree, full, bad) == [problem]
+        return
+    with pytest.raises(error) as info:
+        call(tree, full, bad)
+    assert type(info.value) is error
+    assert str(info.value) == problem
 
 
 def test_strategy_names_every_inexact_holding():
