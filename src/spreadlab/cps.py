@@ -150,11 +150,10 @@ class CpsInfeasibility:
     """
 
     certificate: FarkasCertificate
-    num_vars: int
     constraints: tuple[Constraint, ...]
 
     def verify(self) -> bool:
-        return self.certificate.verify(self.num_vars, self.constraints)
+        return self.certificate.verify(self.constraints)
 
 
 @dataclass(frozen=True)
@@ -524,7 +523,6 @@ def _interval_certificate(
     used = [key for key in _row_keys(tree, query.epsilon) if mu.get(key)]
     return CpsInfeasibility(
         certificate=FarkasCertificate(tuple(mu[key] for key in used)),
-        num_vars=2 * len(pos),
         constraints=tuple(_cps_row(market, query.fee, query.epsilon, pos, *key) for key in used),
     )
 

@@ -55,10 +55,12 @@ class FarkasCertificate:
 
     multipliers: tuple[Fraction, ...]
 
-    def verify(self, num_vars: int, constraints: Sequence[Constraint]) -> bool:
+    def verify(self, constraints: Sequence[Constraint]) -> bool:
+        """Recompute the aggregation; only the variables the rows touch can
+        get a nonzero coefficient, so only those are sign-tested."""
         if len(self.multipliers) != len(constraints):
             return False
-        combined = [Fraction(0)] * num_vars
+        combined: dict[int, Fraction] = {}
         rhs_total = Fraction(0)
         for mu, con in zip(self.multipliers, constraints):
             if not mu:
@@ -69,9 +71,9 @@ class FarkasCertificate:
             if con.relation == GE and mu > 0:
                 return False
             for j, a in con.coeffs.items():
-                combined[j] += mu * a
+                combined[j] = combined.get(j, 0) + mu * a
             rhs_total += mu * con.rhs
-        return all(c >= 0 for c in combined) and rhs_total < 0
+        return all(c >= 0 for c in combined.values()) and rhs_total < 0
 
 
 @dataclass(frozen=True)

@@ -177,7 +177,6 @@ def lp_find_cps(market, query):
             feasible=False,
             infeasibility=CpsInfeasibility(
                 certificate=result.certificate,
-                num_vars=num_vars,
                 constraints=tuple(cons),
             ),
         )

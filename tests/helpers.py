@@ -168,11 +168,11 @@ def check_find_cps_report(market: Market, report: dict) -> bool:
         return True
     fee, epsilon = parse_rational(report["lambda_prime"]), parse_rational(report["epsilon"])
     multipliers = report["certificate"]["multipliers"]
-    num_vars, rows, _ = _cps_constraints(market, fee, epsilon)
+    _, rows, _ = _cps_constraints(market, fee, epsilon)
     used = [row for row in rows if row.label in multipliers]
     assert [row.label for row in used] == list(multipliers)
     certificate = FarkasCertificate(tuple(parse_rational(mu) for mu in multipliers.values()))
     assert all(certificate.multipliers)
-    assert certificate.verify(num_vars, used)
+    assert certificate.verify(used)
     assert report["certificate"]["verified"] is True
     return False

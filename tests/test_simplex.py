@@ -84,7 +84,7 @@ class TestInfeasibility:
         constraints = [con({0: 1}, GE, 2), con({0: 1}, LE, 1)]
         result = solve(1, constraints)
         assert result.status == INFEASIBLE
-        assert result.certificate.verify(1, constraints)
+        assert result.certificate.verify(constraints)
 
     def test_equality_clash(self):
         constraints = [
@@ -93,20 +93,20 @@ class TestInfeasibility:
         ]
         result = solve(2, constraints)
         assert result.status == INFEASIBLE
-        assert result.certificate.verify(2, constraints)
+        assert result.certificate.verify(constraints)
 
     def test_negative_rhs_equality(self):
         constraints = [con({0: 1, 1: 2}, EQ, -1)]
         result = solve(2, constraints)
         assert result.status == INFEASIBLE
-        assert result.certificate.verify(2, constraints)
+        assert result.certificate.verify(constraints)
 
     def test_certificate_rejects_wrong_sign(self):
         constraints = [con({0: 1}, GE, 2), con({0: 1}, LE, 1)]
         result = solve(1, constraints)
         cert = result.certificate
         flipped = type(cert)(multipliers=tuple(-m for m in cert.multipliers))
-        assert not flipped.verify(1, constraints)
+        assert not flipped.verify(constraints)
 
 
 def _feasible_by_vertex_enumeration(constraints, num_vars):
@@ -167,4 +167,4 @@ class TestAgainstVertexEnumeration:
                         assert lhs == c.rhs
             else:
                 assert result.status == INFEASIBLE
-                assert result.certificate.verify(2, constraints)
+                assert result.certificate.verify(constraints)
