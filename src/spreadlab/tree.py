@@ -406,14 +406,20 @@ def conditional_expectation(
     With ``density`` = None this is the plain conditional expectation; with
     a density process Z (a nonnegative martingale with Z(root) = 1) it is
     the Bayes quotient E[Z_h X_h | node] / Z(node).  Raises NullEventError
-    when Z(node) = 0, since the conditioning event is then null, and
-    TreeError when `ensure_adapted` refuses the process or the density.
+    when Z(node) = 0, since the conditioning event is then null; TreeError
+    when `ensure_adapted` refuses the process or the density, or the node
+    is not an int id in the tree; and ValueError when the horizon is not an
+    int in range.  A bool is not an int here.
     """
     ensure_adapted(tree, process, "process")
     if density is not None:
         ensure_adapted(tree, density, "density")
+    if not isinstance(node, int) or isinstance(node, bool):
+        raise TreeError([f"node must be an integer id, got {node!r}"])
     if node not in tree.node_set:
         raise TreeError([f"node {node}: not in tree"])
+    if not isinstance(horizon, int) or isinstance(horizon, bool):
+        raise ValueError(f"horizon must be an integer, got {horizon!r}")
     start = tree.time_index[node]
     if horizon < start or horizon > tree.horizon:
         raise ValueError(

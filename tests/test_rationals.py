@@ -237,6 +237,14 @@ _UNKNOWN = AdaptedProcess({0: 1, 1: 1, 2: 1, 99: 1})
                  "density has values at unknown nodes [99]", id="verify_cps.density.unknown"),
     pytest.param(lambda tree, full, bad: _flat_system(bad.values, full), _UNKNOWN, None,
                  "shadow price has values at unknown nodes [99]", id="verify_cps.shadow_price.unknown"),
+    # an id or a depth that is not an int: True and 1.0 were read as 1, and
+    # a float horizon raised a bare TypeError
+    *(pytest.param(lambda tree, full, bad, v=v: conditional_expectation(tree, full, None, v, 1), None, TreeError,
+                   f"node must be an integer id, got {v!r}", id=f"conditional_expectation.node.{v!r}")
+      for v in (True, 1.0)),
+    *(pytest.param(lambda tree, full, bad, v=v: conditional_expectation(tree, full, None, 0, v), None, ValueError,
+                   f"horizon must be an integer, got {v!r}", id=f"conditional_expectation.horizon.{v!r}")
+      for v in (True, 1.5, 2.0)),
 ])
 def test_one_step_formulas_name_a_missing_node(call, bad, error, problem):
     # a process or density without node 2 used to raise a bare KeyError: 2;
