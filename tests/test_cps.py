@@ -466,6 +466,19 @@ class TestWire:
         assert cps.fee == F(1, 2)
         assert cps.shadow_price == result.cps.shadow_price
         assert cps.density.values == result.cps.density.values
+        assert verify_cps(market, cps, epsilon=epsilon) == (True, [])
+        # what verify_cps accepts loads back: it used to accept values at
+        # nodes outside the tree, which load_cps refuses
+        injected = ConsistentPriceSystem(
+            {**cps.shadow_price, 77: F(1, 3)}, AdaptedProcess({**cps.density.values, 99: 5}), cps.fee
+        )
+        with pytest.raises(CpsError) as info:
+            load_cps(cps_to_doc(injected, epsilon), market.tree)
+        assert info.value.problems == ["S_tilde: node 77 not in tree", "Z: node 99 not in tree"]
+        assert verify_cps(market, injected, epsilon=epsilon) == (False, [
+            "density has values at unknown nodes [99]",
+            "shadow price has values at unknown nodes [77]",
+        ])
 
     def test_partial_shadow_price_marks_off_support(self):
         market = binary_market(fee="1/2")
