@@ -20,11 +20,11 @@ out, so empty children are dropped, an end is attained if any child
 attains it, and a system exists if the root's interval is nonempty.
 
 A nonempty root interval is turned into a witness top down: each node's
-value is placed inside its children's intervals, and the one-step
-weights are the plainest that average the children back to it: P
-itself when the children's P-mean is the node's value, else P scaled
-down with the rest on one extreme child.  So Z costs one product per
-node, in the same pass.  In the equivalent mode every leaf density is
+value is placed inside its children's intervals; a second top-down pass
+then weighs them, with the plainest one-step weights that average the
+children back to the node's value: P itself when the children's P-mean
+is that value, else P scaled down with the rest on one extreme child.
+So Z costs one product per node.  In the equivalent mode every leaf density is
 positive, so the witness is equivalent and clears a leaf floor of
 exactly its minimum leaf density; `max_equivalence_margin` gives the
 best floor any system clears.
@@ -557,12 +557,15 @@ def verify_cps(
 ) -> tuple[bool, list[str]]:
     """Check every defining property of a price system, exactly.
 
-    Checks: density domain, Z(root) = 1, Z >= 0, zero one-step drift of Z
-    and of Z * S-tilde, shadow price present on the support and inside the
-    spread, and (when epsilon is given) the leaf floor.  Returns all
-    violations found, each naming its node; a density or shadow value that
-    is not a Fraction or an int is reported before any arithmetic.  A
-    level outside [0, 1) or a negative epsilon raises CpsError.
+    Checks: the density by `density_problems` (Z on exactly the tree's
+    nodes, Z(root) = 1, Z >= 0, zero one-step drift), the shadow price on
+    no node outside the tree, present on the support and inside the
+    spread, zero one-step drift of Z * S-tilde, and (when epsilon is
+    given) the leaf floor.  Returns all violations found, each naming its
+    node or the unknown nodes; a density or shadow value that is not a
+    Fraction or an int is reported before any arithmetic, as
+    `ensure_adapted` words it.  A level outside [0, 1) or a negative
+    epsilon raises CpsError.
     """
     tree = market.tree
     fee, epsilon = _level_and_floor(

@@ -35,9 +35,9 @@ class Market:
 
 
 def validate_market(market: Market) -> list[str]:
-    """Return all violations of the market's standing assumptions: every
-    price a positive Fraction or int (no float, no bool), and lambda in
-    [0, 1)."""
+    """Return all violations of the market's standing assumptions: prices
+    that `ensure_adapted` accepts, all positive (tested only once it
+    accepts them), and lambda a Fraction or an int in [0, 1)."""
     price = market.price.values
     problems = _adapted_problems(market.tree, price, "price")
     if not problems:
