@@ -449,10 +449,10 @@ def density_problems(tree: EventTree, density: AdaptedProcess) -> list[str]:
     What `ensure_adapted` refuses (a node missed, a node the tree does not
     have, a value that is not a Fraction or an int) is listed alone; the
     martingale test reads Z's drift from `support_drift`."""
-    problems = _adapted_problems(tree, density.values, "density")
+    z = density.values
+    problems = _adapted_problems(tree, z, "density")
     if problems:
         return problems
-    z = density.values
     if z[tree.root] != 1:
         problems.append(f"node {tree.root}: density at root is {z[tree.root]}, expected 1")
     for n in tree.nodes:
