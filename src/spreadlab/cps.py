@@ -24,10 +24,10 @@ value is placed inside its children's intervals; a second top-down pass
 then weighs them, with the plainest one-step weights that average the
 children back to the node's value: P itself when the children's P-mean
 is that value, else P scaled down with the rest on one extreme child.
-So Z costs one product per node.  In the equivalent mode every leaf density is
-positive, so the witness is equivalent and clears a leaf floor of
-exactly its minimum leaf density; `max_equivalence_margin` gives the
-best floor any system clears.
+So Z costs one product per node.  In the equivalent mode every leaf
+density is positive, so the witness is equivalent and clears a leaf
+floor of exactly its minimum leaf density; `max_equivalence_margin`
+gives the best floor any system clears.
 
 The threshold, the infimum of the feasible cost levels, is read off the
 same recursion.  In the equivalent mode the level only scales the low
