@@ -45,6 +45,12 @@ full system, writes them, and no other row is built.  Its multipliers do
 not depend on the leaf floor epsilon > 0 of the rows, so its size never
 matters; epsilon = 0 goes with the absolutely continuous mode, where the
 shadow price is only defined on the support.
+
+The interval pass, the placement, the weights and the equivalent-mode
+threshold follow the integer rule of `tree`: each compares by
+cross-multiplying `as_integer_ratio()` pairs and builds one Fraction per
+value it stores, so the values are those of step-by-step Fraction
+arithmetic.
 """
 
 from __future__ import annotations
@@ -60,7 +66,7 @@ from .market import Market
 from .rationals import format_rational, parse_rational, rational_reader
 from .simplex import Constraint, FarkasCertificate
 from .tree import (
-    AdaptedProcess, EventTree, InputError, NodeId, _adapted_problems, _total, density_problems, support_drift
+    AdaptedProcess, EventTree, InputError, NodeId, _adapted_problems, density_problems, support_drift
 )
 
 EQUIVALENT = "equivalent"
@@ -177,6 +183,24 @@ def _row_keys(tree: EventTree, epsilon: Fraction) -> list[tuple[str, NodeId]]:
     return keys
 
 
+# a row's block in `_row_keys` and its place among its node's rows there
+_ROW_BLOCK = {
+    "unit_root_mass": (0, 0),
+    "mass_drift": (1, 0),
+    "price_drift": (1, 1),
+    "bid": (2, 0),
+    "ask": (2, 1),
+    "floor": (3, 0),
+}
+
+
+def _row_rank(pos: Mapping[NodeId, int], kind: str, node: NodeId) -> tuple[int, int, int]:
+    """Sorts (kind, node) keys into `_row_keys` order: internal nodes and
+    leaves come in ``tree.nodes`` order, whose positions ``pos`` gives."""
+    block, place = _ROW_BLOCK[kind]
+    return block, pos[node], place
+
+
 def _cps_row(
     market: Market, fee: Fraction, epsilon: Fraction, pos: Mapping[NodeId, int], kind: str, node: NodeId
 ) -> Constraint:
@@ -231,31 +255,47 @@ class _Box(NamedTuple):
     hi_closed: bool
 
 
-def _cut(lo: Fraction, hi: Fraction, kids: list, equivalent: bool) -> _Box:
-    """A node's interval: its spread [lo, hi] cut by the hull of its
-    children's intervals ``kids``.  In the equivalent mode every child
-    keeps mass, so an end of the hull is attained only if every child
-    attains it; in the absolutely continuous mode, if any child does."""
+def _bid(kn: int, kd: int, hi: Fraction, n: int, d: int) -> Fraction:
+    """The bid keep * hi, keep = kn / kd, from its pair (n, d): hi itself
+    at level 0."""
+    return hi if kn == kd else Fraction(n, d)
+
+
+def _cut(kn: int, kd: int, hi: Fraction, kids: list, equivalent: bool) -> "tuple[_Box, bool]":
+    """A node's interval and whether it is nonempty: its spread
+    [keep hi, hi], keep = kn / kd, cut by the hull of its children's
+    intervals ``kids``.  In the equivalent mode every child keeps mass, so
+    an end of the hull is attained only if every child attains it; in the
+    absolutely continuous mode, if any child does."""
     kids = iter(kids)
     bottom, bottom_closed, top, top_closed = next(kids)
+    bn, bd = bottom.as_integer_ratio()
+    tn, td = top.as_integer_ratio()
     for kid_lo, kid_lo_closed, kid_hi, kid_hi_closed in kids:
         # a child that lowers the bottom leaves the others above it; one
         # that misses the bottom opens it (equivalent), one on it closes it
-        if kid_lo < bottom:
-            bottom, bottom_closed = kid_lo, kid_lo_closed and not equivalent
-        elif bottom_closed != (kid_lo_closed and kid_lo == bottom):
+        n, d = kid_lo.as_integer_ratio()
+        side = n * bd - bn * d
+        if side < 0:
+            bottom, bottom_closed, bn, bd = kid_lo, kid_lo_closed and not equivalent, n, d
+        elif bottom_closed != (kid_lo_closed and not side):
             bottom_closed = not equivalent
-        if kid_hi > top:
-            top, top_closed = kid_hi, kid_hi_closed and not equivalent
-        elif top_closed != (kid_hi_closed and kid_hi == top):
+        n, d = kid_hi.as_integer_ratio()
+        side = n * td - tn * d
+        if side > 0:
+            top, top_closed, tn, td = kid_hi, kid_hi_closed and not equivalent, n, d
+        elif top_closed != (kid_hi_closed and not side):
             top_closed = not equivalent
     # the spread's own ends are attained; where they meet the hull's, the
     # hull's closedness stands for the same value
-    if lo > bottom:
-        bottom, bottom_closed = lo, True
-    if hi < top:
-        top, top_closed = hi, True
-    return _Box(bottom, bottom_closed, top, top_closed)
+    hn, hd = hi.as_integer_ratio()
+    n, d = kn * hn, kd * hd
+    if n * bd > bn * d:
+        bottom, bottom_closed, bn, bd = _bid(kn, kd, hi, n, d), True, n, d
+    if hn * td < tn * hd:
+        top, top_closed, tn, td = hi, True, hn, hd
+    side = tn * bd - bn * td
+    return _Box(bottom, bottom_closed, top, top_closed), side > 0 or (not side and bottom_closed and top_closed)
 
 
 def _shadow_intervals(
@@ -273,16 +313,16 @@ def _shadow_intervals(
     and a system exists exactly when the root is live.
     """
     tree, price = market.tree, market.price.values
-    keep = 1 - fee
+    kn, kd = (1 - fee).as_integer_ratio()
     live: dict[NodeId, _Box] = {}
     dead: dict[NodeId, "_Box | None"] = {}
     for n in reversed(tree.nodes):
         hi = price[n]
-        lo = keep * hi if fee else hi
         children = tree.children[n]
         if not children:
             # a positive price leaves the spread nonempty
-            live[n] = _Box(lo, True, hi, True)
+            hn, hd = hi.as_integer_ratio()
+            live[n] = _Box(_bid(kn, kd, hi, kn * hn, kd * hd), True, hi, True)
             continue
         if equivalent:
             kids = [live.get(c) or dead[c] for c in children]
@@ -291,8 +331,7 @@ def _shadow_intervals(
             if not kids:
                 dead[n] = None
                 continue
-        box = _cut(lo, hi, kids, equivalent)
-        nonempty = box.lo < box.hi or (box.lo_closed and box.hi_closed and box.lo == box.hi)
+        box, nonempty = _cut(kn, kd, hi, kids, equivalent)
         (live if nonempty else dead)[n] = box
     return live, dead
 
@@ -308,35 +347,56 @@ def _place(v: Fraction, boxes: list, probs: list) -> list:
     them.  v is then strictly between the lowest and the highest value,
     or equal to all of them, whenever v is in the intervals'
     equivalent-mode hull.
+
+    Every value is carried as (Fraction or None, num, den): an interval
+    end or v itself keeps its Fraction, a midpoint or a slid value is
+    built once, when it is returned.
     """
-    near, moved = [], []  # moved: the P-weighted moves off v, a child left at v adds 0
+    vn, vd = v.as_integer_ratio()
+    near = []  # per child: p, the ends and the nearest value u, as integer pairs
+    gap, gap_den = 0, 1  # the P-weighted moves off v, sum p (u - v), times vd
     for (lo, lo_closed, hi, hi_closed), p in zip(boxes, probs):
-        if v < lo or (not lo_closed and v == lo):
-            u = lo if lo_closed else (lo + hi) / 2
-        elif v > hi or (not hi_closed and v == hi):
-            u = hi if hi_closed else (lo + hi) / 2
+        pn, pd = p.as_integer_ratio()
+        ln, ld = lo.as_integer_ratio()
+        hn, hd = hi.as_integer_ratio()
+        below, above = vn * ld - ln * vd, vn * hd - hn * vd
+        if below < 0 or not (below or lo_closed):
+            u = (lo, ln, ld) if lo_closed else (None, ln * hd + hn * ld, 2 * ld * hd)
+        elif above > 0 or not (above or hi_closed):
+            u = (hi, hn, hd) if hi_closed else (None, ln * hd + hn * ld, 2 * ld * hd)
         else:
-            near.append(v)
+            near.append((pn, pd, ln, ld, hn, hd, v, vn, vd))
             continue
-        near.append(u)
-        moved.append(p * (u - v))
-    gap = _total(moved) if moved else 0
+        _, un, ud = u
+        near.append((pn, pd, ln, ld, hn, hd, *u))
+        n, d = pn * (un * vd - vn * ud), pd * ud
+        gap, gap_den = gap * d + n * gap_den, gap_den * d
     if not gap:
-        return near
-    # toward the low ends when the P-mean is above v, else the high ends
-    if gap > 0:
-        far = [lo if lo_closed else (lo + u) / 2 for (lo, lo_closed, _, _), u in zip(boxes, near)]
-        upper, lower = near, far
-    else:
-        far = [hi if hi_closed else (u + hi) / 2 for (_, _, hi, hi_closed), u in zip(boxes, near)]
-        upper, lower, gap = far, near, -gap
-    # how far the P-mean moves when every value reaches its far end
-    pulls = [p * (a - b) for p, a, b in zip(probs, upper, lower) if a is not b]
-    pull = _total(pulls) if pulls else 0
-    if pull < gap:
-        return far
-    s = gap / pull
-    return [u if f is u else u + s * (f - u) for u, f in zip(near, far)]
+        return [Fraction(un, ud) if u is None else u for *_, u, un, ud in near]
+    # toward the low ends when the P-mean is above v, else the high ends;
+    # pull: how far the P-mean moves when every value reaches its far end
+    low = gap > 0
+    far, pull, pull_den = [], 0, 1
+    for (lo, lo_closed, hi, hi_closed), (pn, pd, ln, ld, hn, hd, u, un, ud) in zip(boxes, near):
+        if low:
+            f = (lo, ln, ld) if lo_closed else (None, ln * ud + un * ld, 2 * ld * ud)
+        else:
+            f = (hi, hn, hd) if hi_closed else (None, un * hd + hn * ud, 2 * ud * hd)
+        _, fn, fd = f
+        step = fn * ud - un * fd  # (f - u) ud fd
+        far.append((*f, step))
+        if step:
+            n, d = pn * abs(step), pd * ud * fd
+            pull, pull_den = pull * d + n * pull_den, pull_den * d
+    gap = abs(gap)
+    if pull * gap_den * vd < gap * pull_den:
+        return [Fraction(fn, fd) if f is None else f for f, fn, fd, _ in far]
+    # s = gap / pull = sn / sd, and each value that moves is u + s (f - u)
+    sn, sd = gap * pull_den, gap_den * vd * pull
+    return [
+        Fraction(un * fd * sd + sn * step, ud * fd * sd) if step else Fraction(un, ud) if u is None else u
+        for (*_, u, un, ud), (_, _, fd, step) in zip(near, far)
+    ]
 
 
 def _density(tree: EventTree, shadow: Mapping[NodeId, Fraction]) -> dict[NodeId, Fraction]:
@@ -351,6 +411,9 @@ def _density(tree: EventTree, shadow: Mapping[NodeId, Fraction]) -> dict[NodeId,
     the lowest and the highest value, or makes every value v, so t is in
     (0, 1] and every such child keeps mass.  Z_c = Z_n q_c / p_c; children
     without a value get none.
+
+    The sums, the mean test, the choice of e and r are integer pairs; the
+    children other than e share one Fraction Z_n r, and e gets one more.
     """
     prob = tree.cond_prob
     density = dict.fromkeys(tree.nodes, _ZERO)
@@ -361,27 +424,46 @@ def _density(tree: EventTree, shadow: Mapping[NodeId, Fraction]) -> dict[NodeId,
             continue
         children = tree.children[n]
         kids = [c for c in children if c in shadow]
-        u = [shadow[c] for c in kids]
         full = len(kids) == len(children)
-        total = _ONE if full else _total(prob[c] for c in kids)
-        mass = _total(prob[c] * uc for c, uc in zip(kids, u))
+        # total = sum p = tn / td and mass = sum p u = mn / md, unnormalized
+        tn, td, mn, md = 0, 1, 0, 1
+        terms = []
+        for c in kids:
+            pn, pd = prob[c].as_integer_ratio()
+            un, ud = shadow[c].as_integer_ratio()
+            terms.append((pn, pd, un, ud))
+            if not full:
+                tn, td = tn * pd + pn * td, td * pd
+            d = pd * ud
+            mn, md = mn * d + pn * un * md, md * d
+        if full:
+            tn = td = 1
+        vn, vd = v.as_integer_ratio()
+        gap = vn * tn * md - mn * vd * td  # the sign of v total - mass
         z = density[n]
-        if full and mass == v:
+        if full and not gap:
             for c in kids:
                 density[c] = z
             continue
-        gap = v * total - mass
-        # r = t / sum p: every child's ratio Z_c / Z_n, e's without its surplus
+        # r = rn / rd = t / sum p: every child's ratio Z_c / Z_n, e's without its surplus
         if gap:
-            e = (min if gap < 0 else max)(range(len(u)), key=u.__getitem__)
-            r = (v - u[e]) / (mass - u[e] * total)
+            e, (_, _, en, ed) = 0, terms[0]
+            for i, (_, _, un, ud) in enumerate(terms):
+                side = un * ed - en * ud
+                if side > 0 if gap > 0 else side < 0:
+                    e, en, ed = i, un, ud
+            # (v - u_e) / (mass - u_e total)
+            rn, rd = (vn * ed - en * vd) * md * td, vd * (mn * ed * td - en * tn * md)
         else:
-            e, r = None, 1 / total
+            e, rn, rd = None, td, tn
+        zn, zd = z.as_integer_ratio()
+        zr = Fraction(zn * rn, zd * rd)
         for c in kids:
-            density[c] = z * r
+            density[c] = zr
         if e is not None:
-            c = kids[e]
-            density[c] += z * (1 - r * total) / prob[c]
+            # Z_n (r + (1 - r total) / p_e)
+            pn, pd, _, _ = terms[e]
+            density[kids[e]] = Fraction(zn * (rn * pn * td + (rd * td - rn * tn) * pd), zd * rd * td * pn)
     return density
 
 
@@ -392,8 +474,9 @@ def _interval_witness(
     interval's midpoint, each node places its children's values with
     `_place`, and `_density` weighs them.  Returns the system and its
     minimum leaf density."""
-    root = live[tree.root]
-    shadow = {tree.root: (root.lo + root.hi) / 2}
+    ln, ld = live[tree.root].lo.as_integer_ratio()
+    hn, hd = live[tree.root].hi.as_integer_ratio()
+    shadow = {tree.root: Fraction(ln * hd + hn * ld, 2 * ld * hd)}
     for n in tree.nodes:
         v = shadow.get(n)
         if v is None:
@@ -520,7 +603,7 @@ def _interval_certificate(
             else:
                 mu["floor", n] -= w
     pos = {n: i for i, n in enumerate(tree.nodes)}
-    used = [key for key in _row_keys(tree, query.epsilon) if mu.get(key)]
+    used = sorted((key for key, w in mu.items() if w), key=lambda key: _row_rank(pos, *key))
     return CpsInfeasibility(
         certificate=FarkasCertificate(tuple(mu[key] for key in used)),
         constraints=tuple(_cps_row(market, query.fee, query.epsilon, pos, *key) for key in used),
@@ -677,15 +760,19 @@ def _threshold(market: Market, equivalent: bool) -> tuple[Fraction, bool]:
     tree, price = market.tree, market.price
 
     if equivalent:
-        level, attained = Fraction(0), True
+        # the level as (num, den), and each need 1 - H_n / L_n = (L_n - H_n) / L_n
+        num, den, attained = 0, 1, True
         for box in _shadow_intervals(market, Fraction(0), True)[1].values():
-            need = 1 - box.hi / box.lo
+            ln, ld = box.lo.as_integer_ratio()
+            hn, hd = box.hi.as_integer_ratio()
+            need, need_den = ln * hd - hn * ld, ln * hd
             closed = box.lo_closed and box.hi_closed
-            if need > level:
-                level, attained = need, closed
-            elif need == level:
+            side = need * den - num * need_den
+            if side > 0:
+                num, den, attained = need, need_den, closed
+            elif not side:
                 attained = attained and closed
-        return level, attained
+        return Fraction(num, den), attained
 
     def feasible(fee: Fraction) -> bool:
         return tree.root in _shadow_intervals(market, fee, False)[0]

@@ -13,14 +13,16 @@ the package core.  A per-node sign test reads the sign from the value's
 ``.numerator``, which is several times cheaper than comparing a Fraction
 with 0 and means the same for a Fraction or an int.
 
-The per-node formulas of the linear sweeps go one step further, with the
-deferred-gcd rational arithmetic of Knuth (TAOCP vol. 2, 4.5.1): each
-reads its operands' numerators and denominators once
-(``as_integer_ratio``), computes in integers and builds one
-``Fraction(num, den)``; an equality or order test cross-multiplies and
-builds none.  Stored values, arguments and results stay Fractions (or
-the ints a caller passed in): integers appear only inside one formula,
-and ``_step_sum``, the one-step formulas' shared inside, hands its pair
+The per-node formulas of the linear sweeps, and those of the CPS layer
+(`cps`: the interval pass, the placement, the witness weights and the
+equivalent-mode threshold), go one step further, with the deferred-gcd
+rational arithmetic of Knuth (TAOCP vol. 2, 4.5.1): each reads its
+operands' numerators and denominators once (``as_integer_ratio``),
+computes in integers and builds one ``Fraction(num, den)`` per value it
+stores; an equality or order test cross-multiplies and builds none.
+Stored values, arguments and results stay Fractions (or the ints a
+caller passed in): integers appear only inside one formula, and
+``_step_sum``, the one-step formulas' shared inside, hands its pair
 straight to the formula that asked for it.  A normalized Fraction is
 canonical, so the values are the ones step-by-step Fraction arithmetic
 gives.
@@ -75,15 +77,6 @@ def _inexact(values: Mapping[NodeId, object], nodes: Iterable[NodeId], what: str
         for n in nodes
         if type(v := values[n]) is not Fraction and (type(v) is bool or not isinstance(v, (Fraction, int)))
     ]
-
-
-def _total(values: Iterable[Fraction]) -> Fraction:
-    """Exact sum of a nonempty iterable, started at its first term."""
-    values = iter(values)
-    total = next(values)
-    for v in values:
-        total += v
-    return total
 
 
 def _step_sum(
@@ -371,7 +364,11 @@ def _adapted_problems(
     problems = [f"{name} missing values at nodes {missing}"] if missing else []
     # the values at tree nodes number len(nodes) - len(missing): any more are unknown
     if len(values) + len(missing) != len(nodes):
-        extra = sorted(n for n in values if n not in tree.node_set)
+        # ints first, in numeric order, then any other id by its repr
+        extra = sorted(
+            (n for n in values if n not in tree.node_set),
+            key=lambda n: (False, n) if isinstance(n, int) else (True, repr(n)),
+        )
         problems.append(f"{name} has values at unknown nodes {extra}")
     return problems or _inexact(values, nodes, name)
 
@@ -480,10 +477,18 @@ def support_drift(
     nonzero one.
     """
     x, cond, children = process.values, tree.cond_prob, tree.children
-    z = None if density is None else density.values
     drift: dict[NodeId, Fraction] = {}
+    if density is None:
+        for n in tree.internal:
+            # sum p_c x_c - x_n
+            num, den = _step_sum(cond, children[n], x)
+            xn, xd = x[n].as_integer_ratio()
+            num = num * xd - xn * den
+            drift[n] = Fraction(num, den * xd) if num else _ZERO
+        return drift
+    z = density.values
     for n in tree.internal:
-        zn, zd = (1, 1) if z is None else z[n].as_integer_ratio()
+        zn, zd = z[n].as_integer_ratio()
         if zn:
             # (sum p_c z_c x_c - z_n x_n) / z_n
             num, den = _step_sum(cond, children[n], x, z)

@@ -95,3 +95,67 @@ def test_ac_threshold_matches_reference(family):
         positive += level > 0
     # martingale markets are feasible at 0; every other family reaches the search
     assert positive == 0 if family == "martingale" else positive > 0
+
+
+def one_period(*probs):
+    """A one-period tree, root 0 over children 1, 2, ... with ``probs``."""
+    return EventTree.build([F(0), F(1)], [(0, None, F(1))] + [(c, 0, p) for c, p in enumerate(probs, 1)])
+
+
+Box = cps_reference.Box
+
+# (v, boxes, probs): the ties and the ends where an integer comparison can
+# drift from the Fraction form through a strict or non-strict test
+PLACE_CASES = {
+    # v on an open low end goes to the midpoint, on a closed one stays
+    "v_on_open_low_end": (F(1), [Box(F(1), False, F(2), True), Box(F(0), True, F(2), True)], [F(1, 2), F(1, 2)]),
+    "v_on_open_high_end": (F(2), [Box(F(1), True, F(2), False), Box(F(1), True, F(3), True)], [F(1, 3), F(2, 3)]),
+    "v_on_closed_ends": (F(1), [Box(F(1), True, F(2), True), Box(F(0), True, F(1), True)], [F(1, 4), F(3, 4)]),
+    # the nearest values' moves cancel: a zero gap, nothing slides
+    "moves_cancel": (F(2), [Box(F(3), True, F(4), True), Box(F(0), True, F(1), True)], [F(1, 2), F(1, 2)]),
+    # the far ends reach v exactly: pull == gap, s = 1
+    "pull_equals_gap": (F(2), [Box(F(3), True, F(4), True), Box(F(1), True, F(2), True)], [F(1, 2), F(1, 2)]),
+    # the far ends fall short: pull < gap, the far ends are returned
+    "pull_below_gap": (F(2), [Box(F(3), True, F(4), True), Box(F(3, 2), True, F(2), True)], [F(3, 4), F(1, 4)]),
+    # open far ends slide halfway; v on the open end of one child
+    "open_far_ends": (F(2), [Box(F(2), False, F(5), False), Box(F(1), False, F(3), True)], [F(1, 3), F(2, 3)]),
+    "one_child_inside": (F(3, 2), [Box(F(1), True, F(2), True)], [F(1)]),
+    "one_child_open_end": (F(2), [Box(F(1), True, F(2), False)], [F(1)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLACE_CASES))
+def test_place_corner_cases_match_reference(case):
+    v, boxes, probs = PLACE_CASES[case]
+    placed = cps_module._place(v, boxes, probs)
+    assert placed == cps_reference.place(v, boxes, probs)
+    assert all(type(u) is Fraction for u in placed)
+
+
+# (probs, shadow): root value at 0, children's values at 1, 2, ...; a child
+# left out of ``shadow`` is off the support (absolutely continuous mode)
+DENSITY_CASES = {
+    # the P-mean 2 is above v = 3/2: the first of the two lowest takes the surplus
+    "tied_lowest": ([F(1, 3), F(1, 3), F(1, 3)], {0: F(3, 2), 1: F(1), 2: F(1), 3: F(4)}),
+    # the P-mean 2 is below v = 5/2: the first of the two highest takes it
+    "tied_highest": ([F(1, 4), F(1, 4), F(1, 2)], {0: F(5, 2), 1: F(3), 2: F(3), 3: F(1)}),
+    # the P-mean is v: Z stays
+    "mean_is_v": ([F(1, 2), F(1, 2)], {0: F(2), 1: F(1), 2: F(3)}),
+    # partial support whose P-mean is v: a zero gap, Z scaled by 1 / sum p
+    "partial_zero_gap": ([F(1, 4), F(1, 4), F(1, 2)], {0: F(2), 1: F(1), 2: F(3)}),
+    # partial support whose P-mean is not v
+    "partial_leaning": ([F(1, 4), F(1, 4), F(1, 2)], {0: F(2), 1: F(1), 3: F(5)}),
+    "one_child": ([F(1)], {0: F(7, 3), 1: F(7, 3)}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DENSITY_CASES))
+def test_density_corner_cases_match_reference(case):
+    probs, shadow = DENSITY_CASES[case]
+    tree = one_period(*probs)
+    density = cps_module._density(tree, shadow)
+    assert same_values(density, cps_reference.plain_density(tree, shadow))
+    assert cps_module.density_problems(tree, AdaptedProcess(density)) == []
+    if case.startswith("tied"):
+        # the surplus lands on child 1, not on its twin
+        assert density[1] > density[2]

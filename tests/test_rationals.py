@@ -45,7 +45,7 @@ from spreadlab import (
     strategy_to_doc,
 )
 from spreadlab.rationals import rational_reader
-from spreadlab.tree import density_problems
+from spreadlab.tree import density_problems, ensure_adapted
 
 from helpers import random_density, random_market, random_sf_strategy
 
@@ -206,6 +206,7 @@ def _flat_system(shadow, density):
 
 _MISSING = AdaptedProcess({0: 1, 1: 1})
 _UNKNOWN = AdaptedProcess({0: 1, 1: 1, 2: 1, 99: 1})
+_MIXED = AdaptedProcess({0: 1, 1: 1, 2: 1, "a": 1, 99: 1})
 
 
 # call(tree, full, bad) with `full` on every node; `error` None means the
@@ -237,6 +238,16 @@ _UNKNOWN = AdaptedProcess({0: 1, 1: 1, 2: 1, 99: 1})
                  "density has values at unknown nodes [99]", id="verify_cps.density.unknown"),
     pytest.param(lambda tree, full, bad: _flat_system(bad.values, full), _UNKNOWN, None,
                  "shadow price has values at unknown nodes [99]", id="verify_cps.shadow_price.unknown"),
+    # unknown ids of mixed types used to raise a bare TypeError from sorted:
+    # ints come first, in numeric order, then the others by repr
+    pytest.param(lambda tree, full, bad: ensure_adapted(tree, bad), _MIXED, TreeError,
+                 "process has values at unknown nodes [99, 'a']", id="ensure_adapted.unknown.mixed"),
+    pytest.param(lambda tree, full, bad: density_problems(tree, bad), _MIXED, None,
+                 "density has values at unknown nodes [99, 'a']", id="density_problems.unknown.mixed"),
+    pytest.param(lambda tree, full, bad: _flat_system({0: 1, 1: 1, 2: 1}, bad), _MIXED, None,
+                 "density has values at unknown nodes [99, 'a']", id="verify_cps.density.unknown.mixed"),
+    pytest.param(lambda tree, full, bad: _flat_system(bad.values, full), _MIXED, None,
+                 "shadow price has values at unknown nodes [99, 'a']", id="verify_cps.shadow_price.unknown.mixed"),
     # an id or a depth that is not an int: True and 1.0 were read as 1, and
     # a float horizon raised a bare TypeError
     *(pytest.param(lambda tree, full, bad, v=v: conditional_expectation(tree, full, None, v, 1), None, TreeError,
