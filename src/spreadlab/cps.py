@@ -255,12 +255,6 @@ class _Box(NamedTuple):
     hi_closed: bool
 
 
-def _bid(kn: int, kd: int, hi: Fraction, n: int, d: int) -> Fraction:
-    """The bid keep * hi, keep = kn / kd, from its pair (n, d): hi itself
-    at level 0."""
-    return hi if kn == kd else Fraction(n, d)
-
-
 def _cut(kn: int, kd: int, hi: Fraction, kids: list, equivalent: bool) -> "tuple[_Box, bool]":
     """A node's interval and whether it is nonempty: its spread
     [keep hi, hi], keep = kn / kd, cut by the hull of its children's
@@ -287,11 +281,12 @@ def _cut(kn: int, kd: int, hi: Fraction, kids: list, equivalent: bool) -> "tuple
         elif top_closed != (kid_hi_closed and not side):
             top_closed = not equivalent
     # the spread's own ends are attained; where they meet the hull's, the
-    # hull's closedness stands for the same value
+    # hull's closedness stands for the same value; the bid keep hi = n / d
+    # is built only when it bounds the interval
     hn, hd = hi.as_integer_ratio()
     n, d = kn * hn, kd * hd
     if n * bd > bn * d:
-        bottom, bottom_closed, bn, bd = _bid(kn, kd, hi, n, d), True, n, d
+        bottom, bottom_closed, bn, bd = hi if kn == kd else Fraction(n, d), True, n, d
     if hn * td < tn * hd:
         top, top_closed, tn, td = hi, True, hn, hd
     side = tn * bd - bn * td
@@ -322,7 +317,7 @@ def _shadow_intervals(
         if not children:
             # a positive price leaves the spread nonempty
             hn, hd = hi.as_integer_ratio()
-            live[n] = _Box(_bid(kn, kd, hi, kn * hn, kd * hd), True, hi, True)
+            live[n] = _Box(hi if kn == kd else Fraction(kn * hn, kd * hd), True, hi, True)
             continue
         if equivalent:
             kids = [live.get(c) or dead[c] for c in children]
