@@ -364,7 +364,7 @@ def _adapted_problems(
     problems = [f"{name} missing values at nodes {missing}"] if missing else []
     # the values at tree nodes number len(nodes) - len(missing): any more are unknown
     if len(values) + len(missing) != len(nodes):
-        # ints first, in numeric order, then any other id by its repr
+        # ids of mixed types have no common order: ints first, then the rest by repr
         extra = sorted(
             (n for n in values if n not in tree.node_set),
             key=lambda n: (False, n) if isinstance(n, int) else (True, repr(n)),

@@ -11,7 +11,7 @@ import pytest
 
 from spreadlab import EventTree, make_market
 from spreadlab import cps as cps_module
-from spreadlab.tree import AdaptedProcess
+from spreadlab.tree import AdaptedProcess, density_problems
 
 import cps_reference
 from helpers import martingale_prices, random_prices
@@ -155,7 +155,7 @@ def test_density_corner_cases_match_reference(case):
     tree = one_period(*probs)
     density = cps_module._density(tree, shadow)
     assert same_values(density, cps_reference.plain_density(tree, shadow))
-    assert cps_module.density_problems(tree, AdaptedProcess(density)) == []
+    assert density_problems(tree, AdaptedProcess(density)) == []
     if case.startswith("tied"):
         # the surplus lands on child 1, not on its twin
         assert density[1] > density[2]
