@@ -301,7 +301,7 @@ def _cmd_counterexample(args) -> _Outcome:
         raise ValueError(f"{out}: cannot create output directory ({exc.strerror or exc})")
     inputs = {
         "market.json": market_to_doc(report.market),
-        "strategy.json": strategy_to_doc(report.market.tree, report.strategy),
+        "strategy.json": strategy_to_doc(report.strategy),
         "cps.json": cps_to_doc(report.cps_witness, DEFAULT_EPSILON),
     }
     written = [_write_report(str(out / name), doc) for name, doc in inputs.items()]

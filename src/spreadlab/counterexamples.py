@@ -18,7 +18,7 @@ from .market import Market, make_market
 from .rationals import format_rational, parse_rational
 from .strategy import Strategy, check_self_financing
 from .tree import AdaptedProcess, EventTree, NodeId
-from .valuation import liquidation_value
+from .valuation import _liquidate
 
 DETERMINISTIC = "det"
 STOCHASTIC = "stoch"
@@ -58,7 +58,7 @@ def _require(condition: bool, what: str) -> None:
 
 
 def _post_trade_liquidation(market: Market, strategy: Strategy, node: NodeId) -> Fraction:
-    return liquidation_value(market, strategy.bond[node], strategy.stock[node], node)
+    return _liquidate(strategy.bond[node], strategy.stock[node], 1 - market.fee, market.price[node])
 
 
 def _dip_value(sale_wealth: Fraction, fee: Fraction, witness_fee: Fraction) -> Fraction:
@@ -98,10 +98,7 @@ def deterministic_counterexample(fee, steps: int = 2) -> CounterexampleReport:
     market = make_market(tree, AdaptedProcess(price), fee)
 
     shares = 1 / fee
-    strategy = Strategy(
-        bond=AdaptedProcess.constant(tree, -shares),
-        stock=AdaptedProcess.constant(tree, shares),
-    )
+    strategy = Strategy(tree, AdaptedProcess.constant(tree, -shares), AdaptedProcess.constant(tree, shares))
     sf = check_self_financing(market, strategy)
     _require(sf.ok, f"strategy not self-financing at nodes {list(sf.violations)}")
     _require(sf.slack[tree.root] == 0, f"root slack {sf.slack[tree.root]}, expected 0")
@@ -227,7 +224,7 @@ def stochastic_counterexample(
     for n in (6, 7, 8, 9, 10, 11):
         up = tree.parent[n]
         bond[n], stock[n] = bond[up], stock[up]
-    strategy = Strategy(bond=AdaptedProcess(bond), stock=AdaptedProcess(stock))
+    strategy = Strategy(tree, AdaptedProcess(bond), AdaptedProcess(stock))
 
     sf = check_self_financing(market, strategy)
     if literal_sale and witness_fee < fee:

@@ -751,6 +751,10 @@ def _threshold(market: Market, equivalent: bool) -> tuple[Fraction, bool]:
     is feasible, since one constant shadow price then sits in every
     spread.  Feasibility grows with the level, so bisecting the
     candidates, one backward pass per probe, finds it.
+
+    The commands and the theorem checks call this twin, because
+    `cps_threshold` drops ``attained``.  Both stay while the benchmark
+    harness compares `cps_threshold`'s bare Fraction and traces it by name.
     """
     tree, price = market.tree, market.price
 
@@ -793,6 +797,7 @@ def cps_threshold(market: Market, measure: str = EQUIVALENT) -> Fraction:
     ``measure`` is the class of the system's measure, EQUIVALENT or
     ABSOLUTELY_CONTINUOUS.  The infimum need not be attained: a market
     can admit an equivalent system at every positive level but not at 0.
+    ``_threshold`` is the twin that also says whether t is attained.
     """
     return _threshold(market, _equivalent_mode(measure))[0]
 

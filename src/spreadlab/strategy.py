@@ -1,9 +1,9 @@
 """Trading strategies: post-trade holdings and the self-financing test.
 
-A strategy records, at every node, the bond and stock positions held
-*after* trading there.  The pre-trade position at a node is the parent's
-post-trade position (zero at the root), so each node sees exactly one
-rebalancing at that node's quotes.
+A strategy records, at every node of its tree, the bond and stock
+positions held *after* trading there.  The pre-trade position at a node is
+the parent's post-trade position (zero at the root), so each node sees
+exactly one rebalancing at that node's quotes.
 
 Self-financing is an inequality, not an identity: purchases are funded at
 the ask, sales credited at the bid, and throwing money away is allowed.
@@ -18,7 +18,9 @@ from typing import Mapping
 
 from .market import Market
 from .rationals import format_rational, rational_reader
-from .tree import AdaptedProcess, EventTree, InputError, NodeId, _inexact, ensure_adapted, is_mapping
+from .tree import (
+    AdaptedProcess, EventTree, InputError, NodeId, TreeError, _adapted_problems, ensure_adapted, ensure_node, is_mapping
+)
 
 _ZERO = Fraction(0)
 _FLAT = (_ZERO, _ZERO)
@@ -30,16 +32,19 @@ class StrategyError(InputError):
 
 @dataclass(frozen=True)
 class Strategy:
-    """Post-trade holdings per node: bond units and stock units, each a
-    Fraction or an int: construction raises StrategyError naming every
-    node that holds anything else."""
+    """Post-trade holdings per node, bond and stock units, bound to its tree
+    and checked once, when built: each leg holds a Fraction or an int at
+    exactly the tree's nodes, or construction raises StrategyError listing
+    every problem `ensure_adapted`'s check finds."""
 
+    tree: EventTree
     bond: AdaptedProcess
     stock: AdaptedProcess
 
     def __post_init__(self):
-        bond, stock = self.bond.values, self.stock.values
-        problems = _inexact(bond, bond, "bond holding") + _inexact(stock, stock, "stock holding")
+        tree = self.tree
+        problems = _adapted_problems(tree, self.bond.values, "bond holding")
+        problems += _adapted_problems(tree, self.stock.values, "stock holding")
         if problems:
             raise StrategyError(problems)
 
@@ -52,12 +57,17 @@ class SelfFinancingReport:
 
 
 def ensure_strategy(tree: EventTree, strategy: Strategy) -> None:
-    ensure_adapted(tree, strategy.bond, "bond holdings")
-    ensure_adapted(tree, strategy.stock, "stock holdings")
+    """Refuse a strategy bound to another tree with TreeError; an equal
+    tree built apart passes.  No node is walked: `Strategy` checked them."""
+    if strategy.tree is not tree and strategy.tree != tree:
+        raise TreeError(["strategy is bound to another tree"])
 
 
-def pre_trade_holdings(tree: EventTree, strategy: Strategy, node: NodeId) -> tuple[Fraction, Fraction]:
-    """Holdings carried into a node before it trades; (0, 0) at the root."""
+def pre_trade_holdings(strategy: Strategy, node: NodeId) -> tuple[Fraction, Fraction]:
+    """Holdings carried into a node before it trades; (0, 0) at the root.
+    Raises TreeError unless ``node`` is an int id of the strategy's tree."""
+    tree = strategy.tree
+    ensure_node(tree, node)
     parent = tree.parent[node]
     if parent is None:
         return _FLAT
@@ -129,11 +139,12 @@ def derive_bond_account(market: Market, stock_plan: AdaptedProcess) -> Strategy:
         p = tree.parent[n]
         bond_in, stock_in = _FLAT if p is None else (bond[p], stock_plan[p])
         bond[n] = _slack(bond_in, stock_in, _ZERO, stock_plan[n], market.price[n], keep)
-    return Strategy(bond=AdaptedProcess(bond), stock=stock_plan)
+    return Strategy(tree, AdaptedProcess(bond), stock_plan)
 
 
 def load_strategy(document: Mapping, tree: EventTree) -> Strategy:
-    """Parse holdings from {"holdings": [{"node", "phi0", "phi1"}, ...]}.
+    """Parse holdings from {"holdings": [{"node", "phi0", "phi1"}, ...]}
+    into a strategy bound to ``tree``.
 
     Nodes omitted from the document inherit their parent's post-trade
     holdings (no trade); an omitted root starts flat at (0, 0).
@@ -184,11 +195,11 @@ def load_strategy(document: Mapping, tree: EventTree) -> Strategy:
                 bond[n], stock[n] = Fraction(0), Fraction(0)
             else:
                 bond[n], stock[n] = bond[p], stock[p]
-    return Strategy(bond=AdaptedProcess(bond), stock=AdaptedProcess(stock))
+    return Strategy(tree, AdaptedProcess(bond), AdaptedProcess(stock))
 
 
-def strategy_to_doc(tree: EventTree, strategy: Strategy) -> dict:
-    """Serialize holdings at every node (explicit, no inheritance)."""
+def strategy_to_doc(strategy: Strategy) -> dict:
+    """Serialize holdings at every node of its tree (explicit, no inheritance)."""
     return {
         "holdings": [
             {
@@ -196,6 +207,6 @@ def strategy_to_doc(tree: EventTree, strategy: Strategy) -> dict:
                 "phi0": format_rational(strategy.bond[n]),
                 "phi1": format_rational(strategy.stock[n]),
             }
-            for n in tree.nodes
+            for n in strategy.tree.nodes
         ]
     }

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .cps import EQUIVALENT, ConsistentPriceSystem, _equivalent_mode, _threshold, scale_cps, verify_cps
 from .market import Market
 from .rationals import parse_rational
-from .strategy import Strategy, check_self_financing, derive_bond_account, pre_trade_holdings
+from .strategy import Strategy, check_self_financing, derive_bond_account, ensure_strategy
 from .tree import (
     AdaptedProcess,
     EventTree,
@@ -33,8 +33,6 @@ from .valuation import (
     NUMERAIRE_FREE,
     _liquidate,
     admissibility_bound,
-    liquidation_value,
-    shadow_value,
 )
 
 LONG = "long"
@@ -86,7 +84,9 @@ def check_ossm(tree: EventTree, process: AdaptedProcess, density: AdaptedProcess
 
 def _ossm(tree: EventTree, process: AdaptedProcess, density: AdaptedProcess) -> OssmReport:
     """``check_ossm`` for a process on every node and a density already
-    validated (``verify_cps`` checks it with ``density_problems`` too)."""
+    validated.  The twin stays because ``decompose`` has had the density
+    checked once, by ``verify_cps`` inside `shadow_decomposition`, and
+    `check_ossm` would check it again."""
     drift = support_drift(tree, process, density)
     violations = tuple((n, d) for n, d in drift.items() if d.numerator > 0)
     if violations:
@@ -134,21 +134,21 @@ def _require_shadow_everywhere(tree: EventTree, cps: ConsistentPriceSystem) -> N
         raise ValueError(f"shadow price missing at nodes {missing}")
 
 
-def shadow_values(
-    tree: EventTree,
-    strategy: Strategy,
-    cps: ConsistentPriceSystem,
-    pre_trade: bool = False,
-) -> AdaptedProcess:
-    """Position marked at the shadow price, node by node.
+def shadow_values(strategy: Strategy, cps: ConsistentPriceSystem, pre_trade: bool = False) -> AdaptedProcess:
+    """Position marked at the shadow price, node by node, on the
+    strategy's tree; pre-trade, the root's empty position marks to 0.
 
     Needs the shadow price on every node, so absolutely continuous systems
     with dead branches are rejected.
     """
+    tree = strategy.tree
     _require_shadow_everywhere(tree, cps)
-    return AdaptedProcess(
-        {n: shadow_value(tree, strategy, cps.shadow_price, n, pre_trade) for n in tree.nodes}
-    )
+    s, bond, stock, parent = cps.shadow_price, strategy.bond.values, strategy.stock.values, tree.parent
+    marked = {}
+    for n in tree.nodes:
+        h = parent[n] if pre_trade else n
+        marked[n] = _ZERO if h is None else bond[h] + stock[h] * s[n]
+    return AdaptedProcess(marked)
 
 
 @dataclass(frozen=True)
@@ -313,9 +313,10 @@ def check_admissibility_theorem(
     witness = None
     floor = -x
     fn, fd = floor.as_integer_ratio()
-    keep, price = 1 - market.fee, market.price.values
+    keep, price, parent = 1 - market.fee, market.price.values, tree.parent
     for n in tree.nodes:
-        bond, stock = pre_trade_holdings(tree, strategy, n)
+        p = parent[n]
+        bond, stock = (_ZERO, _ZERO) if p is None else (strategy.bond[p], strategy.stock[p])
         v = _liquidate(bond, stock, keep, price[n])
         vn, vd = v.as_integer_ratio()
         if vn * fd < fn * vd:
@@ -397,20 +398,24 @@ def replay_admissibility_argument(
     closes only as alpha shrinks.
     """
     tree = market.tree
+    ensure_strategy(tree, strategy)
     fee = market.fee
     alpha = fee / 4 if alpha is None else parse_rational(alpha)
     x = parse_rational(x)
     down_system, up_system = scale_cps(cps, fee, alpha)
     _require_shadow_everywhere(tree, cps)
 
+    # the holdings carried into each node: (0, 0) at the root
+    parent, keep = tree.parent, 1 - fee
+    carried = {n: (_ZERO, _ZERO) if (p := parent[n]) is None else (strategy.bond[p], strategy.stock[p])
+               for n in tree.nodes}
     terminal = {n: Fraction(0) for n in tree.nodes}
     for leaf in tree.leaves:
-        bond, stock = pre_trade_holdings(tree, strategy, leaf)
-        terminal[leaf] = liquidation_value(market, bond, stock, leaf)
+        terminal[leaf] = _liquidate(*carried[leaf], keep, market.price[leaf])
     terminal_process = AdaptedProcess(terminal)
 
     for n in tree.nodes:
-        bond, stock = pre_trade_holdings(tree, strategy, n)
+        bond, stock = carried[n]
         long_value = bond + stock * (1 - fee) / (1 - alpha) * market.price[n]
         short_value = bond + stock * (1 - alpha) ** 2 * market.price[n]
         if stock >= 0 and long_value < -x:

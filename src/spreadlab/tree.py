@@ -170,7 +170,8 @@ class EventTree:
         """Validate and assemble a tree from (id, parent, cond_prob) rows.
 
         Times and probabilities that are not already Fractions are read by
-        `parse_rational`, so a float or a bool is a problem.  Raises
+        `parse_rational`, so a float or a bool is a problem, and so is a
+        parent id that is one (`load_tree` runs the same check).  Raises
         TreeError listing every violation found, each tagged with the
         offending node id.
         """
@@ -196,6 +197,9 @@ class EventTree:
                 problems.append(f"node {node}: duplicate id")
                 continue
             seen.add(node)
+            if bad_parent := _parent_problem(node, par):
+                problems.append(bad_parent)
+                continue
             parent[node] = par
             try:
                 cond[node] = prob if isinstance(prob, Fraction) else parse_rational(prob)
@@ -284,6 +288,15 @@ class EventTree:
         )
 
 
+def _parent_problem(node, par) -> "str | None":
+    """The one parent-id check of `EventTree.build` and `load_tree`: a
+    parent is an int id or None.  A bool or a float (``True``, ``1.0``)
+    would hash as node 1 and be written back as ``true`` or ``1.0``."""
+    if par is not None and (not isinstance(par, int) or isinstance(par, bool)):
+        return f"node {node!r}: parent must be an integer id or null, got {par!r}"
+    return None
+
+
 def load_tree(document: Mapping) -> EventTree:
     """Build a validated tree from a JSON-style document.
 
@@ -325,8 +338,8 @@ def load_tree(document: Mapping) -> EventTree:
             continue
         node = spec["id"]
         par = spec.get("parent")
-        if par is not None and (not isinstance(par, int) or isinstance(par, bool)):
-            problems.append(f"node {node!r}: parent must be an integer id or null, got {par!r}")
+        if bad_parent := _parent_problem(node, par):
+            problems.append(bad_parent)
             continue
         raw_prob = spec.get("prob", "1" if par is None else None)
         if raw_prob is None:
@@ -352,6 +365,16 @@ def ensure_adapted(tree: EventTree, process: AdaptedProcess, name: str = "proces
     problems = _adapted_problems(tree, process.values, name)
     if problems:
         raise TreeError(problems)
+
+
+def ensure_node(tree: EventTree, node: NodeId) -> None:
+    """The one check of a caller's node argument: an int id of this tree.
+    A bool or a float is not an int here, though ``True`` and ``1.0`` find
+    node 1 in a dict.  Raises TreeError naming the id."""
+    if not isinstance(node, int) or isinstance(node, bool):
+        raise TreeError([f"node must be an integer id, got {node!r}"])
+    if node not in tree.node_set:
+        raise TreeError([f"node {node}: not in tree"])
 
 
 def _adapted_problems(
@@ -411,10 +434,7 @@ def conditional_expectation(
     ensure_adapted(tree, process, "process")
     if density is not None:
         ensure_adapted(tree, density, "density")
-    if not isinstance(node, int) or isinstance(node, bool):
-        raise TreeError([f"node must be an integer id, got {node!r}"])
-    if node not in tree.node_set:
-        raise TreeError([f"node {node}: not in tree"])
+    ensure_node(tree, node)
     if not isinstance(horizon, int) or isinstance(horizon, bool):
         raise ValueError(f"horizon must be an integer, got {horizon!r}")
     start = tree.time_index[node]

@@ -19,8 +19,8 @@ from fractions import Fraction
 
 from .market import Market
 from .rationals import parse_rational
-from .strategy import Strategy, ensure_strategy, pre_trade_holdings
-from .tree import AdaptedProcess, EventTree, NodeId
+from .strategy import Strategy, ensure_strategy
+from .tree import AdaptedProcess, NodeId, ensure_node
 
 NUMERAIRE_BASED = "numeraire_based"
 NUMERAIRE_FREE = "numeraire_free"
@@ -30,7 +30,8 @@ _ZERO = Fraction(0)
 
 def _liquidate(bond: Fraction, stock: Fraction, keep: Fraction, ask: Fraction) -> Fraction:
     """The liquidation formula: long stock sells at the bid keep * ask,
-    short stock covers at the ask.
+    short stock covers at the ask.  The per-node sweeps call it on values
+    already checked; `liquidation_value` is its checked public entry.
 
     One integer expression and one normalization, as the tree module
     describes; a flat position is its bond, unchanged.
@@ -49,23 +50,19 @@ def _liquidate(bond: Fraction, stock: Fraction, keep: Fraction, ask: Fraction) -
 def liquidation_value(market: Market, bond: Fraction, stock: Fraction, node: NodeId) -> Fraction:
     """Cash left after closing the stock leg at the node's quotes; the
     holdings are read by `parse_rational`, so a float or a bool is a
-    ValueError."""
+    ValueError, and a node that is not an int id of the market's tree is a
+    TreeError."""
+    ensure_node(market.tree, node)
     return _liquidate(parse_rational(bond), parse_rational(stock), 1 - market.fee, market.price[node])
 
 
-def shadow_value(
-    tree: EventTree,
-    strategy: Strategy,
-    shadow_price: AdaptedProcess,
-    node: NodeId,
-    pre_trade: bool = False,
-) -> Fraction:
-    """Mark the position to a single in-spread price instead of unwinding."""
-    if pre_trade:
-        bond, stock = pre_trade_holdings(tree, strategy, node)
-    else:
-        bond, stock = strategy.bond[node], strategy.stock[node]
-    return bond + stock * shadow_price[node]
+def shadow_value(strategy: Strategy, shadow_price: AdaptedProcess, node: NodeId, pre_trade: bool = False) -> Fraction:
+    """Mark the position to a single in-spread price instead of unwinding;
+    the empty position carried into the root marks to 0.  Raises TreeError
+    unless ``node`` is an int id of the strategy's tree."""
+    ensure_node(strategy.tree, node)
+    held = strategy.tree.parent[node] if pre_trade else node
+    return _ZERO if held is None else strategy.bond[held] + strategy.stock[held] * shadow_price[node]
 
 
 @dataclass(frozen=True)

@@ -109,7 +109,7 @@ def random_sf_strategy(rng: random.Random, market: Market, burn_prob: float = 0.
         b = Fraction(rng.randint(1, 2), 4) if rng.random() < burn_prob else Fraction(0)
         burned[n] = b + (burned[p] if p is not None else Fraction(0))
         bond[n] = strategy.bond[n] - burned[n]
-    return Strategy(bond=AdaptedProcess(bond), stock=strategy.stock)
+    return Strategy(tree, AdaptedProcess(bond), strategy.stock)
 
 
 def random_predictable(rng: random.Random, tree: EventTree, lo: int = -2, hi: int = 2) -> PredictableProcess:

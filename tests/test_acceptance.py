@@ -146,7 +146,7 @@ def test_criterion_4_marked_value_supermartingale():
 
         bound = admissibility_bound(market, strategy, modes[done % 2])
         assert bound.minimal_bound >= 0
-        marked = shadow_values(market.tree, strategy, found.cps)
+        marked = shadow_values(strategy, found.cps)
         assert check_ossm(market.tree, marked, found.cps.density).ok
         dec = doob_decompose(market.tree, marked, found.cps.density)
         tree = market.tree
@@ -169,7 +169,7 @@ def test_criterion_5_bound_propagation():
         strategy = random_sf_strategy(rng, market)
         x = -min(
             liquidation_value(
-                market, *pre_trade_holdings(market.tree, strategy, leaf), leaf
+                market, *pre_trade_holdings(strategy, leaf), leaf
             )
             for leaf in market.tree.leaves
         )

@@ -25,6 +25,7 @@ from spreadlab import (
 from spreadlab import cli as cli_module
 from spreadlab import cps as cps_module
 from spreadlab import theorems as theorems_module
+from spreadlab import tree as tree_module
 from spreadlab.cli import main, run_command
 from spreadlab.tree import density_problems
 
@@ -620,7 +621,7 @@ class TestDecompose:
             strategy = random_sf_strategy(rng, market)
             tree = market.tree
             write_json("m.json", market_to_doc(market))
-            write_json("s.json", strategy_to_doc(tree, strategy))
+            write_json("s.json", strategy_to_doc(strategy))
             write_json("c.json", cps_to_doc(found.cps, F(0)))
             result = run_command([
                 "decompose", "--market", "m.json", "--strategy", "s.json", "--cps", "c.json",
@@ -654,6 +655,52 @@ class TestDecompose:
             assert all(doob.martingale[n] - comp[n] == dec.value[n] for n in tree.nodes)
             checked += 1
         assert checked >= 20, checked
+
+
+def _count_holdings_checks(monkeypatch):
+    """Count the walks of a holdings leg by the per-node check: each call of
+    `tree._adapted_problems`, or of its exactness test `tree._inexact` from
+    outside it, on a value named as a bond or stock holding, in every module
+    that holds them."""
+    counts = {"bond": 0, "stock": 0}
+    inside = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            what = args[2]  # the value's name, third in both functions
+            if not inside and "holding" in what:
+                counts[what.split()[0]] += 1
+            inside.append(what)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        return wrapper
+
+    for name in ("_adapted_problems", "_inexact"):
+        original = getattr(tree_module, name)
+        wrapped = counted(original)
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("spreadlab") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapped)
+    return counts
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-strategy", "--market", "det/market.json", "--strategy", "det/strategy.json"],
+    ["check-strategy", "--market", "det/market.json", "--strategy", "det/strategy.json", "--mode", "nf"],
+    ["theorem", "--market", "det/market.json", "--strategy", "det/strategy.json", "--x", "1"],
+    ["decompose", "--market", "det/market.json", "--strategy", "det/strategy.json", "--cps", "det/cps.json"],
+    ["counterexample", "--variant", "det", "--out-dir", "again"],
+    ["counterexample", "--variant", "stoch", "--out-dir", "again"],
+], ids=lambda argv: "-".join(a for a in argv if not a.endswith(".json")))
+def test_holdings_checked_once(det_files, monkeypatch, argv):
+    # the holdings twin of test_density_validated_once: a strategy is checked
+    # when it is built, and the functions handed it only ask for its tree
+    counts = _count_holdings_checks(monkeypatch)
+    result = run_command(argv)
+    assert result.exit_code in (0, 1), result.human_summary
+    assert counts == {"bond": 1, "stock": 1}
 
 
 class TestTheorem:

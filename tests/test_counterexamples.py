@@ -180,7 +180,7 @@ class TestDocs:
             market = load_market(market_to_doc(report.market))
             assert market.fee == report.market.fee
             assert market.price.values == report.market.price.values
-            strategy = load_strategy(strategy_to_doc(report.market.tree, report.strategy),
+            strategy = load_strategy(strategy_to_doc(report.strategy),
                                      market.tree)
             assert strategy.bond.values == report.strategy.bond.values
             assert strategy.stock.values == report.strategy.stock.values

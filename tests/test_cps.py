@@ -183,7 +183,7 @@ class TestVerifyCps:
         assert not ok
         assert violations == [f"node 1: {'density' if field == 'Z' else 'shadow price'} {bad!r} "
                               "is not a Fraction or an int"]
-        idle = Strategy(bond=AdaptedProcess.constant(market.tree, F(0)),
+        idle = Strategy(market.tree, bond=AdaptedProcess.constant(market.tree, F(0)),
                         stock=AdaptedProcess.constant(market.tree, F(0)))
         with pytest.raises(ValueError, match="is not a Fraction or an int"):
             shadow_decomposition(market, idle, cps)

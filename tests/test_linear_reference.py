@@ -87,7 +87,7 @@ def random_strategy(rng, market, idle: bool, self_financing: bool, ints: bool) -
     stock = dict(tight.stock.values)
     if ints:
         bond, stock = exact_ints(bond), exact_ints(stock)
-    return Strategy(AdaptedProcess(bond), AdaptedProcess(stock))
+    return Strategy(tree, AdaptedProcess(bond), AdaptedProcess(stock))
 
 
 def same_values(new: dict, old: dict) -> bool:

@@ -42,6 +42,8 @@ from spreadlab import (
     load_strategy,
     market_to_doc,
     parse_rational,
+    pre_trade_holdings,
+    shadow_value,
     strategy_to_doc,
 )
 from spreadlab.rationals import rational_reader
@@ -135,8 +137,8 @@ def _holdings(bad, leg):
     strategy = _det().strategy
     bond, stock = strategy.bond.values, strategy.stock.values
     if leg == "bond":
-        return Strategy(_at_node_1(bond, bad), AdaptedProcess(stock))
-    return Strategy(AdaptedProcess(bond), _at_node_1(stock, bad))
+        return Strategy(strategy.tree, _at_node_1(bond, bad), AdaptedProcess(stock))
+    return Strategy(strategy.tree, AdaptedProcess(bond), _at_node_1(stock, bad))
 
 
 def _flat(tree):
@@ -208,6 +210,26 @@ _MISSING = AdaptedProcess({0: 1, 1: 1})
 _UNKNOWN = AdaptedProcess({0: 1, 1: 1, 2: 1, 99: 1})
 _MIXED = AdaptedProcess({0: 1, 1: 1, 2: 1, "a": 1, 99: 1})
 
+# every public entry that takes a caller's node id: call(tree, full, node)
+NODE_IDS = {
+    "conditional_expectation": lambda tree, full, v: conditional_expectation(tree, full, None, v, 1),
+    "liquidation_value": lambda tree, full, v: liquidation_value(make_market(tree, full, F(1, 2)), 1, 1, v),
+    "pre_trade_holdings": lambda tree, full, v: pre_trade_holdings(Strategy(tree, full, full), v),
+    "shadow_value": lambda tree, full, v: shadow_value(Strategy(tree, full, full), full, v),
+    "shadow_value.pre_trade": lambda tree, full, v: shadow_value(Strategy(tree, full, full), full, v, True),
+}
+
+
+def _node_id_rows(ids):
+    """Rows of the table below for each NODE_IDS entry at each id in ``ids``."""
+    return [
+        pytest.param(lambda tree, full, bad, call=call, v=v: call(tree, full, v), None, TreeError,
+                     "node 99: not in tree" if v == 99 else f"node must be an integer id, got {v!r}",
+                     id=f"{site}.node.{v!r}")
+        for site, call in NODE_IDS.items()
+        for v in ids(site)
+    ]
+
 
 # call(tree, full, bad) with `full` on every node; `error` None means the
 # problems are returned, not raised
@@ -238,6 +260,15 @@ _MIXED = AdaptedProcess({0: 1, 1: 1, 2: 1, "a": 1, 99: 1})
                  "density has values at unknown nodes [99]", id="verify_cps.density.unknown"),
     pytest.param(lambda tree, full, bad: _flat_system(bad.values, full), _UNKNOWN, None,
                  "shadow price has values at unknown nodes [99]", id="verify_cps.shadow_price.unknown"),
+    # a strategy is checked when built: each leg covers exactly its tree's nodes
+    pytest.param(lambda tree, full, bad: Strategy(tree, bad, full), _MISSING, StrategyError,
+                 "bond holding missing values at nodes [2]", id="Strategy.bond.missing"),
+    pytest.param(lambda tree, full, bad: Strategy(tree, full, bad), _MISSING, StrategyError,
+                 "stock holding missing values at nodes [2]", id="Strategy.stock.missing"),
+    pytest.param(lambda tree, full, bad: Strategy(tree, bad, full), _UNKNOWN, StrategyError,
+                 "bond holding has values at unknown nodes [99]", id="Strategy.bond.unknown"),
+    pytest.param(lambda tree, full, bad: Strategy(tree, full, bad), _UNKNOWN, StrategyError,
+                 "stock holding has values at unknown nodes [99]", id="Strategy.stock.unknown"),
     # unknown ids of mixed types used to raise a bare TypeError from sorted:
     # ints come first, in numeric order, then the others by repr
     pytest.param(lambda tree, full, bad: ensure_adapted(tree, bad), _MIXED, TreeError,
@@ -253,6 +284,9 @@ _MIXED = AdaptedProcess({0: 1, 1: 1, 2: 1, "a": 1, 99: 1})
     *(pytest.param(lambda tree, full, bad, v=v: conditional_expectation(tree, full, None, v, 1), None, TreeError,
                    f"node must be an integer id, got {v!r}", id=f"conditional_expectation.node.{v!r}")
       for v in (True, 1.0)),
+    # the same check of a node id in every entry that takes one: node 99 or
+    # '1' raised a bare KeyError there, and True or 1.0 was read as node 1
+    *_node_id_rows(lambda site: (99, "1") if site == "conditional_expectation" else (99, True, 1.0, "1")),
     *(pytest.param(lambda tree, full, bad, v=v: conditional_expectation(tree, full, None, 0, v), None, ValueError,
                    f"horizon must be an integer, got {v!r}", id=f"conditional_expectation.horizon.{v!r}")
       for v in (True, 1.5, 2.0)),
@@ -277,7 +311,7 @@ def test_strategy_names_every_inexact_holding():
     # the strategy holding 1/2 bond and 1/4 stock, given as floats
     tree = _one_period_tree()
     with pytest.raises(StrategyError) as info:
-        Strategy(AdaptedProcess(dict.fromkeys(tree.nodes, 0.5)), AdaptedProcess(dict.fromkeys(tree.nodes, 0.25)))
+        Strategy(tree, AdaptedProcess(dict.fromkeys(tree.nodes, 0.5)), AdaptedProcess(dict.fromkeys(tree.nodes, 0.25)))
     assert info.value.problems == [
         *(f"node {n}: bond holding 0.5 is not a Fraction or an int" for n in tree.nodes),
         *(f"node {n}: stock holding 0.25 is not a Fraction or an int" for n in tree.nodes),
@@ -294,7 +328,7 @@ def test_density_problems_lists_a_float_or_bool_density(bad):
 
 def test_int_node_values_are_exact():
     tree = _one_period_tree()
-    strategy = Strategy(AdaptedProcess({0: -1, 1: 2, 2: 0}), AdaptedProcess({0: 1, 1: -1, 2: 0}))
+    strategy = Strategy(tree, AdaptedProcess({0: -1, 1: 2, 2: 0}), AdaptedProcess({0: 1, 1: -1, 2: 0}))
     assert strategy.bond[1] == 2
     assert density_problems(tree, AdaptedProcess({0: 1, 1: 2, 2: 0})) == []
 
@@ -481,7 +515,7 @@ class TestDocumentReader:
                 assert loaded.tree.cond_prob[spec["id"]] == parse_rational(spec["prob"])
                 assert loaded.price[spec["id"]] == parse_rational(spec["S"])
 
-            sdoc = strategy_to_doc(tree, random_sf_strategy(rng, market))
+            sdoc = strategy_to_doc(random_sf_strategy(rng, market))
             for spec in sdoc["holdings"]:
                 spec["phi0"], spec["phi1"] = respell(spec["phi0"]), respell(spec["phi1"])
             strategy = load_strategy(sdoc, tree)

@@ -211,7 +211,7 @@ def deep_inputs(seed: int = 255, depth: int = 7, fee=Fraction(1, 4)):
     for n in tree.nodes[1:]:
         density[n] = density[tree.parent[n]] * weights[n] / tree.cond_prob[n]
     cps = ConsistentPriceSystem(shadow, AdaptedProcess(density), fee)
-    return market_to_doc(market), strategy_to_doc(tree, strategy), cps_to_doc(cps, Fraction(0))
+    return market_to_doc(market), strategy_to_doc(strategy), cps_to_doc(cps, Fraction(0))
 
 
 DEEP, DEEP_STRATEGY, DEEP_CPS = deep_inputs()

@@ -4,9 +4,13 @@ from fractions import Fraction
 import pytest
 
 from spreadlab import (
+    NUMERAIRE_BASED,
+    NUMERAIRE_FREE,
     AdaptedProcess,
     Strategy,
     StrategyError,
+    TreeError,
+    admissibility_bound,
     check_self_financing,
     derive_bond_account,
     load_market,
@@ -37,6 +41,7 @@ def chain_market():
 
 def hold(bond, stock, n_nodes=3):
     return Strategy(
+        tree=chain_market().tree,
         bond=AdaptedProcess({n: F(bond) for n in range(n_nodes)}),
         stock=AdaptedProcess({n: F(stock) for n in range(n_nodes)}),
     )
@@ -53,6 +58,7 @@ class TestSlack:
     def test_overdrawn_bond_is_negative_slack(self):
         market = chain_market()
         strat = Strategy(
+            tree=market.tree,
             bond=AdaptedProcess({0: F(1), 1: F(1), 2: F(1)}),
             stock=AdaptedProcess({0: F(0), 1: F(0), 2: F(0)}),
         )
@@ -61,6 +67,7 @@ class TestSlack:
     def test_sale_credits_bid_not_ask(self):
         market = chain_market()
         strat = Strategy(
+            tree=market.tree,
             bond=AdaptedProcess({0: F(-1), 1: F(-1) + F(1, 4), 2: F(-3, 4)}),
             stock=AdaptedProcess({0: F(1), 1: F(0), 2: F(0)}),
         )
@@ -70,6 +77,7 @@ class TestSlack:
     def test_report_lists_violating_nodes(self):
         market = chain_market()
         strat = Strategy(
+            tree=market.tree,
             bond=AdaptedProcess({0: F(0), 1: F(5), 2: F(5)}),
             stock=AdaptedProcess({0: F(0), 1: F(0), 2: F(0)}),
         )
@@ -90,11 +98,39 @@ class TestSlack:
             for n in market.tree.nodes:
                 bid = (1 - market.fee) * market.price[n]
                 ask = market.price[n]
-                bond_in, stock_in = pre_trade_holdings(market.tree, strat, n)
+                bond_in, stock_in = pre_trade_holdings(strat, n)
                 delta = strat.stock[n] - stock_in
                 buy, sell = max(delta, 0), max(-delta, 0)
                 ceiling = bid * sell - ask * buy
                 assert slack[n] == ceiling - (strat.bond[n] - bond_in)
+
+
+class TestBoundToTree:
+    def test_strategy_on_another_tree_refused(self):
+        # the same node ids on a tree with other times: the sweeps would read
+        # every holding, so only the strategy's tree can tell them apart
+        market = chain_market()
+        other = load_market({**CHAIN_DOC, "times": ["0", "1", "2"]})
+        strat = hold(-2, 2)
+        assert strat.tree == market.tree != other.tree
+        checks = [
+            lambda m: check_self_financing(m, strat),
+            lambda m: admissibility_bound(m, strat, NUMERAIRE_BASED),
+            lambda m: admissibility_bound(m, strat, NUMERAIRE_FREE),
+        ]
+        for check in checks:
+            with pytest.raises(TreeError) as info:
+                check(other)
+            assert info.value.problems == ["strategy is bound to another tree"]
+            check(market)
+            # an equal tree built apart is the same tree
+            check(chain_market())
+
+    def test_loaded_and_derived_strategies_carry_their_tree(self):
+        market = chain_market()
+        loaded = load_strategy({"holdings": []}, market.tree)
+        derived = derive_bond_account(market, loaded.stock)
+        assert loaded.tree is market.tree and derived.tree is market.tree
 
 
 class TestDeriveBondAccount:
@@ -119,6 +155,7 @@ class TestDeriveBondAccount:
         # money out of nothing at the next node
         market = chain_market()
         strat = Strategy(
+            tree=market.tree,
             bond=AdaptedProcess({0: F(-5), 1: F(0), 2: F(0)}),
             stock=AdaptedProcess({0: F(0), 1: F(0), 2: F(0)}),
         )
@@ -130,7 +167,7 @@ class TestDeriveBondAccount:
             market = random_market(rng, fee=F(0))
             strat = derive_bond_account(market, random_stock_plan(rng, market.tree))
             for n in market.tree.nodes:
-                bond_in, stock_in = pre_trade_holdings(market.tree, strat, n)
+                bond_in, stock_in = pre_trade_holdings(strat, n)
                 assert strat.bond[n] - bond_in == -market.price[n] * (strat.stock[n] - stock_in)
 
 
@@ -138,7 +175,7 @@ class TestWireFormat:
     def test_round_trip(self):
         market = chain_market()
         strat = hold(-2, 2)
-        doc = strategy_to_doc(market.tree, strat)
+        doc = strategy_to_doc(strat)
         again = load_strategy(doc, market.tree)
         assert again.bond.values == strat.bond.values
         assert again.stock.values == strat.stock.values

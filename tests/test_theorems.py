@@ -248,9 +248,9 @@ class TestShadowValues:
     def test_pre_and_post_trade(self):
         report = deterministic_counterexample(F(1, 2))
         tree = report.market.tree
-        marked = shadow_values(tree, report.strategy, report.cps_witness)
+        marked = shadow_values(report.strategy, report.cps_witness)
         assert all(v == F(-1) for v in marked.values.values())
-        pre = shadow_values(tree, report.strategy, report.cps_witness, pre_trade=True)
+        pre = shadow_values(report.strategy, report.cps_witness, pre_trade=True)
         assert pre[0] == 0
         assert all(pre[n] == F(-1) for n in tree.nodes if n != 0)
 
@@ -264,7 +264,7 @@ class TestShadowValues:
             fee=cps.fee,
         )
         with pytest.raises(ValueError, match="shadow price missing at nodes"):
-            shadow_values(tree, report.strategy, trimmed)
+            shadow_values(report.strategy, trimmed)
 
 
 class TestShadowDecomposition:
@@ -272,6 +272,7 @@ class TestShadowDecomposition:
         rng = random.Random(107)
         market = random_market(rng, martingale=True)
         strategy = Strategy(
+            tree=market.tree,
             bond=AdaptedProcess.constant(market.tree, F(0)),
             stock=AdaptedProcess.constant(market.tree, F(0)),
         )
@@ -395,6 +396,7 @@ def market_doc(fee, *nodes):
 
 def constant_strategy(tree, bond, stock):
     return Strategy(
+        tree=tree,
         bond=AdaptedProcess.constant(tree, F(bond)),
         stock=AdaptedProcess.constant(tree, F(stock)),
     )
@@ -441,6 +443,7 @@ class TestAdmissibilityTheorem:
         rng = random.Random(131)
         market = random_market(rng, fee=F(1, 4), martingale=True)
         strategy = Strategy(
+            tree=market.tree,
             bond=AdaptedProcess.constant(market.tree, F(0)),
             stock=AdaptedProcess.constant(market.tree, F(0)),
         )
@@ -469,7 +472,7 @@ class TestAdmissibilityTheorem:
             market = random_market(rng, martingale=True)
             strategy = random_sf_strategy(rng, market)
             worst = min(
-                shadow_values(market.tree, strategy, ConsistentPriceSystem(
+                shadow_values(strategy, ConsistentPriceSystem(
                     shadow_price=dict(market.price.values),
                     density=AdaptedProcess.constant(market.tree, F(1)),
                     fee=market.fee,
@@ -479,7 +482,7 @@ class TestAdmissibilityTheorem:
             from spreadlab import liquidation_value, pre_trade_holdings
 
             x = -min(
-                liquidation_value(market, *pre_trade_holdings(market.tree, strategy, leaf), leaf)
+                liquidation_value(market, *pre_trade_holdings(strategy, leaf), leaf)
                 for leaf in market.tree.leaves
             )
             verdict = check_admissibility_theorem(market, strategy, x)
@@ -634,6 +637,7 @@ class TestReplay:
         rng = random.Random(157)
         market = random_market(rng, fee=F(1, 2), martingale=True)
         strategy = Strategy(
+            tree=market.tree,
             bond=AdaptedProcess.constant(market.tree, F(0)),
             stock=AdaptedProcess.constant(market.tree, F(0)),
         )

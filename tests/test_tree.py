@@ -1,7 +1,10 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spreadlab import (
     AdaptedProcess,
@@ -12,7 +15,10 @@ from spreadlab import (
     conditional_expectation,
     ensure_adapted,
     ensure_predictable,
+    load_market,
     load_tree,
+    make_market,
+    market_to_doc,
     one_step_drift,
 )
 
@@ -95,6 +101,40 @@ class TestBuild:
             assert len(exc.problems) == 2
         else:
             pytest.fail("expected TreeError")
+
+
+    @pytest.mark.parametrize("par", [True, 1.0])
+    def test_bool_or_float_parent_rejected(self, par):
+        # this tree used to build with parent[2] = True (or 1.0), and
+        # market_to_doc then wrote a document load_market refuses
+        with pytest.raises(TreeError) as info:
+            EventTree.build([0, 1, 2], [(0, None, 1), (1, 0, 1), (2, par, 1)])
+        assert f"node 2: parent must be an integer id or null, got {par!r}" in info.value.problems
+
+    @given(st.lists(st.integers(1, 2), min_size=1, max_size=4), st.data())
+    def test_every_built_tree_round_trips(self, widths, data):
+        # a tree of len(widths) periods, each node having widths[d] children;
+        # each parent id is given as an int, or as the bool or float of equal value
+        entries, level, next_id = [(0, None, 1)], [0], 1
+        for width in widths:
+            kids = []
+            for p in level:
+                for _ in range(width):
+                    spelled = data.draw(st.sampled_from([p, float(p)] + ([bool(p)] if p < 2 else [])))
+                    entries.append((next_id, spelled, F(1, width)))
+                    kids.append(next_id)
+                    next_id += 1
+            level = kids
+        times = list(range(len(widths) + 1))
+        if any(type(par) not in (int, type(None)) for _, par, _ in entries):
+            with pytest.raises(TreeError, match="parent must be an integer id or null"):
+                EventTree.build(times, entries)
+            return
+        tree = EventTree.build(times, entries)
+        text = json.dumps(market_to_doc(make_market(tree, AdaptedProcess.constant(tree, 1), 0)))
+        again = load_market(json.loads(text))
+        assert again.tree == tree
+        assert json.dumps(market_to_doc(again)) == text
 
 
 class TestLoadTree:

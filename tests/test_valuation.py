@@ -65,11 +65,11 @@ class TestShadowValue:
                 for n in tree.nodes
             })
             for n in tree.nodes:
-                marked = shadow_value(tree, strat, shadow, n)
+                marked = shadow_value(strat, shadow, n)
                 liq = liquidation_value(market, strat.bond[n], strat.stock[n], n)
                 assert marked >= liq
-                bond_in, stock_in = pre_trade_holdings(tree, strat, n)
-                assert (shadow_value(tree, strat, shadow, n, pre_trade=True)
+                bond_in, stock_in = pre_trade_holdings(strat, n)
+                assert (shadow_value(strat, shadow, n, pre_trade=True)
                         >= liquidation_value(market, bond_in, stock_in, n))
 
     def test_constant_shadow_price_example(self):
@@ -77,14 +77,14 @@ class TestShadowValue:
         tree = report.market.tree
         shadow = AdaptedProcess({n: F(1, 2) for n in tree.nodes})
         for n in tree.nodes:
-            assert shadow_value(tree, report.strategy, shadow, n) == -1
+            assert shadow_value(report.strategy, shadow, n) == -1
 
 
 class TestAdmissibilityBound:
     def test_zero_strategy_needs_nothing(self):
         market = flat_market()
         strat = Strategy(
-            bond=AdaptedProcess({0: F(0)}), stock=AdaptedProcess({0: F(0)})
+            market.tree, bond=AdaptedProcess({0: F(0)}), stock=AdaptedProcess({0: F(0)})
         )
         for mode in (NUMERAIRE_BASED, NUMERAIRE_FREE):
             assert admissibility_bound(market, strat, mode).minimal_bound == 0
@@ -104,7 +104,7 @@ class TestAdmissibilityBound:
             market = random_market(rng)
             strat = random_sf_strategy(rng, market)
             for n in market.tree.nodes:
-                bond_in, stock_in = pre_trade_holdings(market.tree, strat, n)
+                bond_in, stock_in = pre_trade_holdings(strat, n)
                 before = liquidation_value(market, bond_in, stock_in, n)
                 after = liquidation_value(market, strat.bond[n], strat.stock[n], n)
                 assert after <= before
@@ -130,6 +130,7 @@ class TestAdmissibilityBound:
             if i % 2:
                 # not self-financing: the incoming position can be the worse one
                 strat = Strategy(
+                    tree=market.tree,
                     bond=AdaptedProcess({
                         n: strat.bond[n] + rng.choice([F(0), F(1, 2), F(-1, 2)])
                         for n in market.tree.nodes
@@ -140,7 +141,7 @@ class TestAdmissibilityBound:
             for mode in (NUMERAIRE_BASED, NUMERAIRE_FREE):
                 expected = {}
                 for n in nodes:
-                    bond_in, stock_in = pre_trade_holdings(market.tree, strat, n)
+                    bond_in, stock_in = pre_trade_holdings(strat, n)
                     need = max(
                         -liquidation_value(market, bond_in, stock_in, n),
                         -liquidation_value(market, strat.bond[n], strat.stock[n], n),
@@ -158,13 +159,13 @@ class TestAdmissibilityBound:
     def test_numeraire_free_bound_is_exact_for_int_inputs(self):
         # an int price and a flat int bond: -v / (1 + S) was int / int, a float
         market = make_market(flat_market().tree, AdaptedProcess({0: 2}), F(1, 4))
-        strat = Strategy(bond=AdaptedProcess({0: -5}), stock=AdaptedProcess({0: 0}))
+        strat = Strategy(market.tree, bond=AdaptedProcess({0: -5}), stock=AdaptedProcess({0: 0}))
         report = admissibility_bound(market, strat, NUMERAIRE_FREE)
         assert report.minimal_bound == F(5, 3) and type(report.minimal_bound) is Fraction
         assert type(report.per_node[0]) is Fraction
 
     def test_unknown_mode_rejected(self):
         market = flat_market()
-        strat = Strategy(bond=AdaptedProcess({0: F(0)}), stock=AdaptedProcess({0: F(0)}))
+        strat = Strategy(market.tree, bond=AdaptedProcess({0: F(0)}), stock=AdaptedProcess({0: F(0)}))
         with pytest.raises(ValueError, match="mode"):
             admissibility_bound(market, strat, "both")
