@@ -59,14 +59,14 @@ import bisect
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from . import simplex
 from .market import Market
 from .rationals import format_rational, parse_rational, rational_reader
 from .simplex import Constraint, FarkasCertificate
 from .tree import (
-    AdaptedProcess, EventTree, InputError, NodeId, _adapted_problems, density_problems, support_drift
+    AdaptedProcess, EventTree, InputError, NodeId, _adapted_problems, _density_law, ensure_bound, support_drift
 )
 
 EQUIVALENT = "equivalent"
@@ -132,16 +132,36 @@ class CpsQuery:
 class ConsistentPriceSystem:
     """Shadow price inside the spread plus the measure that makes it a
     martingale, the measure given as a density process against the
-    reference measure.
+    reference measure; bound to its tree and checked once, when built, by
+    `ensure_adapted`'s check: construction raises CpsError listing every
+    problem it finds in the density or, nodes left out aside, the shadow
+    price.  `verify_cps` tests the rest.
 
     ``shadow_price`` may be partial: in the absolutely continuous mode it
     is only defined where the density is positive, and the nodes it omits
     are off the support.
     """
 
+    tree: EventTree
     shadow_price: Mapping[NodeId, Fraction]
     density: AdaptedProcess
     fee: Fraction
+
+    def __post_init__(self):
+        problems = _adapted_problems(self.tree, self.density.values, "density")
+        problems += _adapted_problems(self.tree, self.shadow_price, "shadow price", partial=True)
+        if problems:
+            raise CpsError(problems)
+
+
+def _require_shadow(tree: EventTree, cps: ConsistentPriceSystem, nodes: Iterable[NodeId]) -> Mapping[NodeId, Fraction]:
+    """A system's shadow price, read on ``tree`` at ``nodes``: TreeError if the
+    system is bound to another tree, ValueError naming the nodes it leaves out."""
+    ensure_bound(tree, cps, "price system")
+    missing = [n for n in nodes if n not in cps.shadow_price]
+    if missing:
+        raise ValueError(f"shadow price missing at nodes {missing}")
+    return cps.shadow_price
 
 
 @dataclass(frozen=True)
@@ -235,14 +255,11 @@ def _cps_constraints(
 
 
 def _system(
-    density: Mapping[NodeId, Fraction], shadow: Mapping[NodeId, Fraction], fee: Fraction
+    tree: EventTree, density: Mapping[NodeId, Fraction], shadow: Mapping[NodeId, Fraction], fee: Fraction
 ) -> ConsistentPriceSystem:
     """The system with density Z and the shadow values kept where Z > 0."""
-    return ConsistentPriceSystem(
-        shadow_price={n: s for n, s in shadow.items() if density[n].numerator > 0},
-        density=AdaptedProcess(density),
-        fee=fee,
-    )
+    shadow = {n: s for n, s in shadow.items() if density[n].numerator > 0}
+    return ConsistentPriceSystem(tree, shadow, AdaptedProcess(density), fee)
 
 
 class _Box(NamedTuple):
@@ -480,7 +497,7 @@ def _interval_witness(
         if kids:
             shadow.update(zip(kids, _place(v, [live[c] for c in kids], [tree.cond_prob[c] for c in kids])))
     density = _density(tree, shadow)
-    return _system(density, shadow, fee), min(density[leaf] for leaf in tree.leaves)
+    return _system(tree, density, shadow, fee), min(density[leaf] for leaf in tree.leaves)
 
 
 def _interval_certificate(
@@ -635,28 +652,21 @@ def verify_cps(
 ) -> tuple[bool, list[str]]:
     """Check every defining property of a price system, exactly.
 
-    Checks: the density by `density_problems` (Z on exactly the tree's
-    nodes, Z(root) = 1, Z >= 0, zero one-step drift), the shadow price on
-    no node outside the tree, present on the support and inside the
-    spread, zero one-step drift of Z * S-tilde, and (when epsilon is
-    given) the leaf floor.  Returns all violations found, each naming its
-    node or the unknown nodes; a density or shadow value that is not a
-    Fraction or an int is reported before any arithmetic, as
-    `ensure_adapted` words it.  A level outside [0, 1) or a negative
-    epsilon raises CpsError.
+    Checks: the density's law by `_density_law` (Z(root) = 1, Z >= 0,
+    zero one-step drift), the shadow price present on the support and
+    inside the spread, zero one-step drift of Z * S-tilde, and (when
+    epsilon is given) the leaf floor; the system checked its values per
+    node when it was built.  Returns all violations found, each naming its
+    node.  A system bound to another tree raises TreeError; a level
+    outside [0, 1) or a negative epsilon raises CpsError.
     """
     tree = market.tree
+    ensure_bound(tree, cps, "price system")
     fee, epsilon = _level_and_floor(
         cps.fee if fee is None else fee, _ZERO if epsilon is None else epsilon
     )
-    violations = density_problems(tree, cps.density)
+    violations = _density_law(tree, cps.density)
     z, shadow = cps.density.values, cps.shadow_price
-    unusable = _adapted_problems(tree, shadow, "shadow price", partial=True)
-    # the sums below need every value exact and a density at every node;
-    # when density_problems fails, the one check tells whether that is why
-    if unusable or violations and _adapted_problems(tree, z, "density"):
-        return False, violations + unusable
-
     keep = 1 - fee
     kn, kd = keep.as_integer_ratio()
     price = market.price.values
@@ -669,16 +679,13 @@ def verify_cps(
             hn, hd = hi.as_integer_ratio()
             # keep * hi <= s <= hi, cross-multiplied
             if not (kn * hn * sd <= sn * kd * hd and sn * hd <= hn * sd):
-                violations.append(
-                    f"node {n}: shadow price {s} outside spread [{keep * hi}, {hi}]"
-                )
+                violations.append(f"node {n}: shadow price {s} outside spread [{keep * hi}, {hi}]")
             zn, zd = z[n].as_integer_ratio()
             mass_price[n] = Fraction(zn * sn, zd * sd)
-        elif z[n] == 0:
-            mass_price[n] = Fraction(0)
         else:
-            violations.append(f"node {n}: shadow price missing on support (density {z[n]})")
-            mass_price[n] = Fraction(0)
+            if z[n].numerator:
+                violations.append(f"node {n}: shadow price missing on support (density {z[n]})")
+            mass_price[n] = _ZERO
 
     for n, drift in support_drift(tree, AdaptedProcess(mass_price)).items():
         if drift.numerator:
@@ -686,10 +693,8 @@ def verify_cps(
 
     if epsilon:
         for leaf in tree.leaves:
-            if cps.density[leaf] < epsilon:
-                violations.append(
-                    f"node {leaf}: leaf density {cps.density[leaf]} below floor {epsilon}"
-                )
+            if z[leaf] < epsilon:
+                violations.append(f"node {leaf}: leaf density {z[leaf]} below floor {epsilon}")
     return not violations, violations
 
 
@@ -717,7 +722,7 @@ def max_equivalence_margin(
         raise RuntimeError("margin is bounded by the unit root mass")
     nodes, x = tree.nodes, result.x
     shadow = {n: y / z for n, z, y in zip(nodes, x, x[len(nodes):]) if z > 0}
-    return result.objective, _system(dict(zip(nodes, x)), shadow, fee)
+    return result.objective, _system(tree, dict(zip(nodes, x)), shadow, fee)
 
 
 def _equivalent_mode(measure: str) -> bool:
@@ -822,19 +827,10 @@ def scale_cps(
             f"scaling by 1 - alpha = {1 - alpha} would exit the spread: "
             f"need (1-alpha)(1-{cps.fee}) >= {1 - fee}"
         )
-    down = Fraction(1) - alpha
-    up = (Fraction(1) - fee) / (Fraction(1) - alpha)
-    first = ConsistentPriceSystem(
-        shadow_price={n: down * s for n, s in cps.shadow_price.items()},
-        density=cps.density,
-        fee=fee,
+    return tuple(
+        ConsistentPriceSystem(cps.tree, {n: k * s for n, s in cps.shadow_price.items()}, cps.density, fee)
+        for k in (1 - alpha, (1 - fee) / (1 - alpha))
     )
-    second = ConsistentPriceSystem(
-        shadow_price={n: up * s for n, s in cps.shadow_price.items()},
-        density=cps.density,
-        fee=fee,
-    )
-    return first, second
 
 
 @dataclass(frozen=True)
@@ -987,18 +983,15 @@ def brute_force_cps(
 
     density = _density(tree, shadow)
     margin = min(density[leaf] for leaf in tree.leaves)
-    witness = ConsistentPriceSystem(
-        shadow_price=dict(shadow),
-        density=AdaptedProcess(density),
-        fee=fee,
-    )
+    witness = ConsistentPriceSystem(tree, dict(shadow), AdaptedProcess(density), fee)
     if margin >= epsilon:
         return BruteForceResult(True, witness, margin, grid_resolution)
     return BruteForceResult(False, witness, margin, grid_resolution)
 
 
 def load_cps(document: Mapping, tree: EventTree) -> tuple[ConsistentPriceSystem, Fraction]:
-    """Parse a price-system document; returns the system and its epsilon.
+    """Parse a price-system document; returns the system, bound to
+    ``tree``, and its epsilon.
 
     Expected keys: "S_tilde" and "Z" as maps from node id text to rational
     text, "lambda_prime", "epsilon".  "S_tilde" may omit nodes (taken as
@@ -1055,7 +1048,7 @@ def load_cps(document: Mapping, tree: EventTree) -> tuple[ConsistentPriceSystem,
     if problems:
         raise CpsError(problems)
 
-    return ConsistentPriceSystem(shadow_price=shadow, density=AdaptedProcess(density), fee=fee), epsilon
+    return ConsistentPriceSystem(tree, shadow, AdaptedProcess(density), fee), epsilon
 
 
 def cps_to_doc(cps: ConsistentPriceSystem, epsilon: Fraction) -> dict:

@@ -19,7 +19,8 @@ from typing import Mapping
 from .market import Market
 from .rationals import format_rational, rational_reader
 from .tree import (
-    AdaptedProcess, EventTree, InputError, NodeId, TreeError, _adapted_problems, ensure_adapted, ensure_node, is_mapping
+    AdaptedProcess, EventTree, InputError, NodeId, _adapted_problems, ensure_adapted, ensure_bound, ensure_node,
+    is_mapping,
 )
 
 _ZERO = Fraction(0)
@@ -57,10 +58,9 @@ class SelfFinancingReport:
 
 
 def ensure_strategy(tree: EventTree, strategy: Strategy) -> None:
-    """Refuse a strategy bound to another tree with TreeError; an equal
-    tree built apart passes.  No node is walked: `Strategy` checked them."""
-    if strategy.tree is not tree and strategy.tree != tree:
-        raise TreeError(["strategy is bound to another tree"])
+    """Refuse a strategy bound to another tree with TreeError, by
+    `ensure_bound`.  No node is walked: `Strategy` checked them."""
+    ensure_bound(tree, strategy, "strategy")
 
 
 def pre_trade_holdings(strategy: Strategy, node: NodeId) -> tuple[Fraction, Fraction]:

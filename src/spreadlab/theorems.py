@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cps import EQUIVALENT, ConsistentPriceSystem, _equivalent_mode, _threshold, scale_cps, verify_cps
+from .cps import EQUIVALENT, ConsistentPriceSystem, _equivalent_mode, _require_shadow, _threshold, scale_cps, verify_cps
 from .market import Market
 from .rationals import parse_rational
 from .strategy import Strategy, check_self_financing, derive_bond_account, ensure_strategy
@@ -22,7 +22,7 @@ from .tree import (
     EventTree,
     NodeId,
     PredictableProcess,
-    conditional_expectation,
+    _conditional_expectation,
     density_problems,
     ensure_adapted,
     ensure_predictable,
@@ -85,8 +85,8 @@ def check_ossm(tree: EventTree, process: AdaptedProcess, density: AdaptedProcess
 def _ossm(tree: EventTree, process: AdaptedProcess, density: AdaptedProcess) -> OssmReport:
     """``check_ossm`` for a process on every node and a density already
     validated.  The twin stays because ``decompose`` has had the density
-    checked once, by ``verify_cps`` inside `shadow_decomposition`, and
-    `check_ossm` would check it again."""
+    checked once, when its price system was built and by ``verify_cps``
+    inside `shadow_decomposition`, and `check_ossm` would check it again."""
     drift = support_drift(tree, process, density)
     violations = tuple((n, d) for n, d in drift.items() if d.numerator > 0)
     if violations:
@@ -128,22 +128,16 @@ def doob_decompose(tree: EventTree, process: AdaptedProcess, density: AdaptedPro
     return report.decomposition
 
 
-def _require_shadow_everywhere(tree: EventTree, cps: ConsistentPriceSystem) -> None:
-    missing = [n for n in tree.nodes if n not in cps.shadow_price]
-    if missing:
-        raise ValueError(f"shadow price missing at nodes {missing}")
-
-
 def shadow_values(strategy: Strategy, cps: ConsistentPriceSystem, pre_trade: bool = False) -> AdaptedProcess:
     """Position marked at the shadow price, node by node, on the
     strategy's tree; pre-trade, the root's empty position marks to 0.
 
     Needs the shadow price on every node, so absolutely continuous systems
-    with dead branches are rejected.
+    with dead branches are rejected, and a system on the strategy's tree.
     """
     tree = strategy.tree
-    _require_shadow_everywhere(tree, cps)
-    s, bond, stock, parent = cps.shadow_price, strategy.bond.values, strategy.stock.values, tree.parent
+    s = _require_shadow(tree, cps, tree.nodes)
+    bond, stock, parent = strategy.bond.values, strategy.stock.values, tree.parent
     marked = {}
     for n in tree.nodes:
         h = parent[n] if pre_trade else n
@@ -183,14 +177,13 @@ def shadow_decomposition(
     report = check_self_financing(market, strategy)
     if not report.ok:
         raise ValueError(f"strategy is not self-financing at nodes {list(report.violations)}")
-    _require_shadow_everywhere(tree, cps)
+    s = _require_shadow(tree, cps, tree.nodes)
     ok, violations = verify_cps(market, cps, fee=market.fee)
     if not ok:
         raise ValueError(
             "price system invalid at the market's cost level: " + "; ".join(violations)
         )
 
-    s = cps.shadow_price
     bond, stock, parent = strategy.bond.values, strategy.stock.values, tree.parent
     cost: dict[NodeId, Fraction] = {}
     transform: dict[NodeId, Fraction] = {}
@@ -399,11 +392,11 @@ def replay_admissibility_argument(
     """
     tree = market.tree
     ensure_strategy(tree, strategy)
+    _require_shadow(tree, cps, tree.nodes)
     fee = market.fee
     alpha = fee / 4 if alpha is None else parse_rational(alpha)
     x = parse_rational(x)
     down_system, up_system = scale_cps(cps, fee, alpha)
-    _require_shadow_everywhere(tree, cps)
 
     # the holdings carried into each node: (0, 0) at the root
     parent, keep = tree.parent, 1 - fee
@@ -425,9 +418,7 @@ def replay_admissibility_argument(
         else:
             continue
         shadow_bound = bond + stock * system.shadow_price[n]
-        conditional = conditional_expectation(
-            tree, terminal_process, cps.density, n, tree.horizon
-        )
+        conditional = _conditional_expectation(tree, terminal_process, cps.density, n, tree.horizon)
         return ReplayResult(
             node=n,
             classification=cls,

@@ -367,6 +367,14 @@ def ensure_adapted(tree: EventTree, process: AdaptedProcess, name: str = "proces
         raise TreeError(problems)
 
 
+def ensure_bound(tree: EventTree, value, name: str) -> None:
+    """The one test that a value bound to its tree when built (a strategy,
+    a price system) belongs to ``tree``: identity first, then ``==``, so
+    an equal tree built apart passes.  Raises TreeError; no node is walked."""
+    if value.tree is not tree and value.tree != tree:
+        raise TreeError([f"{name} is bound to another tree"])
+
+
 def ensure_node(tree: EventTree, node: NodeId) -> None:
     """The one check of a caller's node argument: an int id of this tree.
     A bool or a float is not an int here, though ``True`` and ``1.0`` find
@@ -434,6 +442,14 @@ def conditional_expectation(
     ensure_adapted(tree, process, "process")
     if density is not None:
         ensure_adapted(tree, density, "density")
+    return _conditional_expectation(tree, process, density, node, horizon)
+
+
+def _conditional_expectation(
+    tree: EventTree, process: AdaptedProcess, density: "AdaptedProcess | None", node: NodeId, horizon: int
+) -> Fraction:
+    """`conditional_expectation` of values already checked per node.  The
+    twin stays for a price system's density, checked when it was built."""
     ensure_node(tree, node)
     if not isinstance(horizon, int) or isinstance(horizon, bool):
         raise ValueError(f"horizon must be an integer, got {horizon!r}")
@@ -464,12 +480,16 @@ def density_problems(tree: EventTree, density: AdaptedProcess) -> list[str]:
     """Everything that keeps ``density`` from being a density process: a
     nonnegative martingale under the reference measure with Z(root) = 1.
     What `ensure_adapted` refuses (a node missed, a node the tree does not
-    have, a value that is not a Fraction or an int) is listed alone; the
-    martingale test reads Z's drift from `support_drift`."""
+    have, a value that is not a Fraction or an int) is listed alone, else
+    what `_density_law` finds."""
+    return _adapted_problems(tree, density.values, "density") or _density_law(tree, density)
+
+
+def _density_law(tree: EventTree, density: AdaptedProcess) -> list[str]:
+    """The law half of `density_problems`, for a density checked per node:
+    Z(root) = 1, Z >= 0, and zero drift, read from `support_drift`."""
     z = density.values
-    problems = _adapted_problems(tree, z, "density")
-    if problems:
-        return problems
+    problems = []
     if z[tree.root] != 1:
         problems.append(f"node {tree.root}: density at root is {z[tree.root]}, expected 1")
     for n in tree.nodes:

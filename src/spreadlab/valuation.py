@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cps import ConsistentPriceSystem, _require_shadow
 from .market import Market
 from .rationals import parse_rational
 from .strategy import Strategy, ensure_strategy
@@ -56,13 +57,15 @@ def liquidation_value(market: Market, bond: Fraction, stock: Fraction, node: Nod
     return _liquidate(parse_rational(bond), parse_rational(stock), 1 - market.fee, market.price[node])
 
 
-def shadow_value(strategy: Strategy, shadow_price: AdaptedProcess, node: NodeId, pre_trade: bool = False) -> Fraction:
-    """Mark the position to a single in-spread price instead of unwinding;
+def shadow_value(strategy: Strategy, cps: ConsistentPriceSystem, node: NodeId, pre_trade: bool = False) -> Fraction:
+    """Mark the position to the system's shadow price instead of unwinding;
     the empty position carried into the root marks to 0.  Raises TreeError
-    unless ``node`` is an int id of the strategy's tree."""
+    unless ``node`` is an int id of the strategy's tree and the system is
+    bound to it, and ValueError if the shadow price leaves the node out."""
     ensure_node(strategy.tree, node)
+    s = _require_shadow(strategy.tree, cps, (node,))
     held = strategy.tree.parent[node] if pre_trade else node
-    return _ZERO if held is None else strategy.bond[held] + strategy.stock[held] * shadow_price[node]
+    return _ZERO if held is None else strategy.bond[held] + strategy.stock[held] * s[node]
 
 
 @dataclass(frozen=True)

@@ -158,6 +158,7 @@ def interval_witness(tree, live, fee):
     density = plain_density(tree, shadow)
     margin = min(density[leaf] for leaf in tree.leaves)
     cps = ConsistentPriceSystem(
+        tree=tree,
         shadow_price={n: s for n, s in shadow.items() if density[n] > 0},
         density=AdaptedProcess(density),
         fee=fee,
@@ -182,7 +183,7 @@ def lp_find_cps(market, query):
         )
     nodes, x = market.tree.nodes, result.x
     shadow = {n: y / z for n, z, y in zip(nodes, x, x[len(nodes):]) if z > 0}
-    cps = _system(dict(zip(nodes, x)), shadow, query.fee)
+    cps = _system(market.tree, dict(zip(nodes, x)), shadow, query.fee)
     margin = min(cps.density[leaf] for leaf in market.tree.leaves)
     return FindCpsResult(feasible=True, cps=cps, min_leaf_density=margin)
 

@@ -1,3 +1,4 @@
+import collections
 import json
 import random
 import sys
@@ -24,10 +25,8 @@ from spreadlab import (
 )
 from spreadlab import cli as cli_module
 from spreadlab import cps as cps_module
-from spreadlab import theorems as theorems_module
 from spreadlab import tree as tree_module
 from spreadlab.cli import main, run_command
-from spreadlab.tree import density_problems
 
 from helpers import check_find_cps_report, random_market, random_sf_strategy
 from test_cps_reference import family_market
@@ -592,14 +591,17 @@ class TestDecompose:
         assert "not self-financing" in result.human_summary
 
     def test_density_validated_once(self, det_files, monkeypatch):
+        # the density's law; its per-node check runs when load_cps builds the
+        # system (test_price_system_checked_once)
         calls = []
+        law = tree_module._density_law
 
         def counted(tree, density):
             calls.append(density)
-            return density_problems(tree, density)
+            return law(tree, density)
 
-        for module in (cps_module, theorems_module):
-            monkeypatch.setattr(module, "density_problems", counted)
+        for module in (cps_module, tree_module):
+            monkeypatch.setattr(module, "_density_law", counted)
         result = run_command([
             "decompose", "--market", "det/market.json",
             "--strategy", "det/strategy.json", "--cps", "det/cps.json",
@@ -657,19 +659,19 @@ class TestDecompose:
         assert checked >= 20, checked
 
 
-def _count_holdings_checks(monkeypatch):
-    """Count the walks of a holdings leg by the per-node check: each call of
+def _count_checks(monkeypatch):
+    """Count the walks of a per-node value by the per-node check, by the
+    value's name ("bond holding", "density", ...): each call of
     `tree._adapted_problems`, or of its exactness test `tree._inexact` from
-    outside it, on a value named as a bond or stock holding, in every module
-    that holds them."""
-    counts = {"bond": 0, "stock": 0}
+    outside it, in every module that holds them."""
+    counts = collections.Counter()
     inside = []
 
     def counted(fn):
         def wrapper(*args, **kwargs):
             what = args[2]  # the value's name, third in both functions
-            if not inside and "holding" in what:
-                counts[what.split()[0]] += 1
+            if not inside:
+                counts[what] += 1
             inside.append(what)
             try:
                 return fn(*args, **kwargs)
@@ -697,10 +699,21 @@ def _count_holdings_checks(monkeypatch):
 def test_holdings_checked_once(det_files, monkeypatch, argv):
     # the holdings twin of test_density_validated_once: a strategy is checked
     # when it is built, and the functions handed it only ask for its tree
-    counts = _count_holdings_checks(monkeypatch)
+    counts = _count_checks(monkeypatch)
     result = run_command(argv)
     assert result.exit_code in (0, 1), result.human_summary
-    assert counts == {"bond": 1, "stock": 1}
+    assert (counts["bond holding"], counts["stock holding"]) == (1, 1)
+
+
+def test_price_system_checked_once(det_files, monkeypatch):
+    # a price system is checked when load_cps builds it, and the functions
+    # decompose hands it to only ask for its tree
+    counts = _count_checks(monkeypatch)
+    result = run_command([
+        "decompose", "--market", "det/market.json", "--strategy", "det/strategy.json", "--cps", "det/cps.json",
+    ])
+    assert result.exit_code == 0, result.human_summary
+    assert (counts["density"], counts["shadow price"]) == (1, 1)
 
 
 class TestTheorem:

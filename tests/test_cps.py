@@ -12,6 +12,7 @@ from spreadlab import (
     CpsError,
     CpsQuery,
     Strategy,
+    TreeError,
     brute_force_cps,
     cps_threshold,
     cps_to_doc,
@@ -21,8 +22,11 @@ from spreadlab import (
     load_market,
     make_market,
     max_equivalence_margin,
+    replay_admissibility_argument,
     scale_cps,
     shadow_decomposition,
+    shadow_value,
+    shadow_values,
     stochastic_counterexample,
     verify_cps,
 )
@@ -98,6 +102,7 @@ class TestFindCps:
                 result = find_cps(market, CpsQuery(fee) if fee else CpsQuery(fee, F(1, 10**6)))
                 assert result.feasible
                 handmade = ConsistentPriceSystem(
+                    tree=market.tree,
                     shadow_price=dict(market.price.values),
                     density=AdaptedProcess.constant(market.tree, F(1)),
                     fee=fee,
@@ -168,29 +173,85 @@ class TestFindCps:
             Market(tree=market.tree, price=market.price, fee=F(3, 2))
 
 
+class TestBoundToTree:
+    def test_system_on_another_tree_refused(self):
+        # the 2-step instance's nodes 0-2 are also the 4-step instance's, so
+        # every sweep would read a value; only the system's tree tells them apart
+        det2, det4 = deterministic_counterexample(F(1, 2)), deterministic_counterexample(F(1, 2), steps=4)
+        checks = {
+            "verify_cps": lambda cps: verify_cps(det2.market, cps),
+            "shadow_values": lambda cps: shadow_values(det2.strategy, cps),
+            "shadow_value": lambda cps: shadow_value(det2.strategy, cps, 1),
+            "shadow_decomposition": lambda cps: shadow_decomposition(det2.market, det2.strategy, cps),
+            "replay_admissibility_argument": lambda cps: replay_admissibility_argument(
+                det2.market, det2.strategy, 1, cps
+            ),
+        }
+        # an equal tree built apart is the same tree
+        apart = deterministic_counterexample(F(1, 2)).cps_witness
+        assert apart.tree is not det2.market.tree
+        for name, check in checks.items():
+            with pytest.raises(TreeError) as info:
+                check(det4.cps_witness)
+            assert type(info.value) is TreeError, name
+            assert info.value.problems == ["price system is bound to another tree"], name
+            if name != "replay_admissibility_argument":  # this witness cannot rescale
+                check(apart)
+
+    def test_float_shadow_price_refused_when_built(self):
+        # these floats were computed with: shadow_values marked the det
+        # strategy to -1.0 at every node
+        tree = deterministic_counterexample(F(1, 2)).market.tree
+        with pytest.raises(CpsError) as info:
+            ConsistentPriceSystem(tree, {n: 0.5 for n in tree.nodes}, AdaptedProcess.constant(tree, 1), F(1, 2))
+        assert info.value.problems == [f"node {n}: shadow price 0.5 is not a Fraction or an int" for n in tree.nodes]
+
+    def test_density_missing_nodes_refused_when_built(self):
+        tree = deterministic_counterexample(F(1, 2)).market.tree
+        with pytest.raises(CpsError) as info:
+            ConsistentPriceSystem(tree, {0: F(1, 2)}, AdaptedProcess({0: 1}), F(1, 2))
+        assert info.value.problems == ["density missing values at nodes [1, 2]"]
+
+    def test_built_systems_carry_their_tree(self):
+        det = deterministic_counterexample(F(1, 2))
+        tree = det.market.tree
+        loaded, _ = load_cps(cps_to_doc(det.cps_witness, DEFAULT_EPSILON), tree)
+        found = find_cps(det.market, CpsQuery(F(1, 2))).cps
+        _, margin_system = max_equivalence_margin(det.market, F(1, 2))
+        scaled = scale_cps(stochastic_counterexample(witness_fee=F(1, 16)).cps_witness, F(1, 2), F(1, 8))
+        assert loaded.tree is found.tree is margin_system.tree is det.cps_witness.tree is tree
+        assert scaled[0].tree is scaled[1].tree is not tree
+
+    def test_shadow_value_reads_the_system(self):
+        det = deterministic_counterexample(F(1, 2))
+        assert [shadow_value(det.strategy, det.cps_witness, n) for n in det.market.tree.nodes] == [-1, -1, -1]
+        off = ConsistentPriceSystem(det.market.tree, {0: F(1, 2), 2: F(1, 2)}, det.cps_witness.density, F(1, 2))
+        assert shadow_value(det.strategy, off, 2) == -1
+        with pytest.raises(ValueError) as info:
+            shadow_value(det.strategy, off, 1)
+        assert str(info.value) == "shadow price missing at nodes [1]"
+
+
 class TestVerifyCps:
     @pytest.mark.parametrize("bad", ["1", True, 1.0])
     @pytest.mark.parametrize("field", ["Z", "S_tilde"])
     def test_inexact_value_reported_not_raised(self, field, bad):
         # a flat market at lambda = 1/2: Z = 1 and S-tilde = S make a system,
         # and one value of the wrong type at node 1 must be named, whatever
-        # the arithmetic on it would have done
+        # the arithmetic on it would have done; a system is checked when it
+        # is built, so no such system reaches verify_cps or shadow_decomposition
         market = binary_market(fee="1/2", p_up="1/2", up="1", down="1")
         shadow, density = {0: F(1), 1: F(1), 2: F(1)}, {0: 1, 1: 1, 2: 1}
         (density if field == "Z" else shadow)[1] = bad
-        cps = ConsistentPriceSystem(shadow, AdaptedProcess(density), F(1, 2))
-        ok, violations = verify_cps(market, cps)
-        assert not ok
-        assert violations == [f"node 1: {'density' if field == 'Z' else 'shadow price'} {bad!r} "
-                              "is not a Fraction or an int"]
-        idle = Strategy(market.tree, bond=AdaptedProcess.constant(market.tree, F(0)),
-                        stock=AdaptedProcess.constant(market.tree, F(0)))
-        with pytest.raises(ValueError, match="is not a Fraction or an int"):
-            shadow_decomposition(market, idle, cps)
+        with pytest.raises(CpsError) as info:
+            ConsistentPriceSystem(market.tree, shadow, AdaptedProcess(density), F(1, 2))
+        assert info.value.problems == [f"node 1: {'density' if field == 'Z' else 'shadow price'} {bad!r} "
+                                       "is not a Fraction or an int"]
 
     def test_drift_violation_named(self):
         market = increasing_chain()
         cps = ConsistentPriceSystem(
+            tree=market.tree,
             shadow_price=dict(market.price.values),
             density=AdaptedProcess.constant(market.tree, F(1)),
             fee=F(1, 4),
@@ -202,6 +263,7 @@ class TestVerifyCps:
     def test_spread_violation_named(self):
         market = increasing_chain()
         cps = ConsistentPriceSystem(
+            tree=market.tree,
             shadow_price={0: F(3), 1: F(3)},
             density=AdaptedProcess.constant(market.tree, F(1)),
             fee=F(1, 4),
@@ -213,6 +275,7 @@ class TestVerifyCps:
     def test_root_density_and_negativity_checked(self):
         market = increasing_chain()
         cps = ConsistentPriceSystem(
+            tree=market.tree,
             shadow_price={0: F(1), 1: F(2)},
             density=AdaptedProcess({0: F(2), 1: F(-1)}),
             fee=F(3, 4),
@@ -225,6 +288,7 @@ class TestVerifyCps:
     def test_floor_enforced_when_epsilon_given(self):
         market = binary_market(fee="1/2")
         cps = ConsistentPriceSystem(
+            tree=market.tree,
             shadow_price={0: F(1), 1: F(3, 2), 2: F(1, 2)},
             density=AdaptedProcess({0: F(1), 1: F(3, 2), 2: F(3, 4)}),
             fee=F(1, 2),
@@ -424,6 +488,7 @@ class TestScaleCps:
             ],
         })
         cps = ConsistentPriceSystem(
+            tree=market.tree,
             shadow_price={0: F(7, 8), 1: F(7, 8)},
             density=AdaptedProcess.constant(market.tree, F(1)),
             fee=F(1, 8),
@@ -467,18 +532,21 @@ class TestWire:
         assert cps.shadow_price == result.cps.shadow_price
         assert cps.density.values == result.cps.density.values
         assert verify_cps(market, cps, epsilon=epsilon) == (True, [])
-        # what verify_cps accepts loads back: it used to accept values at
-        # nodes outside the tree, which load_cps refuses
-        injected = ConsistentPriceSystem(
-            {**cps.shadow_price, 77: F(1, 3)}, AdaptedProcess({**cps.density.values, 99: 5}), cps.fee
-        )
+        # values at nodes outside the tree: load_cps refuses them on the
+        # wire, and a system holding them cannot be built
+        injected = cps_to_doc(cps, epsilon)
+        injected["S_tilde"]["77"], injected["Z"]["99"] = "1/3", "5"
         with pytest.raises(CpsError) as info:
-            load_cps(cps_to_doc(injected, epsilon), market.tree)
+            load_cps(injected, market.tree)
         assert info.value.problems == ["S_tilde: node 77 not in tree", "Z: node 99 not in tree"]
-        assert verify_cps(market, injected, epsilon=epsilon) == (False, [
+        with pytest.raises(CpsError) as info:
+            ConsistentPriceSystem(
+                market.tree, {**cps.shadow_price, 77: F(1, 3)}, AdaptedProcess({**cps.density.values, 99: 5}), cps.fee
+            )
+        assert info.value.problems == [
             "density has values at unknown nodes [99]",
             "shadow price has values at unknown nodes [77]",
-        ])
+        ]
 
     def test_partial_shadow_price_marks_off_support(self):
         market = binary_market(fee="1/2")

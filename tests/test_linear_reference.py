@@ -58,7 +58,7 @@ def price_system(rng, tree, fee):
     # S-tilde sits at the ask, at the bid or between them
     price = {n: s / (1 - fee * rng.choice([F(0), F(1, 2), F(1)])) for n, s in shadow.items()}
     market = make_market(tree, AdaptedProcess(price), fee)
-    return market, ConsistentPriceSystem(shadow, AdaptedProcess(z), fee)
+    return market, ConsistentPriceSystem(tree, shadow, AdaptedProcess(z), fee)
 
 
 def exact_ints(values: dict) -> dict:
@@ -205,7 +205,7 @@ def test_verify_cps_matches_reference():
             z[n] += F(1, 5)
         fee = rng.choice([market.fee, F(0), F(1, 8), F(1, 2)])
         epsilon = rng.choice([F(0), F(0), F(1, 10), F(1, 2)])
-        system = ConsistentPriceSystem(shadow, AdaptedProcess(z), fee)
+        system = ConsistentPriceSystem(tree, shadow, AdaptedProcess(z), fee)
         result = verify_cps(market, system, fee=fee, epsilon=epsilon)
         expected = linear_reference.verify_cps(market, shadow, z, fee, epsilon)
         assert result == expected

@@ -1,12 +1,14 @@
 """The benchmark in ``perfbench/`` reaches the package by name: its tracer
-wraps the functions ``tracing.WRAPPED`` lists, and its self-test imports
-names from ``spreadlab``.  A rename in the package breaks the benchmark,
-so these tests read both files, without running or changing them, and
-look each name up."""
+wraps the functions ``tracing.WRAPPED`` lists, and its self-test, answer
+checker and worker import names from ``spreadlab``.  A rename in the
+package breaks the benchmark, so these tests read those files, without
+running or changing them, and look each name up."""
 
 import ast
 import importlib
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -35,12 +37,13 @@ def test_every_traced_function_exists():
     assert [f"{m}.{n}" for m, n in names if not callable(_lookup(m, n))] == []
 
 
-def test_every_selftest_import_exists():
+@pytest.mark.parametrize("script, least", [("selftest.py", 6), ("check.py", 3), ("worker.py", 1)])
+def test_every_spreadlab_import_exists(script, least):
     names = []
-    for node in ast.walk(_parse("selftest.py")):
+    for node in ast.walk(_parse(script)):
         if isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "spreadlab":
             names.extend((node.module, alias.name) for alias in node.names)
         elif isinstance(node, ast.Import):
             names.extend((alias.name, "") for alias in node.names if alias.name.partition(".")[0] == "spreadlab")
-    assert len(names) > 5
+    assert len(names) >= least
     assert [f"{m}.{n}".rstrip(".") for m, n in names if _lookup(m, n) is None] == []

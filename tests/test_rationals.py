@@ -200,10 +200,10 @@ def test_api_rejects_float_and_bool_node_values(site, bad):
 
 
 def _flat_system(shadow, density):
-    """What verify_cps lists for a system on the flat one-period market at
-    lambda = 1/2, where Z = 1 and S-tilde = S = 1 make a system."""
-    market = make_market(_one_period_tree(), AdaptedProcess({0: 1, 1: 1, 2: 1}), F(1, 2))
-    return verify_cps(market, ConsistentPriceSystem(shadow, density, F(1, 2)))[1]
+    """A system on the flat one-period market at lambda = 1/2, where Z = 1
+    and S-tilde = S = 1 make a system.  It is checked when built, so what
+    verify_cps listed for it, its construction raises."""
+    return ConsistentPriceSystem(_one_period_tree(), shadow, density, F(1, 2))
 
 
 _MISSING = AdaptedProcess({0: 1, 1: 1})
@@ -215,8 +215,10 @@ NODE_IDS = {
     "conditional_expectation": lambda tree, full, v: conditional_expectation(tree, full, None, v, 1),
     "liquidation_value": lambda tree, full, v: liquidation_value(make_market(tree, full, F(1, 2)), 1, 1, v),
     "pre_trade_holdings": lambda tree, full, v: pre_trade_holdings(Strategy(tree, full, full), v),
-    "shadow_value": lambda tree, full, v: shadow_value(Strategy(tree, full, full), full, v),
-    "shadow_value.pre_trade": lambda tree, full, v: shadow_value(Strategy(tree, full, full), full, v, True),
+    "shadow_value": lambda tree, full, v: shadow_value(Strategy(tree, full, full), _flat_system(full.values, full), v),
+    "shadow_value.pre_trade": lambda tree, full, v: shadow_value(
+        Strategy(tree, full, full), _flat_system(full.values, full), v, True
+    ),
 }
 
 
@@ -256,9 +258,11 @@ def _node_id_rows(ids):
                  "density has values at unknown nodes [99]", id="density_problems.unknown"),
     pytest.param(lambda tree, full, bad: check_ossm(tree, full, bad), _UNKNOWN, ValueError,
                  "invalid density: density has values at unknown nodes [99]", id="check_ossm.density.unknown"),
-    pytest.param(lambda tree, full, bad: _flat_system({0: 1, 1: 1, 2: 1}, bad), _UNKNOWN, None,
+    # a price system is checked when built: the verify_cps rows keep their
+    # ids, and the problems verify_cps listed, construction raises
+    pytest.param(lambda tree, full, bad: _flat_system({0: 1, 1: 1, 2: 1}, bad), _UNKNOWN, CpsError,
                  "density has values at unknown nodes [99]", id="verify_cps.density.unknown"),
-    pytest.param(lambda tree, full, bad: _flat_system(bad.values, full), _UNKNOWN, None,
+    pytest.param(lambda tree, full, bad: _flat_system(bad.values, full), _UNKNOWN, CpsError,
                  "shadow price has values at unknown nodes [99]", id="verify_cps.shadow_price.unknown"),
     # a strategy is checked when built: each leg covers exactly its tree's nodes
     pytest.param(lambda tree, full, bad: Strategy(tree, bad, full), _MISSING, StrategyError,
@@ -275,9 +279,10 @@ def _node_id_rows(ids):
                  "process has values at unknown nodes [99, 'a']", id="ensure_adapted.unknown.mixed"),
     pytest.param(lambda tree, full, bad: density_problems(tree, bad), _MIXED, None,
                  "density has values at unknown nodes [99, 'a']", id="density_problems.unknown.mixed"),
-    pytest.param(lambda tree, full, bad: _flat_system({0: 1, 1: 1, 2: 1}, bad), _MIXED, None,
+    # as above, the verify_cps rows: construction raises
+    pytest.param(lambda tree, full, bad: _flat_system({0: 1, 1: 1, 2: 1}, bad), _MIXED, CpsError,
                  "density has values at unknown nodes [99, 'a']", id="verify_cps.density.unknown.mixed"),
-    pytest.param(lambda tree, full, bad: _flat_system(bad.values, full), _MIXED, None,
+    pytest.param(lambda tree, full, bad: _flat_system(bad.values, full), _MIXED, CpsError,
                  "shadow price has values at unknown nodes [99, 'a']", id="verify_cps.shadow_price.unknown.mixed"),
     # an id or a depth that is not an int: True and 1.0 were read as 1, and
     # a float horizon raised a bare TypeError

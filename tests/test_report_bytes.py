@@ -210,7 +210,7 @@ def deep_inputs(seed: int = 255, depth: int = 7, fee=Fraction(1, 4)):
     density = {tree.root: Fraction(1)}
     for n in tree.nodes[1:]:
         density[n] = density[tree.parent[n]] * weights[n] / tree.cond_prob[n]
-    cps = ConsistentPriceSystem(shadow, AdaptedProcess(density), fee)
+    cps = ConsistentPriceSystem(tree, shadow, AdaptedProcess(density), fee)
     return market_to_doc(market), strategy_to_doc(strategy), cps_to_doc(cps, Fraction(0))
 
 

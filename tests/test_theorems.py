@@ -259,6 +259,7 @@ class TestShadowValues:
         tree = report.market.tree
         cps = report.cps_witness
         trimmed = ConsistentPriceSystem(
+            tree=tree,
             shadow_price={n: v for n, v in cps.shadow_price.items() if n != 1},
             density=cps.density,
             fee=cps.fee,
@@ -277,6 +278,7 @@ class TestShadowDecomposition:
             stock=AdaptedProcess.constant(market.tree, F(0)),
         )
         cps = ConsistentPriceSystem(
+            tree=market.tree,
             shadow_price=dict(market.price.values),
             density=AdaptedProcess.constant(market.tree, F(1)),
             fee=market.fee,
@@ -300,6 +302,7 @@ class TestShadowDecomposition:
     def test_requires_valid_system(self):
         report = deterministic_counterexample(F(1, 2))
         off = ConsistentPriceSystem(
+            tree=report.market.tree,
             shadow_price={n: F(9) for n in report.market.tree.nodes},
             density=report.cps_witness.density,
             fee=report.market.fee,
@@ -473,6 +476,7 @@ class TestAdmissibilityTheorem:
             strategy = random_sf_strategy(rng, market)
             worst = min(
                 shadow_values(strategy, ConsistentPriceSystem(
+                    tree=market.tree,
                     shadow_price=dict(market.price.values),
                     density=AdaptedProcess.constant(market.tree, F(1)),
                     fee=market.fee,
@@ -642,6 +646,7 @@ class TestReplay:
             stock=AdaptedProcess.constant(market.tree, F(0)),
         )
         cps = ConsistentPriceSystem(
+            tree=market.tree,
             shadow_price=dict(market.price.values),
             density=AdaptedProcess.constant(market.tree, F(1)),
             fee=F(0),

@@ -7,6 +7,7 @@ from spreadlab import (
     NUMERAIRE_BASED,
     NUMERAIRE_FREE,
     AdaptedProcess,
+    ConsistentPriceSystem,
     Strategy,
     admissibility_bound,
     deterministic_counterexample,
@@ -59,11 +60,12 @@ class TestShadowValue:
             market = random_market(rng)
             strat = random_sf_strategy(rng, market)
             tree = market.tree
-            shadow = AdaptedProcess({
+            # any in-spread shadow price: shadow_value reads no more of the system
+            shadow = ConsistentPriceSystem(tree, {
                 n: (1 - market.fee) * market.price[n]
                 + rng.choice([F(0), F(1, 3), F(1, 2), F(1)]) * market.fee * market.price[n]
                 for n in tree.nodes
-            })
+            }, AdaptedProcess.constant(tree, 1), market.fee)
             for n in tree.nodes:
                 marked = shadow_value(strat, shadow, n)
                 liq = liquidation_value(market, strat.bond[n], strat.stock[n], n)
@@ -75,7 +77,9 @@ class TestShadowValue:
     def test_constant_shadow_price_example(self):
         report = deterministic_counterexample(F(1, 2))
         tree = report.market.tree
-        shadow = AdaptedProcess({n: F(1, 2) for n in tree.nodes})
+        shadow = ConsistentPriceSystem(
+            tree, {n: F(1, 2) for n in tree.nodes}, AdaptedProcess.constant(tree, 1), F(1, 2)
+        )
         for n in tree.nodes:
             assert shadow_value(report.strategy, shadow, n) == -1
 
