@@ -132,8 +132,9 @@ def shadow_values(strategy: Strategy, cps: ConsistentPriceSystem, pre_trade: boo
     """Position marked at the shadow price, node by node, on the
     strategy's tree; pre-trade, the root's empty position marks to 0.
 
-    Needs the shadow price on every node, so absolutely continuous systems
-    with dead branches are rejected, and a system on the strategy's tree.
+    Needs a system bound to the strategy's tree with the shadow price on
+    every node, so absolutely continuous systems with dead branches are
+    rejected.
     """
     tree = strategy.tree
     s = _require_shadow(tree, cps, tree.nodes)

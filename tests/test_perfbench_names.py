@@ -37,7 +37,9 @@ def test_every_traced_function_exists():
     assert [f"{m}.{n}" for m, n in names if not callable(_lookup(m, n))] == []
 
 
-@pytest.mark.parametrize("script, least", [("selftest.py", 6), ("check.py", 3), ("worker.py", 1)])
+@pytest.mark.parametrize(
+    "script, least", [("selftest.py", 6), ("check.py", 3), ("worker.py", 1)], ids=["selftest.py", "check.py", "worker.py"]
+)
 def test_every_spreadlab_import_exists(script, least):
     names = []
     for node in ast.walk(_parse(script)):
