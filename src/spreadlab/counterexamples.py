@@ -103,7 +103,12 @@ def deterministic_counterexample(fee, steps: int = 2) -> CounterexampleReport:
     _require(sf.ok, f"strategy not self-financing at nodes {list(sf.violations)}")
     _require(sf.slack[tree.root] == 0, f"root slack {sf.slack[tree.root]}, expected 0")
 
-    witness = ConsistentPriceSystem(tree, {n: 1 - fee for n in tree.nodes}, AdaptedProcess.constant(tree, 1), fee)
+    witness = ConsistentPriceSystem(
+        tree=tree,
+        shadow_price={n: 1 - fee for n in tree.nodes},
+        density=AdaptedProcess.constant(tree, 1),
+        fee=fee,
+    )
     ok, violations = verify_cps(market, witness, fee=fee, epsilon=DEFAULT_EPSILON)
     _require(ok, f"witness system fails: {violations}")
 
@@ -235,7 +240,12 @@ def stochastic_counterexample(
         while tree.time_index[anchor] > 2:
             anchor = tree.parent[anchor]
         shadow[n] = (1 - witness_fee) * price[anchor]
-    witness = ConsistentPriceSystem(tree, shadow, AdaptedProcess.constant(tree, 1), witness_fee)
+    witness = ConsistentPriceSystem(
+        tree=tree,
+        shadow_price=shadow,
+        density=AdaptedProcess.constant(tree, 1),
+        fee=witness_fee,
+    )
     ok, violations = verify_cps(market, witness, fee=witness_fee, epsilon=DEFAULT_EPSILON)
     _require(ok, f"witness system fails: {violations}")
 

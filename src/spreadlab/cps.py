@@ -156,12 +156,14 @@ class ConsistentPriceSystem:
 
 def _require_shadow(tree: EventTree, cps: ConsistentPriceSystem, nodes: Iterable[NodeId]) -> Mapping[NodeId, Fraction]:
     """A system's shadow price, read on ``tree`` at ``nodes``: TreeError if the
-    system is bound to another tree, ValueError naming the nodes it leaves out."""
+    system is bound to another tree, ValueError naming the nodes it leaves out.
+    A bound shadow price holds no node outside its tree, so one as long as
+    the tree covers every node and no node is walked."""
     ensure_bound(tree, cps, "price system")
-    missing = [n for n in nodes if n not in cps.shadow_price]
-    if missing:
-        raise ValueError(f"shadow price missing at nodes {missing}")
-    return cps.shadow_price
+    shadow = cps.shadow_price
+    if len(shadow) < len(tree.nodes) and any(n not in shadow for n in nodes):
+        raise ValueError(f"shadow price missing at nodes {[n for n in nodes if n not in shadow]}")
+    return shadow
 
 
 @dataclass(frozen=True)
@@ -258,8 +260,12 @@ def _system(
     tree: EventTree, density: Mapping[NodeId, Fraction], shadow: Mapping[NodeId, Fraction], fee: Fraction
 ) -> ConsistentPriceSystem:
     """The system with density Z and the shadow values kept where Z > 0."""
-    shadow = {n: s for n, s in shadow.items() if density[n].numerator > 0}
-    return ConsistentPriceSystem(tree, shadow, AdaptedProcess(density), fee)
+    return ConsistentPriceSystem(
+        tree=tree,
+        shadow_price={n: s for n, s in shadow.items() if density[n].numerator > 0},
+        density=AdaptedProcess(density),
+        fee=fee,
+    )
 
 
 class _Box(NamedTuple):
@@ -679,13 +685,16 @@ def verify_cps(
             hn, hd = hi.as_integer_ratio()
             # keep * hi <= s <= hi, cross-multiplied
             if not (kn * hn * sd <= sn * kd * hd and sn * hd <= hn * sd):
-                violations.append(f"node {n}: shadow price {s} outside spread [{keep * hi}, {hi}]")
+                violations.append(
+                    f"node {n}: shadow price {s} outside spread [{keep * hi}, {hi}]"
+                )
             zn, zd = z[n].as_integer_ratio()
             mass_price[n] = Fraction(zn * sn, zd * sd)
+        elif z[n] == 0:
+            mass_price[n] = Fraction(0)
         else:
-            if z[n].numerator:
-                violations.append(f"node {n}: shadow price missing on support (density {z[n]})")
-            mass_price[n] = _ZERO
+            violations.append(f"node {n}: shadow price missing on support (density {z[n]})")
+            mass_price[n] = Fraction(0)
 
     for n, drift in support_drift(tree, AdaptedProcess(mass_price)).items():
         if drift.numerator:
@@ -693,8 +702,10 @@ def verify_cps(
 
     if epsilon:
         for leaf in tree.leaves:
-            if z[leaf] < epsilon:
-                violations.append(f"node {leaf}: leaf density {z[leaf]} below floor {epsilon}")
+            if cps.density[leaf] < epsilon:
+                violations.append(
+                    f"node {leaf}: leaf density {cps.density[leaf]} below floor {epsilon}"
+                )
     return not violations, violations
 
 
@@ -827,10 +838,21 @@ def scale_cps(
             f"scaling by 1 - alpha = {1 - alpha} would exit the spread: "
             f"need (1-alpha)(1-{cps.fee}) >= {1 - fee}"
         )
-    return tuple(
-        ConsistentPriceSystem(cps.tree, {n: k * s for n, s in cps.shadow_price.items()}, cps.density, fee)
-        for k in (1 - alpha, (1 - fee) / (1 - alpha))
+    down = Fraction(1) - alpha
+    up = (Fraction(1) - fee) / (Fraction(1) - alpha)
+    first = ConsistentPriceSystem(
+        tree=cps.tree,
+        shadow_price={n: down * s for n, s in cps.shadow_price.items()},
+        density=cps.density,
+        fee=fee,
     )
+    second = ConsistentPriceSystem(
+        tree=cps.tree,
+        shadow_price={n: up * s for n, s in cps.shadow_price.items()},
+        density=cps.density,
+        fee=fee,
+    )
+    return first, second
 
 
 @dataclass(frozen=True)
@@ -983,7 +1005,12 @@ def brute_force_cps(
 
     density = _density(tree, shadow)
     margin = min(density[leaf] for leaf in tree.leaves)
-    witness = ConsistentPriceSystem(tree, dict(shadow), AdaptedProcess(density), fee)
+    witness = ConsistentPriceSystem(
+        tree=tree,
+        shadow_price=dict(shadow),
+        density=AdaptedProcess(density),
+        fee=fee,
+    )
     if margin >= epsilon:
         return BruteForceResult(True, witness, margin, grid_resolution)
     return BruteForceResult(False, witness, margin, grid_resolution)
@@ -1048,7 +1075,7 @@ def load_cps(document: Mapping, tree: EventTree) -> tuple[ConsistentPriceSystem,
     if problems:
         raise CpsError(problems)
 
-    return ConsistentPriceSystem(tree, shadow, AdaptedProcess(density), fee), epsilon
+    return ConsistentPriceSystem(tree=tree, shadow_price=shadow, density=AdaptedProcess(density), fee=fee), epsilon
 
 
 def cps_to_doc(cps: ConsistentPriceSystem, epsilon: Fraction) -> dict:

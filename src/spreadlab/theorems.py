@@ -22,7 +22,7 @@ from .tree import (
     EventTree,
     NodeId,
     PredictableProcess,
-    _conditional_expectation,
+    conditional_expectation,
     density_problems,
     ensure_adapted,
     ensure_predictable,
@@ -419,7 +419,9 @@ def replay_admissibility_argument(
         else:
             continue
         shadow_bound = bond + stock * system.shadow_price[n]
-        conditional = _conditional_expectation(tree, terminal_process, cps.density, n, tree.horizon)
+        conditional = conditional_expectation(
+            tree, terminal_process, cps.density, n, tree.horizon
+        )
         return ReplayResult(
             node=n,
             classification=cls,

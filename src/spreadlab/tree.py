@@ -442,14 +442,6 @@ def conditional_expectation(
     ensure_adapted(tree, process, "process")
     if density is not None:
         ensure_adapted(tree, density, "density")
-    return _conditional_expectation(tree, process, density, node, horizon)
-
-
-def _conditional_expectation(
-    tree: EventTree, process: AdaptedProcess, density: "AdaptedProcess | None", node: NodeId, horizon: int
-) -> Fraction:
-    """`conditional_expectation` of values already checked per node.  The
-    twin stays for a price system's density, checked when it was built."""
     ensure_node(tree, node)
     if not isinstance(horizon, int) or isinstance(horizon, bool):
         raise ValueError(f"horizon must be an integer, got {horizon!r}")

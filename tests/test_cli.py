@@ -688,32 +688,31 @@ def _count_checks(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("argv", [
-    ["check-strategy", "--market", "det/market.json", "--strategy", "det/strategy.json"],
-    ["check-strategy", "--market", "det/market.json", "--strategy", "det/strategy.json", "--mode", "nf"],
-    ["theorem", "--market", "det/market.json", "--strategy", "det/strategy.json", "--x", "1"],
-    ["decompose", "--market", "det/market.json", "--strategy", "det/strategy.json", "--cps", "det/cps.json"],
-    ["counterexample", "--variant", "det", "--out-dir", "again"],
-    ["counterexample", "--variant", "stoch", "--out-dir", "again"],
-], ids=lambda argv: "-".join(a for a in argv if not a.endswith(".json")))
-def test_holdings_checked_once(det_files, monkeypatch, argv):
+_HOLDINGS_ONCE = {"bond holding": 1, "stock holding": 1}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    pytest.param(argv, expected, id="-".join(a for a in argv if not a.endswith(".json")))
+    for argv, expected in [
+        (["check-strategy", "--market", "det/market.json", "--strategy", "det/strategy.json"], _HOLDINGS_ONCE),
+        (["check-strategy", "--market", "det/market.json", "--strategy", "det/strategy.json", "--mode", "nf"],
+         _HOLDINGS_ONCE),
+        (["theorem", "--market", "det/market.json", "--strategy", "det/strategy.json", "--x", "1"], _HOLDINGS_ONCE),
+        # the price system too: load_cps builds it, and the functions
+        # decompose hands it to only ask for its tree
+        (["decompose", "--market", "det/market.json", "--strategy", "det/strategy.json", "--cps", "det/cps.json"],
+         {**_HOLDINGS_ONCE, "density": 1, "shadow price": 1}),
+        (["counterexample", "--variant", "det", "--out-dir", "again"], _HOLDINGS_ONCE),
+        (["counterexample", "--variant", "stoch", "--out-dir", "again"], _HOLDINGS_ONCE),
+    ]
+])
+def test_holdings_checked_once(det_files, monkeypatch, argv, expected):
     # the holdings twin of test_density_validated_once: a strategy is checked
     # when it is built, and the functions handed it only ask for its tree
     counts = _count_checks(monkeypatch)
     result = run_command(argv)
     assert result.exit_code in (0, 1), result.human_summary
-    assert (counts["bond holding"], counts["stock holding"]) == (1, 1)
-
-
-def test_price_system_checked_once(det_files, monkeypatch):
-    # a price system is checked when load_cps builds it, and the functions
-    # decompose hands it to only ask for its tree
-    counts = _count_checks(monkeypatch)
-    result = run_command([
-        "decompose", "--market", "det/market.json", "--strategy", "det/strategy.json", "--cps", "det/cps.json",
-    ])
-    assert result.exit_code == 0, result.human_summary
-    assert (counts["density"], counts["shadow price"]) == (1, 1)
+    assert {name: counts[name] for name in expected} == expected
 
 
 class TestTheorem:

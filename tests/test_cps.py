@@ -238,8 +238,10 @@ class TestVerifyCps:
     def test_inexact_value_reported_not_raised(self, field, bad):
         # a flat market at lambda = 1/2: Z = 1 and S-tilde = S make a system,
         # and one value of the wrong type at node 1 must be named, whatever
-        # the arithmetic on it would have done; a system is checked when it
-        # is built, so no such system reaches verify_cps or shadow_decomposition
+        # the arithmetic on it would have done.  The name is older than the
+        # check at construction: the value is now refused when the system is
+        # built, with the problem verify_cps reported, so no such system
+        # reaches verify_cps or shadow_decomposition
         market = binary_market(fee="1/2", p_up="1/2", up="1", down="1")
         shadow, density = {0: F(1), 1: F(1), 2: F(1)}, {0: 1, 1: 1, 2: 1}
         (density if field == "Z" else shadow)[1] = bad
