@@ -67,6 +67,18 @@ def _dip_value(sale_wealth: Fraction, fee: Fraction, witness_fee: Fraction) -> F
     return sale_wealth - (sale_wealth + 1) * (1 + witness_fee * (1 / fee - 1))
 
 
+def _levels(fee, witness_fee) -> tuple[Fraction, Fraction]:
+    """The stochastic instance's two cost levels, read by `parse_rational`;
+    raises ValueError unless 0 < witness_fee <= fee < 1."""
+    fee = parse_rational(fee)
+    witness_fee = parse_rational(witness_fee)
+    if not (0 < witness_fee <= fee < 1):
+        raise ValueError(
+            f"need 0 < witness_fee <= fee < 1, got witness_fee={witness_fee}, fee={fee}"
+        )
+    return fee, witness_fee
+
+
 def deterministic_counterexample(fee, steps: int = 2) -> CounterexampleReport:
     """Single-path market whose dip defeats the terminal bound.
 
@@ -162,13 +174,8 @@ def stochastic_counterexample(
     self-financing at the market's own cost level whenever
     witness_fee < fee; it is exposed for comparison only.
     """
-    fee = parse_rational(fee)
-    witness_fee = parse_rational(witness_fee)
+    fee, witness_fee = _levels(fee, witness_fee)
     up_price = parse_rational(up_price)
-    if not (0 < witness_fee <= fee < 1):
-        raise ValueError(
-            f"need 0 < witness_fee <= fee < 1, got witness_fee={witness_fee}, fee={fee}"
-        )
     if up_price <= 1:
         raise ValueError(f"up_price must exceed 1, got {up_price}")
 
@@ -291,15 +298,10 @@ def up_price_for_target_loss(fee, witness_fee, target) -> Fraction:
     witness for any target > 1; the returned value feeds
     stochastic_counterexample directly.
     """
-    fee = parse_rational(fee)
-    witness_fee = parse_rational(witness_fee)
+    fee, witness_fee = _levels(fee, witness_fee)
     target = parse_rational(target)
     if target <= 1:
         raise ValueError(f"target must exceed 1, got {target}")
-    if not (0 < witness_fee <= fee < 1):
-        raise ValueError(
-            f"need 0 < witness_fee <= fee < 1, got witness_fee={witness_fee}, fee={fee}"
-        )
     up = Fraction(2)
     while True:
         if _dip_value(-1 + up * (1 - fee), fee, witness_fee) <= -target:

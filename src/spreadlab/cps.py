@@ -818,41 +818,47 @@ def cps_threshold(market: Market, measure: str = EQUIVALENT) -> Fraction:
     return _threshold(market, _equivalent_mode(measure))[0]
 
 
+def _rescaling(low_fee: Fraction, fee, alpha) -> tuple[Fraction, Fraction, Fraction]:
+    """The window of the rescaling argument, stated once: the level
+    ``fee`` read by `_level_and_floor`, ``alpha`` by `parse_rational`, and
+    the factors 1 - alpha and (1 - fee)/(1 - alpha) that promote a price
+    system at ``low_fee`` to level ``fee``.  Raises ValueError unless
+    low_fee <= alpha <= fee and both rescaled prices stay inside the
+    wider spread."""
+    fee, _ = _level_and_floor(fee)
+    alpha = parse_rational(alpha)
+    if not (low_fee <= alpha <= fee):
+        raise ValueError(
+            f"parameter ordering violated: need {low_fee} <= alpha <= {fee}, got alpha = {alpha}"
+        )
+    if (1 - alpha) * (1 - low_fee) < (1 - fee):
+        raise ValueError(
+            f"scaling by 1 - alpha = {1 - alpha} would exit the spread: "
+            f"need (1-alpha)(1-{low_fee}) >= {1 - fee}"
+        )
+    down = 1 - alpha
+    return fee, down, (1 - fee) / down
+
+
 def scale_cps(
     cps: ConsistentPriceSystem, fee: Fraction, alpha: Fraction
 ) -> tuple[ConsistentPriceSystem, ConsistentPriceSystem]:
     """The two rescalings that promote a low-cost system to level ``fee``.
 
     Multiplying the shadow price by (1 - alpha), or by (1 - fee)/(1 - alpha),
-    keeps it a martingale under the same measure; the parameter window
-    below keeps both inside the wider spread.
+    keeps it a martingale under the same measure; the window of
+    `_rescaling` keeps both inside the wider spread.
     """
-    fee, _ = _level_and_floor(fee)
-    alpha = parse_rational(alpha)
-    if not (cps.fee <= alpha <= fee):
-        raise ValueError(
-            f"parameter ordering violated: need {cps.fee} <= alpha <= {fee}, got alpha = {alpha}"
+    fee, down, up = _rescaling(cps.fee, fee, alpha)
+    return tuple(
+        ConsistentPriceSystem(
+            tree=cps.tree,
+            shadow_price={n: factor * s for n, s in cps.shadow_price.items()},
+            density=cps.density,
+            fee=fee,
         )
-    if (1 - alpha) * (1 - cps.fee) < (1 - fee):
-        raise ValueError(
-            f"scaling by 1 - alpha = {1 - alpha} would exit the spread: "
-            f"need (1-alpha)(1-{cps.fee}) >= {1 - fee}"
-        )
-    down = Fraction(1) - alpha
-    up = (Fraction(1) - fee) / (Fraction(1) - alpha)
-    first = ConsistentPriceSystem(
-        tree=cps.tree,
-        shadow_price={n: down * s for n, s in cps.shadow_price.items()},
-        density=cps.density,
-        fee=fee,
+        for factor in (down, up)
     )
-    second = ConsistentPriceSystem(
-        tree=cps.tree,
-        shadow_price={n: up * s for n, s in cps.shadow_price.items()},
-        density=cps.density,
-        fee=fee,
-    )
-    return first, second
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cps import EQUIVALENT, ConsistentPriceSystem, _equivalent_mode, _require_shadow, _threshold, scale_cps, verify_cps
+from .cps import EQUIVALENT, ConsistentPriceSystem, _equivalent_mode, _require_shadow, _rescaling, _threshold, verify_cps
 from .market import Market
 from .rationals import parse_rational
 from .strategy import Strategy, check_self_financing, derive_bond_account, ensure_strategy
@@ -386,18 +386,18 @@ def replay_admissibility_argument(
     """Hunt for a node whose incoming position breaks the bound even at
     tilted prices, then average terminal liquidation over its subtree.
 
-    Uses a price system at a level below alpha (rescaling validates the
-    window).  Returns None when no node meets the tilted-price condition;
-    the condition is stricter than the plain bound violation, and the gap
-    closes only as alpha shrinks.
+    Uses a price system at a level below alpha; `_rescaling` checks the
+    window and gives the factors of `scale_cps`, so the shadow bound is
+    read at one node and no price system is built.  Returns None when no
+    node meets the tilted-price condition; the condition is stricter than
+    the plain bound violation, and the gap closes only as alpha shrinks.
     """
     tree = market.tree
     ensure_strategy(tree, strategy)
-    _require_shadow(tree, cps, tree.nodes)
+    s = _require_shadow(tree, cps, tree.nodes)
     fee = market.fee
-    alpha = fee / 4 if alpha is None else parse_rational(alpha)
     x = parse_rational(x)
-    down_system, up_system = scale_cps(cps, fee, alpha)
+    _, down, up = _rescaling(cps.fee, fee, fee / 4 if alpha is None else alpha)
 
     # the holdings carried into each node: (0, 0) at the root
     parent, keep = tree.parent, 1 - fee
@@ -410,15 +410,15 @@ def replay_admissibility_argument(
 
     for n in tree.nodes:
         bond, stock = carried[n]
-        long_value = bond + stock * (1 - fee) / (1 - alpha) * market.price[n]
-        short_value = bond + stock * (1 - alpha) ** 2 * market.price[n]
+        long_value = bond + stock * up * market.price[n]
+        short_value = bond + stock * down ** 2 * market.price[n]
         if stock >= 0 and long_value < -x:
-            cls, value, system = LONG, long_value, up_system
+            cls, value, factor = LONG, long_value, up
         elif stock <= 0 and short_value < -x:
-            cls, value, system = SHORT, short_value, down_system
+            cls, value, factor = SHORT, short_value, down
         else:
             continue
-        shadow_bound = bond + stock * system.shadow_price[n]
+        shadow_bound = bond + stock * factor * s[n]
         conditional = conditional_expectation(
             tree, terminal_process, cps.density, n, tree.horizon
         )

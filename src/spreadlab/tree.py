@@ -167,21 +167,25 @@ class EventTree:
 
     @staticmethod
     def build(times: Sequence[Fraction], entries: Iterable[tuple]) -> "EventTree":
-        """Validate and assemble a tree from (id, parent, cond_prob) rows.
+        """Validate and assemble a tree from (id, parent, cond_prob) rows:
+        the package's one reader and checker of tree rows.
 
-        Times and probabilities that are not already Fractions are read by
-        `parse_rational`, so a float or a bool is a problem, and so is a
-        parent id that is one (`load_tree` runs the same check).  Raises
-        TreeError listing every violation found, each tagged with the
-        offending node id.
+        Times and probabilities are read by one `rational_reader`, so each
+        distinct text is parsed once and its repeats share a Fraction, and
+        a float or a bool is a problem.  A parent is an int id or None: a
+        bool or a float (``True``, ``1.0``) would hash as node 1 and be
+        written back as ``true`` or ``1.0``.  Raises TreeError listing every
+        violation found, each tagged with the offending node id.  Problems
+        with the times or the rows are raised before the tree's shape is
+        checked, so a refused row's children are not reported as parentless.
         """
         problems: list[str] = []
-        entries = list(entries)
+        read = rational_reader()
 
         parsed_times = []
         for i, t in enumerate(times):
             try:
-                parsed_times.append(t if isinstance(t, Fraction) else parse_rational(t))
+                parsed_times.append(read(t))
             except ValueError as exc:
                 problems.append(f"times[{i}]: {exc}")
         times = tuple(parsed_times)
@@ -197,14 +201,16 @@ class EventTree:
                 problems.append(f"node {node}: duplicate id")
                 continue
             seen.add(node)
-            if bad_parent := _parent_problem(node, par):
-                problems.append(bad_parent)
+            if par is not None and (not isinstance(par, int) or isinstance(par, bool)):
+                problems.append(f"node {node}: parent must be an integer id or null, got {par!r}")
                 continue
             parent[node] = par
             try:
-                cond[node] = prob if isinstance(prob, Fraction) else parse_rational(prob)
+                cond[node] = read(prob)
             except ValueError as exc:
                 problems.append(f"node {node}: {exc}")
+        if problems:
+            raise TreeError(problems)
 
         roots = [n for n, p in parent.items() if p is None]
         if len(roots) != 1 or (roots and roots[0] != 0):
@@ -288,15 +294,6 @@ class EventTree:
         )
 
 
-def _parent_problem(node, par) -> "str | None":
-    """The one parent-id check of `EventTree.build` and `load_tree`: a
-    parent is an int id or None.  A bool or a float (``True``, ``1.0``)
-    would hash as node 1 and be written back as ``true`` or ``1.0``."""
-    if par is not None and (not isinstance(par, int) or isinstance(par, bool)):
-        return f"node {node!r}: parent must be an integer id or null, got {par!r}"
-    return None
-
-
 def load_tree(document: Mapping) -> EventTree:
     """Build a validated tree from a JSON-style document.
 
@@ -306,7 +303,11 @@ def load_tree(document: Mapping) -> EventTree:
          "nodes": [{"id": 0, "parent": null, "prob": "1", ...}, ...]}
 
     Rationals are "p/q" or integer strings.  Keys other than the tree
-    structure (prices, cost levels) are ignored here.
+    structure (prices, cost levels) are ignored here.  Only what the
+    document's shape decides is checked: an object with ``times`` and
+    ``nodes`` lists, each node an object with an ``id``, and a ``prob``
+    unless it is the root.  The texts go to `EventTree.build` unparsed; it
+    reads and checks the rows.
     """
     problems: list[str] = []
     if not isinstance(document, Mapping):
@@ -323,14 +324,6 @@ def load_tree(document: Mapping) -> EventTree:
     if problems:
         raise TreeError(problems)
 
-    read = rational_reader()
-    times = []
-    for i, t in enumerate(document["times"]):
-        try:
-            times.append(read(t))
-        except ValueError as exc:
-            problems.append(f"times[{i}]: {exc}")
-
     entries = []
     for i, spec in enumerate(document["nodes"]):
         if not is_mapping(spec) or "id" not in spec:
@@ -338,23 +331,15 @@ def load_tree(document: Mapping) -> EventTree:
             continue
         node = spec["id"]
         par = spec.get("parent")
-        if bad_parent := _parent_problem(node, par):
-            problems.append(bad_parent)
-            continue
         raw_prob = spec.get("prob", "1" if par is None else None)
         if raw_prob is None:
             problems.append(f"node {node}: missing 'prob'")
             continue
-        try:
-            prob = read(raw_prob)
-        except ValueError as exc:
-            problems.append(f"node {node}: {exc}")
-            continue
-        entries.append((node, par, prob))
+        entries.append((node, par, raw_prob))
 
     if problems:
         raise TreeError(problems)
-    return EventTree.build(times, entries)
+    return EventTree.build(document["times"], entries)
 
 
 def ensure_adapted(tree: EventTree, process: AdaptedProcess, name: str = "process") -> None:

@@ -1,12 +1,14 @@
-"""Seeded generators shared across the suite, and the check of a
-find-cps report read back from its file.
+"""Seeded generators shared across the suite, the check of a find-cps
+report read back from its file, and a counter of the per-node check.
 
 Everything takes an explicit random.Random so each test controls its
 seed; sizes default to the scale the brute-force oracle accepts.
 """
 
+import collections
 from fractions import Fraction
 import random
+import sys
 
 from spreadlab import (
     AdaptedProcess,
@@ -20,6 +22,7 @@ from spreadlab import (
     parse_rational,
     verify_cps,
 )
+from spreadlab import tree as tree_module
 from spreadlab.cps import _cps_constraints
 from spreadlab.simplex import FarkasCertificate
 
@@ -176,3 +179,32 @@ def check_find_cps_report(market: Market, report: dict) -> bool:
     assert certificate.verify(used)
     assert report["certificate"]["verified"] is True
     return False
+
+
+def count_checks(monkeypatch):
+    """Count the walks of a per-node value by the per-node check, by the
+    value's name ("bond holding", "density", ...): each call of
+    `tree._adapted_problems`, or of its exactness test `tree._inexact` from
+    outside it, in every module that holds them."""
+    counts = collections.Counter()
+    inside = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            what = args[2]  # the value's name, third in both functions
+            if not inside:
+                counts[what] += 1
+            inside.append(what)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        return wrapper
+
+    for name in ("_adapted_problems", "_inexact"):
+        original = getattr(tree_module, name)
+        wrapped = counted(original)
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("spreadlab") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapped)
+    return counts

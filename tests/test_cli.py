@@ -1,4 +1,3 @@
-import collections
 import json
 import random
 import sys
@@ -28,7 +27,7 @@ from spreadlab import cps as cps_module
 from spreadlab import tree as tree_module
 from spreadlab.cli import main, run_command
 
-from helpers import check_find_cps_report, random_market, random_sf_strategy
+from helpers import check_find_cps_report, count_checks, random_market, random_sf_strategy
 from test_cps_reference import family_market
 
 F = Fraction
@@ -659,35 +658,6 @@ class TestDecompose:
         assert checked >= 20, checked
 
 
-def _count_checks(monkeypatch):
-    """Count the walks of a per-node value by the per-node check, by the
-    value's name ("bond holding", "density", ...): each call of
-    `tree._adapted_problems`, or of its exactness test `tree._inexact` from
-    outside it, in every module that holds them."""
-    counts = collections.Counter()
-    inside = []
-
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            what = args[2]  # the value's name, third in both functions
-            if not inside:
-                counts[what] += 1
-            inside.append(what)
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                inside.pop()
-        return wrapper
-
-    for name in ("_adapted_problems", "_inexact"):
-        original = getattr(tree_module, name)
-        wrapped = counted(original)
-        for module in list(sys.modules.values()):
-            if module.__name__.startswith("spreadlab") and getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, wrapped)
-    return counts
-
-
 _HOLDINGS_ONCE = {"bond holding": 1, "stock holding": 1}
 
 
@@ -709,7 +679,7 @@ _HOLDINGS_ONCE = {"bond holding": 1, "stock holding": 1}
 def test_holdings_checked_once(det_files, monkeypatch, argv, expected):
     # the holdings twin of test_density_validated_once: a strategy is checked
     # when it is built, and the functions handed it only ask for its tree
-    counts = _count_checks(monkeypatch)
+    counts = count_checks(monkeypatch)
     result = run_command(argv)
     assert result.exit_code in (0, 1), result.human_summary
     assert {name: counts[name] for name in expected} == expected

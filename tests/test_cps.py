@@ -480,10 +480,10 @@ class TestMargin:
 
 
 class TestScaleCps:
-    def flat_cps(self):
+    def flat_cps(self, fee=F(1, 2)):
         market = load_market({
             "times": ["0", "1"],
-            "lambda": "1/2",
+            "lambda": str(fee),
             "nodes": [
                 {"id": 0, "parent": None, "prob": "1", "S": "1"},
                 {"id": 1, "parent": 0, "prob": "1", "S": "1"},
@@ -497,6 +497,20 @@ class TestScaleCps:
         )
         return market, cps
 
+    def window_message(self, fee, alpha):
+        """What scale_cps raises on the window (fee, alpha), asserted to be
+        what the replay raises on a market at level fee."""
+        market, cps = self.flat_cps(fee)
+        tree = market.tree
+        idle = Strategy(tree, AdaptedProcess.constant(tree, 0), AdaptedProcess.constant(tree, 0))
+        with pytest.raises(ValueError) as scaled:
+            scale_cps(cps, fee, alpha)
+        with pytest.raises(ValueError) as replayed:
+            replay_admissibility_argument(market, idle, 0, cps, alpha)
+        assert type(replayed.value) is type(scaled.value)
+        assert str(replayed.value) == str(scaled.value)
+        return str(scaled.value)
+
     def test_both_outputs_land_in_the_wider_spread(self):
         market, cps = self.flat_cps()
         first, second = scale_cps(cps, F(1, 2), F(1, 4))
@@ -508,17 +522,12 @@ class TestScaleCps:
             assert scaled.fee == F(1, 2)
 
     def test_ordering_window(self):
-        _, cps = self.flat_cps()
-        with pytest.raises(ValueError, match="ordering"):
-            scale_cps(cps, F(1, 2), F(1, 16))
-        with pytest.raises(ValueError, match="ordering"):
-            scale_cps(cps, F(1, 2), F(3, 4))
+        assert "ordering" in self.window_message(F(1, 2), F(1, 16))
+        assert "ordering" in self.window_message(F(1, 2), F(3, 4))
 
     def test_spread_exit_window(self):
-        _, cps = self.flat_cps()
         # alpha close to fee shrinks prices below the wider bid
-        with pytest.raises(ValueError, match="spread"):
-            scale_cps(cps, F(3, 16), F(3, 16))
+        assert "spread" in self.window_message(F(3, 16), F(3, 16))
 
 
 class TestWire:

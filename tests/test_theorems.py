@@ -16,6 +16,7 @@ from spreadlab import (
     CpsError,
     CpsQuery,
     PredictableProcess,
+    ReplayResult,
     Strategy,
     check_admissibility_theorem,
     check_ossm,
@@ -35,6 +36,7 @@ from spreadlab.theorems import TheoremWitness
 
 from helpers import (
     binomial_martingale_market,
+    count_checks,
     random_adapted,
     random_density,
     random_market,
@@ -664,6 +666,22 @@ class TestReplay:
         assert result.modified_value < F(-3, 4)
         # terminal liquidation averages below -x, which is the contradiction
         assert result.conditional_terminal < F(-3, 4)
+
+    def test_one_replay_checks_density_and_process_once(self, monkeypatch):
+        # the replay reads its shadow bound off the rescaling factors and
+        # builds no price system: no shadow price is checked, and
+        # conditional_expectation checks the density and the terminal
+        # process once each
+        report = stochastic_counterexample(witness_fee=F(1, 16))
+        counts = count_checks(monkeypatch)
+        result = replay_admissibility_argument(
+            report.market, report.strategy, F(3, 4), report.cps_witness, alpha=F(1, 8)
+        )
+        expected = {"density": 1, "shadow price": 0, "process": 1}
+        assert {name: counts[name] for name in expected} == expected
+        assert result == ReplayResult(
+            node=7, classification=LONG, modified_value=F(-6, 7), shadow_bound=F(-6, 7), conditional_terminal=F(-1)
+        )
 
     def test_deterministic_witness_cannot_rescale(self):
         report = deterministic_counterexample(F(1, 2))

@@ -111,6 +111,23 @@ class TestBuild:
             EventTree.build([0, 1, 2], [(0, None, 1), (1, 0, 1), (2, par, 1)])
         assert f"node 2: parent must be an integer id or null, got {par!r}" in info.value.problems
 
+    @pytest.mark.parametrize("entries, problem", [
+        pytest.param([(0, None, 1), (1, True, 1), (2, 1, 1)], "node 1: parent must be an integer id or null, got True",
+                     id="bool-parent"),
+        pytest.param([(0, None, 1), (-1, 0, 1), (2, -1, 1)], "node -1: ids must be nonnegative integers",
+                     id="negative-id"),
+    ])
+    def test_refused_row_leaves_no_phantom_parent(self, entries, problem):
+        # node 2's parent was refused, not missing: "node 2: parent 1 does
+        # not exist" (or -1) used to follow the one real problem
+        with pytest.raises(TreeError) as info:
+            EventTree.build([0, 1, 2], entries)
+        assert info.value.problems == [problem]
+
+    def test_repeated_text_is_parsed_once(self):
+        tree = EventTree.build(["0", "1"], [(0, None, "1"), (1, 0, "1/2"), (2, 0, "1/2")])
+        assert tree.cond_prob[1] is tree.cond_prob[2]
+
     @given(st.lists(st.integers(1, 2), min_size=1, max_size=4), st.data())
     def test_every_built_tree_round_trips(self, widths, data):
         # a tree of len(widths) periods, each node having widths[d] children;
