@@ -34,7 +34,7 @@ from .cps import (
     load_cps,
 )
 from .market import load_market, market_to_doc
-from .rationals import format_rational, parse_rational
+from .rationals import ascii_int, format_rational, parse_rational
 from .strategy import check_self_financing, load_strategy, strategy_to_doc
 from .theorems import _ossm, check_admissibility_theorem, shadow_decomposition
 from .tree import InputError
@@ -325,6 +325,14 @@ def _rational_flag(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _int_flag(text: str) -> int:
+    """``ascii_int`` for a flag, refused in the words argparse uses for ``int``."""
+    try:
+        return ascii_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors raise ValueError, reported like bad input, instead of exiting."""
 
@@ -399,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    default=Fraction(1, 4), help="witness system level (stochastic variant)")
     p.add_argument("--m-tilde", dest="up_price", type=_rational_flag, default=Fraction(4),
                    help="jump size of the fair bet (stochastic variant)")
-    p.add_argument("--steps", type=int, default=2, help="grid steps (deterministic variant)")
+    p.add_argument("--steps", type=_int_flag, default=2, help="grid steps (deterministic variant)")
     p.add_argument("--literal-sale", action="store_true",
                    help="stochastic variant: price the up-branch sale at 1 - lambda' "
                         "(breaks self-financing; for comparison only)")

@@ -63,7 +63,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from . import simplex
 from .market import Market
-from .rationals import format_rational, parse_rational, rational_reader
+from .rationals import ascii_int, format_rational, parse_rational, rational_reader
 from .simplex import Constraint, FarkasCertificate
 from .tree import (
     AdaptedProcess, EventTree, InputError, NodeId, _adapted_problems, _density_law, ensure_bound, support_drift
@@ -1026,10 +1026,10 @@ def load_cps(document: Mapping, tree: EventTree) -> tuple[ConsistentPriceSystem,
     """Parse a price-system document; returns the system, bound to
     ``tree``, and its epsilon.
 
-    Expected keys: "S_tilde" and "Z" as maps from node id text to rational
-    text, "lambda_prime", "epsilon".  "S_tilde" may omit nodes (taken as
-    off-support); "Z" must cover every node; "lambda_prime" must be in
-    [0, 1) and "epsilon" nonnegative.
+    Expected keys: "S_tilde" and "Z" as maps from node id text (or int
+    ids) to rational text, "lambda_prime", "epsilon".  "S_tilde" may omit
+    nodes (taken as off-support); "Z" must cover every node;
+    "lambda_prime" must be in [0, 1) and "epsilon" nonnegative.
     """
     if not isinstance(document, Mapping):
         raise CpsError(["price-system document must be a JSON object"])
@@ -1050,9 +1050,15 @@ def load_cps(document: Mapping, tree: EventTree) -> tuple[ConsistentPriceSystem,
     def parse_map(raw: Mapping, label: str) -> dict[NodeId, Fraction]:
         out: dict[NodeId, Fraction] = {}
         for key, value in raw.items():
-            try:
-                node = int(key)
-            except (TypeError, ValueError):
+            if isinstance(key, str):
+                try:
+                    node = ascii_int(key)
+                except ValueError:
+                    node = None
+            else:
+                # int() would read 1.5 and True as node 1
+                node = key if type(key) is int else None
+            if node is None:
                 problems.append(f"{label}: bad node id {key!r}")
                 continue
             if node not in tree.node_set:

@@ -1,9 +1,9 @@
 """Parsing and formatting of exact rationals for the JSON wire format.
 
-Numbers cross every file boundary as strings like "3/4" or "-2" (plain
-integers are also accepted).  Floats are rejected outright: the package
-guarantees bit-exact arithmetic, and a decimal literal has no faithful
-rational reading once it has been through binary floating point.
+Numbers cross every file boundary as strings like "3/4" or "-2" in ASCII
+digits (plain integers are also accepted).  Floats are rejected outright:
+the package guarantees bit-exact arithmetic, and a decimal literal has no
+faithful rational reading once it has been through binary floating point.
 
 Documents repeat their texts heavily (a binomial market has a handful of
 distinct probabilities and prices over thousands of nodes), so the loaders
@@ -27,6 +27,19 @@ from typing import Callable
 _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
 
 
+def ascii_int(text: str) -> int:
+    """``int(text)`` for a sign and ASCII digits, with whitespace around them.
+
+    ``int`` also reads underscores between digits and the digits of every
+    other script ("1_0" is 10, "٣" is 3); no writer of the wire format emits
+    them, so they are refused here as any other malformed text is.
+    """
+    text = text.strip()
+    if not text.isascii() or "_" in text:
+        raise ValueError("an integer takes ASCII digits, with no underscores")
+    return int(text)
+
+
 def parse_rational(value) -> Fraction:
     """Parse "p/q" or integer text (or a plain int) into a Fraction."""
     if isinstance(value, str):
@@ -34,11 +47,11 @@ def parse_rational(value) -> Fraction:
         try:
             if "/" in text:
                 num, _, den = text.partition("/")
-                return Fraction(int(num.strip()), int(den.strip()))
-            return Fraction(int(text))
+                return Fraction(ascii_int(num), ascii_int(den))
+            return Fraction(ascii_int(text))
         except (ValueError, ZeroDivisionError) as exc:
             limit = sys.get_int_max_str_digits()
-            digits = max(sum(ch.isdigit() for ch in part) for part in text.split("/"))
+            digits = max(sum("0" <= ch <= "9" for ch in part) for part in text.split("/"))
             if limit and digits > limit:
                 raise ValueError(
                     f"rational too long: an integer part has {digits} digits, over the limit of {limit}"

@@ -8,8 +8,12 @@ point inside the spread and always dominates liquidation.
 A strategy is admissible at level M when liquidation never dips below -M
 along the tree; on a finite tree such an M always exists, and this module
 computes the smallest one.  Two normalizations are supported: the bound
-in bond units, or divided through by 1 + S(n) so that it is insensitive
-to which account plays the numeraire.
+in bond units, or divided through by 1 + S(n), the ask value of one bond
+plus one share, so that a node's need is counted in that basket.  The
+division does not make the bound independent of which account plays the
+numeraire.  On the path S = 1, 2 at lambda = 1/2, buying one share at the
+root and holding it needs 1/4; its swap, which holds (1, -1) against the
+ask S' = 1/((1 - lambda)S) = 2, 1 and is self-financing too, needs 1/3.
 """
 
 from __future__ import annotations

@@ -1,11 +1,14 @@
 import json
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import spreadlab
 from spreadlab import (
     CpsQuery,
     OssmReport,
@@ -51,6 +54,19 @@ def det_files(tmp_path, monkeypatch):
     ])
     assert result.exit_code == 0
     return tmp_path / "det"
+
+
+@pytest.fixture
+def stoch_files(tmp_path, monkeypatch):
+    # the stochastic instance at its defaults, its report written apart
+    monkeypatch.chdir(tmp_path)
+    result = run_command([
+        "counterexample", "--variant", "stoch", "--out-dir", "stoch", "--report", "stoch-report.json",
+    ])
+    assert result.exit_code == 0
+    assert read_json("stoch-report.json")["variant"] == "stoch"
+    assert {p.name for p in (tmp_path / "stoch").iterdir()} == {"market.json", "strategy.json", "cps.json"}
+    return tmp_path / "stoch"
 
 
 class TestCounterexampleCommand:
@@ -209,13 +225,15 @@ class TestMalformedShapes:
         assert report["market_problems"] == [f"'{key}' must be a list, got int"]
 
     def test_parent_of_wrong_type(self, det_files):
-        doc = read_json(det_files / "market.json")
-        doc["nodes"][1]["parent"] = [0]
-        (det_files / "bad.json").write_text(json.dumps(doc))
-        result = run_command(["validate", "--market", "det/bad.json"])
-        assert result.exit_code == 2
-        problems = read_json(result.report_path)["market_problems"]
-        assert problems == ["node 1: parent must be an integer id or null, got [0]"]
+        # one problem each: the refused row leaves no parentless child behind it
+        for parent in ([0], True):
+            doc = read_json(det_files / "market.json")
+            doc["nodes"][1]["parent"] = parent
+            (det_files / "bad.json").write_text(json.dumps(doc))
+            result = run_command(["validate", "--market", "det/bad.json"])
+            assert result.exit_code == 2
+            problems = read_json(result.report_path)["market_problems"]
+            assert problems == [f"node 1: parent must be an integer id or null, got {parent}"]
 
     def test_holdings_node_of_wrong_type_in_validate(self, det_files):
         (det_files / "s.json").write_text(json.dumps(
@@ -263,6 +281,37 @@ class TestMalformedShapes:
             "error: lambda_prime must satisfy 0 <= lambda' < 1, got 2; "
             "epsilon must be nonnegative, got -5"
         )
+
+    def test_price_system_node_outside_the_tree_in_decompose(self, det_files):
+        doc = read_json(det_files / "cps.json")
+        doc["S_tilde"]["99"] = "1"
+        write_json(det_files / "c.json", doc)
+        result = run_command([
+            "decompose", "--market", "det/market.json", "--strategy", "det/strategy.json",
+            "--cps", "det/c.json",
+        ])
+        assert result.exit_code == 2
+        assert result.human_summary == "error: S_tilde: node 99 not in tree"
+
+    def test_non_ascii_digits_exit_2(self, det_files):
+        # int() reads "\uff11/\uff12" as 1/2 and "\u0661" as node 1
+        doc = read_json(det_files / "market.json")
+        doc["nodes"][1]["S"] = "\uff11/\uff12"
+        write_json(det_files / "bad.json", doc)
+        result = run_command(["validate", "--market", "det/bad.json"])
+        assert result.exit_code == 2
+        assert read_json(result.report_path)["market_problems"] == [
+            "node 1: malformed rational '\uff11/\uff12': an integer takes ASCII digits, with no underscores",
+        ]
+        doc = read_json(det_files / "cps.json")
+        doc["S_tilde"]["\u0661"] = doc["S_tilde"].pop("1")
+        write_json(det_files / "c.json", doc)
+        result = run_command([
+            "decompose", "--market", "det/market.json", "--strategy", "det/strategy.json",
+            "--cps", "det/c.json",
+        ])
+        assert result.exit_code == 2
+        assert result.human_summary == "error: S_tilde: bad node id '\u0661'"
 
     def test_price_system_node_given_twice_in_decompose(self, det_files):
         doc = read_json(det_files / "cps.json")
@@ -361,6 +410,7 @@ class TestCheckStrategy:
             "check-strategy", "--market", "det/market.json",
             "--strategy", "det/strategy.json", "--mode", "nf",
         ])
+        assert result.exit_code == 0
         report = read_json(result.report_path)
         assert report["mode"] == "numeraire_free"
         assert report["minimal_bound"] == "1"
@@ -439,17 +489,18 @@ class TestFindCps:
         assert all(v == F(1, 2) for v in cps.shadow_price.values())
 
     def test_infeasible_reports_certificate(self, det_files):
-        result = run_command([
-            "find-cps", "--market", "det/market.json", "--lambda", "1/4",
-        ])
-        assert result.exit_code == 3
-        report = read_json(result.report_path)
-        assert report["feasible"] is False
-        cert = report["certificate"]
-        assert cert["verified"] is True
-        assert set(cert) == {"multipliers", "verified"}
-        assert cert["multipliers"] and "0" not in cert["multipliers"].values()
-        assert "infeasible" in result.human_summary
+        for flags in ([], ["--ac"]):
+            result = run_command([
+                "find-cps", "--market", "det/market.json", "--lambda", "1/4", *flags,
+            ])
+            assert result.exit_code == 3
+            report = read_json(result.report_path)
+            assert report["feasible"] is False
+            cert = report["certificate"]
+            assert cert["verified"] is True
+            assert set(cert) == {"multipliers", "verified"}
+            assert cert["multipliers"] and "0" not in cert["multipliers"].values()
+            assert "infeasible" in result.human_summary
 
     def test_random_reports_check_from_their_bytes(self, tmp_path, monkeypatch):
         # random prices and lifted roots, where most systems fail, in both modes
@@ -527,11 +578,12 @@ class TestFindCps:
 
 class TestThreshold:
     def test_deterministic_market(self, det_files):
-        result = run_command(["cps-threshold", "--market", "det/market.json"])
-        assert result.exit_code == 0
-        report = read_json(result.report_path)
-        assert report["threshold"] == "1/2"
-        assert report["attained"] is True
+        for flags in ([], ["--ac"]):
+            result = run_command(["cps-threshold", "--market", "det/market.json", *flags])
+            assert result.exit_code == 0
+            report = read_json(result.report_path)
+            assert report["threshold"] == "1/2"
+            assert report["attained"] is True
 
     def test_decimal_summary(self, det_files):
         result = run_command([
@@ -563,6 +615,20 @@ class TestDecompose:
         assert report["drift_violations"] == {}
         assert set(report["martingale"].values()) == {"-1"}
         assert set(report["compensator"].values()) == {"0"}
+
+    @pytest.mark.parametrize("instance", ["det", "stoch"])
+    def test_find_cps_report_feeds_decompose(self, request, instance):
+        files = request.getfixturevalue(f"{instance}_files").name
+        result = run_command([
+            "find-cps", "--market", f"{files}/market.json", "--lambda", "1/2", "--report", "found.json",
+        ])
+        assert result.exit_code == 0
+        result = run_command([
+            "decompose", "--market", f"{files}/market.json",
+            "--strategy", f"{files}/strategy.json", "--cps", "found.json",
+        ])
+        assert result.exit_code == 0, result.human_summary
+        assert read_json(result.report_path)["supermartingale"] is True
 
     def test_positive_drift_is_a_broken_invariant(self, det_files, monkeypatch):
         # the checks before the drift leave it no way to be positive, so a
@@ -687,15 +753,27 @@ def test_holdings_checked_once(det_files, monkeypatch, argv, expected):
 
 class TestTheorem:
     def test_witness_beats_hypothesis_failure(self, det_files):
-        result = run_command([
-            "theorem", "--market", "det/market.json",
-            "--strategy", "det/strategy.json", "--x", "1",
-        ])
+        for flags in ([], ["--ac"]):
+            result = run_command([
+                "theorem", "--market", "det/market.json",
+                "--strategy", "det/strategy.json", "--x", "1", *flags,
+            ])
+            assert result.exit_code == 1
+            report = read_json(result.report_path)
+            assert report["holds"] is False
+            assert report["witness"] == {"node": 1, "classification": "long", "value": "-3/2"}
+            assert report["hypothesis_ok"] is False
+
+    def test_stochastic_instance_checks_and_breaks_the_theorem(self, stoch_files):
+        files = ["--market", "stoch/market.json", "--strategy", "stoch/strategy.json"]
+        result = run_command(["check-strategy", *files])
+        assert result.exit_code == 0
+        assert read_json(result.report_path)["self_financing"] is True
+        result = run_command(["theorem", *files, "--x", "1"])
         assert result.exit_code == 1
         report = read_json(result.report_path)
         assert report["holds"] is False
-        assert report["witness"] == {"node": 1, "classification": "long", "value": "-3/2"}
-        assert report["hypothesis_ok"] is False
+        assert report["witness"] == {"node": 7, "classification": "long", "value": "-3/2"}
 
     def test_holds_on_martingale_market(self, tmp_path, monkeypatch):
         # S = 1 over 2 and 1/2 is a martingale at p = 1/3; one share bought
@@ -825,7 +903,10 @@ class TestParsing:
          "argument --lambda: malformed rational '1/0': Fraction(1, 0)"),
         (["theorem", "--market", "m.json", "--strategy", "s.json", "--x", "abc"],
          "argument --x: malformed rational 'abc': invalid literal for int()"),
-    ], ids=["lambda", "x"])
+        # int() would read the Arabic-Indic digit as 4 steps
+        (["counterexample", "--variant", "det", "--steps", "\u0664"],
+         "argument --steps: invalid int value: '\u0664'"),
+    ], ids=["lambda", "x", "steps"])
     def test_bad_rational_flag_keeps_its_reason(self, argv, reason, capsys):
         result = run_command(argv)
         assert result.exit_code == 2
@@ -896,3 +977,28 @@ class TestMain:
         code = main(["validate", "--market", "ghost.json"])
         assert code == 2
         assert "file not found" in capsys.readouterr().out
+
+    def test_python_m_spreadlab(self, tmp_path):
+        # __main__ in a process of its own, on the package this suite
+        # imports: a price that only rises has no martingale measure
+        write_json(tmp_path / "rising.json", {
+            "times": ["0", "1"], "lambda": "0",
+            "nodes": [{"id": 0, "parent": None, "prob": "1", "S": "1"},
+                      {"id": 1, "parent": 0, "prob": "1", "S": "2"}],
+        })
+        write_json(tmp_path / "idle.json", {"holdings": []})
+        env = {key: value for key, value in os.environ.items() if key != "SPREADLAB_EPSILON"}
+        env["PYTHONPATH"] = str(Path(spreadlab.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "spreadlab", "theorem", "--market", "rising.json",
+             "--strategy", "idle.json", "--x", "0"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (3, "")
+        assert done.stdout == (
+            "node-wise bound -x = 0: holds\n"
+            "hypothesis unmet:\n"
+            "  no martingale measure (no consistent price system at cost level 0, threshold 1/2)\n"
+            "report: theorem-report.json\n"
+        )
+        assert read_json(tmp_path / "theorem-report.json")["hypothesis_ok"] is False

@@ -613,6 +613,27 @@ class TestWire:
             load_cps(doc, market.tree)
         assert excinfo.value.problems == [f"{label}: node {node} given twice"]
 
+    @pytest.mark.parametrize("label, key", [
+        ("S_tilde", "\u0662"), ("Z", "\uff12"), ("Z", "0_2"), ("S_tilde", 2.5), ("Z", 2.0), ("Z", True),
+    ])
+    def test_node_key_is_an_int_id_or_its_ascii_text(self, label, key):
+        # int() reads each key as a node id: True as node 1, the others as node 2
+        market = binary_market()
+        doc = {
+            "S_tilde": {"0": "1", "1": "2", "2": "1/2"},
+            "Z": {"0": "1", "1": "1", "2": "1"},
+            "lambda_prime": "0",
+            "epsilon": "1/1000000",
+        }
+        doc[label][key] = doc[label].pop("2")
+        with pytest.raises(CpsError) as excinfo:
+            load_cps(doc, market.tree)
+        missing = ["Z: missing nodes [2]"] if label == "Z" else []
+        assert excinfo.value.problems == [f"{label}: bad node id {key!r}", *missing]
+        doc[label][2] = doc[label].pop(key)
+        cps, _ = load_cps(doc, market.tree)
+        assert cps.density[2] == 1
+
 
 class TestAbsolutelyContinuousMode:
     def kill_branch_market(self):

@@ -61,6 +61,10 @@ def test_parse_basic_forms():
     assert parse_rational("-2") == Fraction(-2)
     assert parse_rational(5) == Fraction(5)
     assert parse_rational(Fraction(2, 6)) == Fraction(1, 3)
+    # whitespace around each integer, of any script, and a leading sign
+    assert parse_rational(" +3 / -4 ") == Fraction(-3, 4)
+    assert parse_rational("\u00a01\u2003/\t2 ") == Fraction(1, 2)
+    assert parse_rational("-007") == Fraction(-7)
 
 
 def test_parse_rejects_floats_and_bools():
@@ -387,6 +391,15 @@ def test_tree_build_reads_ints_and_text():
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
+
+
+@pytest.mark.parametrize("text", [
+    "1_0", "1/1_0", "\u0663/\u0664", "\uff11/\uff12", "-\u0663",
+    pytest.param("\u0663" * 5000, id="arabic-indic-past-the-digit-limit"),
+])
+def test_parse_takes_ascii_digits_only(text):
+    # int() reads each: an underscore between digits, Arabic-Indic and fullwidth digits
+    assert _message(text) == f"malformed rational {text!r}: an integer takes ASCII digits, with no underscores"
 
 
 def test_format_integer_values_drop_denominator():

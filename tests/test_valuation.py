@@ -10,6 +10,7 @@ from spreadlab import (
     ConsistentPriceSystem,
     Strategy,
     admissibility_bound,
+    check_self_financing,
     deterministic_counterexample,
     liquidation_value,
     load_market,
@@ -167,6 +168,23 @@ class TestAdmissibilityBound:
         report = admissibility_bound(market, strat, NUMERAIRE_FREE)
         assert report.minimal_bound == F(5, 3) and type(report.minimal_bound) is Fraction
         assert type(report.per_node[0]) is Fraction
+
+    def test_numeraire_free_bound_moves_under_the_numeraire_swap(self):
+        # the swap of the module docstring: holdings (b, s) become (s, b)
+        # against the ask 1/((1 - lambda)S); the nf bound reads 1/4, then 1/3
+        def held(prices, bond, stock):
+            market = load_market({
+                "times": ["0", "1"], "lambda": "1/2",
+                "nodes": [{"id": 0, "parent": None, "prob": "1", "S": prices[0]},
+                          {"id": 1, "parent": 0, "prob": "1", "S": prices[1]}],
+            })
+            strat = Strategy(market.tree, bond=AdaptedProcess({0: bond, 1: bond}),
+                             stock=AdaptedProcess({0: stock, 1: stock}))
+            assert check_self_financing(market, strat).ok
+            return admissibility_bound(market, strat, NUMERAIRE_FREE).minimal_bound
+
+        assert held(["1", "2"], F(-1), F(1)) == F(1, 4)
+        assert held(["2", "1"], F(1), F(-1)) == F(1, 3)
 
     def test_unknown_mode_rejected(self):
         market = flat_market()
