@@ -4,9 +4,12 @@ Each case runs one CLI command on a small market and compares the report
 file, byte for byte, with ``tests/reports/<case>.json``.  A change that
 only makes a command faster must leave every one of them alone.  To
 rewrite the files after an intended report change, run this module as a
-script: ``PYTHONPATH=src python tests/test_report_bytes.py``.
+script: ``PYTHONPATH=src python tests/test_report_bytes.py``.  Two reports
+on a 2047-node market are pinned by their sha256 instead; the script
+prints the digests to put in ``DIGESTS``.
 """
 
+import hashlib
 import json
 import os
 import random
@@ -278,6 +281,37 @@ INPUTS = {
     "deep-cps.json": DEEP_CPS,
 }
 
+# 2047 nodes: each per-node map of these reports is longer than one slice
+# of the report writer.  The reports run to hundreds of kilobytes, so they
+# are pinned by sha256: name -> (argv, exit code, digest).
+LARGE, LARGE_STRATEGY, LARGE_CPS = deep_inputs(seed=2047, depth=10)
+LARGE_INPUTS = {"large-strategy.json": LARGE_STRATEGY, "large-cps.json": LARGE_CPS}
+DIGESTS = {
+    "check_strategy_large_nb": (
+        ["check-strategy", "--strategy", "large-strategy.json", "--mode", "nb"], 0,
+        "0ba9130f6a39484c5057e2ab2d7f69a7b200e25fbacc1649144bfe384f749611",
+    ),
+    "decompose_large": (
+        ["decompose", "--strategy", "large-strategy.json", "--cps", "large-cps.json"], 0,
+        "f6239fb87d2c22a581492a6c4c7f5e60d2e25410b87aecf7588897a97288f23e",
+    ),
+}
+
+
+def write_inputs(market_path: str, doc: dict, inputs: dict) -> None:
+    for path, input_doc in [(market_path, doc), *inputs.items()]:
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(input_doc, handle)
+
+
+def run_report(name: str, argv: list, market_path: str) -> "tuple[int, bytes]":
+    """Run one command on the market at ``market_path``; returns the exit
+    code and the report bytes."""
+    report = f"{name}-report.json"
+    result = run_command([*argv, "--market", market_path, "--report", report])
+    assert result.report_path == report, result.human_summary
+    return result.exit_code, Path(report).read_bytes()
+
 
 def run_case(name: str) -> "tuple[int, bytes]":
     """Run one case in the current directory; returns the exit code and
@@ -289,15 +323,16 @@ def run_case(name: str) -> "tuple[int, bytes]":
         path = "det/market.json"
     else:
         path = f"{name}-market.json"
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle)
-        for input_name, input_doc in INPUTS.items():
-            with open(input_name, "w", encoding="utf-8") as handle:
-                json.dump(input_doc, handle)
-    report = f"{name}-report.json"
-    result = run_command([*argv, "--market", path, "--report", report])
-    assert result.report_path == report, result.human_summary
-    return result.exit_code, Path(report).read_bytes()
+        write_inputs(path, doc, INPUTS)
+    return run_report(name, argv, path)
+
+
+def run_large(name: str) -> "tuple[int, str]":
+    """Run one 2047-node case in the current directory; returns the exit
+    code and the sha256 of the report."""
+    write_inputs("large-market.json", LARGE, LARGE_INPUTS)
+    code, data = run_report(name, DIGESTS[name][0], "large-market.json")
+    return code, hashlib.sha256(data).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -306,6 +341,12 @@ def test_report_bytes_unchanged(tmp_path, monkeypatch, name):
     code, data = run_case(name)
     assert code == CASES[name][2]
     assert data == (EXPECTED / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_large_report_digest_unchanged(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    assert run_large(name) == DIGESTS[name][1:]
 
 
 @pytest.mark.parametrize("name", sorted(name for name in CASES if name.startswith("find_cps_")))
@@ -324,3 +365,6 @@ if __name__ == "__main__":
             code, data = run_case(name)
             (EXPECTED / f"{name}.json").write_bytes(data)
             print(f"{name}: exit {code}, {len(data)} bytes")
+        for name in sorted(DIGESTS):
+            code, digest = run_large(name)
+            print(f"{name}: exit {code}, sha256 {digest} (pin it in DIGESTS)")
