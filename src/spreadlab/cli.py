@@ -8,18 +8,23 @@ Exit code convention, applied uniformly:
 
 Rationals cross this boundary as "p/q" strings.  Machine reports never
 contain floats; ``--decimal`` adds approximate values to the terminal
-summary only.
+summary only.  A report file holds exactly ``json.dumps(report, indent=2)``
+and a newline; its runs of scalar values go through the C encoder, and a
+long per-node map is written slice by slice, so the whole text is never
+held at once.
 """
 
 from __future__ import annotations
 
 import argparse
 import decimal
+import functools
 import json
 import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 from . import counterexamples
@@ -34,7 +39,7 @@ from .cps import (
     load_cps,
 )
 from .market import load_market, market_to_doc
-from .rationals import ascii_int, format_rational, parse_rational
+from .rationals import ascii_int, format_map, format_rational, node_keys, parse_rational
 from .strategy import check_self_financing, load_strategy, strategy_to_doc
 from .theorems import _ossm, check_admissibility_theorem, shadow_decomposition
 from .tree import InputError
@@ -87,11 +92,95 @@ def _load_json(path: str) -> dict:
         raise ValueError(f"{path}: {exc}")
 
 
+# items per C-encoder call: a longer container is written a slice at a time
+_SLICE = 1024
+_NESTED = (dict, list, tuple)
+# a slice whose values are all of these exact types is one encoder call
+_SCALARS = {str, int, bool, float, type(None)}
+
+
+@functools.cache  # one per nesting depth a report reaches
+def _encoder(indent: str) -> json.JSONEncoder:
+    """The C encoder, its items apart as indent=2 sets them at ``indent``."""
+    return json.JSONEncoder(separators=(",\n" + indent, ": "))
+
+
+def _body(encoder: json.JSONEncoder, run: dict, is_dict: bool) -> str:
+    """The items of ``run`` as ``encoder`` writes them, between the brackets;
+    a list's run is keyed by position."""
+    return encoder.encode(run if is_dict else list(run.values()))[1:-1]
+
+
+def _key(encoder: json.JSONEncoder, key) -> str:
+    """A key as json writes it: a string is encoded alone, without the
+    C encoder's set-up; any other key is cut from a one-item object."""
+    if type(key) is str:
+        return encoder.encode(key)
+    return json.dumps({key: 0})[1:-len(": 0}")]
+
+
+def _slices(container, is_dict: bool):
+    """The container itself if it fits in one slice, else its slices."""
+    if len(container) <= _SLICE:
+        yield container
+        return
+    items = iter(container.items() if is_dict else container)
+    while part := (dict if is_dict else list)(islice(items, _SLICE)):
+        yield part
+
+
+def _emit(container, outer: str, parts: list, write) -> None:
+    """Append to ``parts`` the text ``json.dumps(..., indent=2)`` gives a
+    dict, list or tuple nested at the indent ``outer``.
+
+    The items go a slice at a time.  A slice of plain scalars, the common
+    case, is one C-encoder call; otherwise each run of scalars between
+    nested values is, empty containers counting as scalars.  After each
+    full slice, ``parts`` goes to ``write`` and is cleared.
+    """
+    is_dict = isinstance(container, dict)
+    if not container:
+        parts.append("{}" if is_dict else "[]")
+        return
+    inner = outer + "  "
+    encoder, sep = _encoder(inner), ",\n" + inner
+    parts.append(("{\n" if is_dict else "[\n") + inner)
+    lead = ""
+    for part in _slices(container, is_dict):
+        if _SCALARS.issuperset(map(type, part.values() if is_dict else part)):
+            parts.append(lead + encoder.encode(part)[1:-1])
+            lead = sep
+        else:
+            run: dict = {}
+            for key, value in part.items() if is_dict else enumerate(part):
+                if not (isinstance(value, _NESTED) and value):
+                    run[key] = value
+                    continue
+                if run:
+                    parts.append(lead + _body(encoder, run, is_dict))
+                    lead, run = sep, {}
+                if is_dict:
+                    lead += _key(encoder, key) + ": "
+                parts.append(lead)
+                _emit(value, inner, parts, write)
+                lead = sep
+            if run:
+                parts.append(lead + _body(encoder, run, is_dict))
+                lead = sep
+        if len(part) == _SLICE:
+            write("".join(parts))
+            parts.clear()
+    parts.append("\n" + outer + ("}" if is_dict else "]"))
+
+
 def _write_report(path: str, doc: dict) -> str:
+    """Write ``json.dumps(doc, indent=2)`` and a newline to ``path``."""
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, indent=2)
-            handle.write("\n")
+            parts: list = []
+            _emit(doc, "", parts, handle.write)
+            parts.append("\n")
+            handle.write("".join(parts))
     except OSError as exc:
         raise ValueError(f"{path}: cannot write report ({exc.strerror or exc})")
     return path
@@ -107,10 +196,6 @@ def _fmt(value: Fraction, show_decimal: bool) -> str:
             approx = f"{quotient.normalize(_APPROX):g}"
         return f"{text} (~{approx})"
     return text
-
-
-def _rational_map(process) -> dict:
-    return {str(k): format_rational(v) for k, v in sorted(process.values.items())}
 
 
 def _cmd_validate(args) -> _Outcome:
@@ -152,14 +237,15 @@ def _cmd_check_strategy(args) -> _Outcome:
     mode = NUMERAIRE_FREE if args.mode == "nf" else NUMERAIRE_BASED
     sf = check_self_financing(market, strategy)
     adm = admissibility_bound(market, strategy, mode)
+    keys = node_keys(market.tree.nodes)
     report = {
         "self_financing": sf.ok,
         "slack_violations": list(sf.violations),
-        "slack": _rational_map(sf.slack),
+        "slack": format_map(sf.slack.values, keys),
         "mode": mode,
         "minimal_bound": format_rational(adm.minimal_bound),
         "worst_node": adm.worst_node,
-        "per_node_requirement": _rational_map(adm.per_node),
+        "per_node_requirement": format_map(adm.per_node.values, keys),
     }
     overdrawn = f"NO (bond overdrawn at nodes {list(sf.violations)})"
     lines = [
@@ -231,14 +317,15 @@ def _cmd_decompose(args) -> _Outcome:
     if not ossm.ok:
         n, d = ossm.violations[0]
         raise RuntimeError(f"node {n}: marked value has positive drift {d} under the system's measure")
+    keys = node_keys(market.tree.nodes)
     report = {
-        "value": _rational_map(decomposition.value),
-        "cost": _rational_map(decomposition.cost),
-        "transform": _rational_map(decomposition.transform),
+        "value": format_map(decomposition.value.values, keys),
+        "cost": format_map(decomposition.cost.values, keys),
+        "transform": format_map(decomposition.transform.values, keys),
         "supermartingale": True,
         "drift_violations": {},
-        "martingale": _rational_map(ossm.decomposition.martingale),
-        "compensator": _rational_map(ossm.decomposition.compensator),
+        "martingale": format_map(ossm.decomposition.martingale.values, keys),
+        "compensator": format_map(ossm.decomposition.compensator.values, keys),
     }
     leaf_costs = [decomposition.cost[leaf] for leaf in market.tree.leaves]
     lines = [

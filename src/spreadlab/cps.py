@@ -63,7 +63,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from . import simplex
 from .market import Market
-from .rationals import ascii_int, format_rational, parse_rational, rational_reader
+from .rationals import ascii_int, format_map, format_rational, node_keys, parse_rational, rational_reader
 from .simplex import Constraint, FarkasCertificate
 from .tree import (
     AdaptedProcess, EventTree, InputError, NodeId, _adapted_problems, _density_law, ensure_bound, support_drift
@@ -1092,9 +1092,10 @@ def load_cps(document: Mapping, tree: EventTree) -> tuple[ConsistentPriceSystem,
 
 def cps_to_doc(cps: ConsistentPriceSystem, epsilon: Fraction) -> dict:
     """Serialize to the documented wire shape (node ids become text keys)."""
+    keys = node_keys(cps.tree.nodes)
     return {
-        "S_tilde": {str(n): format_rational(s) for n, s in sorted(cps.shadow_price.items())},
-        "Z": {str(n): format_rational(cps.density[n]) for n in sorted(cps.density.values)},
+        "S_tilde": format_map(cps.shadow_price, keys),
+        "Z": format_map(cps.density.values, keys),
         "lambda_prime": format_rational(cps.fee),
         "epsilon": format_rational(epsilon),
     }

@@ -13,7 +13,9 @@ nothing read from one input is held for, or served to, the next.
 
 ``format_rational`` writes any value exactly, however long: past the
 interpreter's integer string limit it converts the digits itself instead
-of lifting that process-wide limit.
+of lifting that process-wide limit.  ``format_map`` writes a per-node map
+through it, over node keys that ``node_keys`` sorts and converts to text
+once for all the maps of one report.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import decimal
 import sys
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable, Mapping
 
 # exact enough for any integer: the precision and exponent range are the maximum
 _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
@@ -106,3 +108,18 @@ def format_rational(value) -> str:
         if q.denominator == 1:
             return _digits(q.numerator)
         return f"{_digits(q.numerator)}/{_digits(q.denominator)}"
+
+
+def node_keys(nodes: Iterable) -> list:
+    """The nodes in id order, each paired with its text: the keys of a
+    per-node map on the wire, for every map of one report."""
+    return [(n, str(n)) for n in sorted(nodes)]
+
+
+def format_map(values: Mapping, keys: list) -> dict:
+    """A per-node map on the wire: the text of each node of ``keys`` (from
+    ``node_keys``) that ``values`` holds, to its value as ``format_rational``
+    writes it, in node order.  ``values`` holds no node outside ``keys``."""
+    if len(values) == len(keys):  # every node: no membership test
+        return {text: format_rational(values[n]) for n, text in keys}
+    return {text: format_rational(values[n]) for n, text in keys if n in values}

@@ -32,6 +32,7 @@ from .valuation import (
     NUMERAIRE_BASED,
     NUMERAIRE_FREE,
     _liquidate,
+    _liquidation_pair,
     admissibility_bound,
 )
 
@@ -307,19 +308,16 @@ def check_admissibility_theorem(
     witness = None
     floor = -x
     fn, fd = floor.as_integer_ratio()
-    keep, price, parent = 1 - market.fee, market.price.values, tree.parent
+    keep, price, parent = (1 - market.fee).as_integer_ratio(), market.price.values, tree.parent
     for n in tree.nodes:
         p = parent[n]
         bond, stock = (_ZERO, _ZERO) if p is None else (strategy.bond[p], strategy.stock[p])
-        v = _liquidate(bond, stock, keep, price[n])
-        vn, vd = v.as_integer_ratio()
+        vn, vd = _liquidation_pair(bond, stock, keep, price[n].as_integer_ratio())
         if vn * fd < fn * vd:
+            # a value is built only where the bound fails
+            v = Fraction(vn, vd)
             if witness is None:
-                witness = TheoremWitness(
-                    node=n,
-                    classification=LONG if stock >= 0 else SHORT,
-                    value=Fraction(v),
-                )
+                witness = TheoremWitness(node=n, classification=LONG if stock >= 0 else SHORT, value=v)
             if not tree.children[n]:
                 failures.append(f"terminal bound fails at leaf {n}: {v} < {floor}")
 

@@ -13,7 +13,9 @@ the package core.  A per-node sign test reads the sign from the value's
 ``.numerator``, which is several times cheaper than comparing a Fraction
 with 0 and means the same for a Fraction or an int.
 
-The per-node formulas of the linear sweeps, and those of the CPS layer
+The per-node formulas of the linear sweeps (`check_self_financing`,
+`admissibility_bound`, the node loop of `check_admissibility_theorem`,
+`shadow_decomposition` and `support_drift`), and those of the CPS layer
 (`cps`: the interval pass, the placement, the witness weights and the
 equivalent-mode threshold), go one step further, with the deferred-gcd
 rational arithmetic of Knuth (TAOCP vol. 2, 4.5.1): each reads its

@@ -33,23 +33,29 @@ NUMERAIRE_FREE = "numeraire_free"
 _ZERO = Fraction(0)
 
 
-def _liquidate(bond: Fraction, stock: Fraction, keep: Fraction, ask: Fraction) -> Fraction:
-    """The liquidation formula: long stock sells at the bid keep * ask,
-    short stock covers at the ask.  The per-node sweeps call it on values
-    already checked; `liquidation_value` is its checked public entry.
-
-    One integer expression and one normalization, as the tree module
-    describes; a flat position is its bond, unchanged.
-    """
+def _liquidation_pair(bond, stock, keep: tuple, ask: tuple) -> tuple:
+    """The liquidation formula as an integer pair (num, den), den > 0 and
+    not reduced: long stock sells at the bid keep * ask, short stock covers
+    at the ask, with ``keep`` and ``ask`` given as integer pairs.  A flat
+    position is its bond's pair.  An order test cross-multiplies two pairs
+    and builds no Fraction, as the tree module describes."""
+    bn, bd = bond.as_integer_ratio()
     sn, sd = stock.as_integer_ratio()
     if not sn:
-        return bond
-    rn, rd = ask.as_integer_ratio()
+        return bn, bd
+    qn, qd = ask
     if sn > 0:
-        kn, kd = keep.as_integer_ratio()
-        rn, rd = rn * kn, rd * kd
-    bn, bd = bond.as_integer_ratio()
-    return Fraction(bn * sd * rd + sn * rn * bd, bd * sd * rd)
+        qn, qd = qn * keep[0], qd * keep[1]
+    return bn * sd * qd + sn * qn * bd, bd * sd * qd
+
+
+def _liquidate(bond: Fraction, stock: Fraction, keep: Fraction, ask: Fraction) -> Fraction:
+    """The liquidation value, built once from its pair; a flat position is
+    its bond, unchanged.  Called on values already checked:
+    `liquidation_value` is its checked public entry."""
+    if not stock.numerator:
+        return bond
+    return Fraction(*_liquidation_pair(bond, stock, keep.as_integer_ratio(), ask.as_integer_ratio()))
 
 
 def liquidation_value(market: Market, bond: Fraction, stock: Fraction, node: NodeId) -> Fraction:
@@ -95,35 +101,33 @@ def admissibility_bound(market: Market, strategy: Strategy, mode: str = NUMERAIR
     tree = market.tree
     ensure_strategy(tree, strategy)
     numeraire_free = mode == NUMERAIRE_FREE
-    keep = 1 - market.fee
+    keep = (1 - market.fee).as_integer_ratio()
     price, bond, stock, parent = market.price.values, strategy.bond.values, strategy.stock.values, tree.parent
     per_node: dict[NodeId, Fraction] = {}
     worst: NodeId = tree.root
-    bound = _ZERO
+    bound, bn, bd = _ZERO, 0, 1
     for n in tree.nodes:
-        ask = price[n]
-        p = parent[n]
-        v = _liquidate(bond[n], stock[n], keep, ask)
-        vn, vd = v.as_integer_ratio()
+        ask = price[n].as_integer_ratio()
+        an, ad = ask
+        b, s = bond[n], stock[n]
+        vn, vd = _liquidation_pair(b, s, keep, ask)
         # the root carries nothing in; elsewhere the lower value binds
+        p = parent[n]
         if p is not None:
-            v_pre = _liquidate(bond[p], stock[p], keep, ask)
-            un, ud = v_pre.as_integer_ratio()
+            un, ud = _liquidation_pair(bond[p], stock[p], keep, ask)
             if un * vd < vn * ud:
-                v, vn, vd = v_pre, un, ud
+                vn, vd, b, s = un, ud, bond[p], stock[p]
         if vn < 0:
             if numeraire_free:
                 # -v / (1 + S)
-                an, ad = ask.as_integer_ratio()
                 nn, nd = -vn * ad, vd * (ad + an)
                 need = Fraction(nn, nd)
             else:
                 nn, nd = -vn, vd
-                need = -v
-            bn, bd = bound.as_integer_ratio()
+                # a flat position's need is its bond's negative, of the bond's type
+                need = -b if not s.numerator else Fraction(nn, nd)
             if nn * bd > bn * nd:
-                bound = need
-                worst = n
+                bound, bn, bd, worst = need, nn, nd, n
         else:
             need = _ZERO
         per_node[n] = need

@@ -75,6 +75,26 @@ def admissibility(market, strategy, numeraire_free):
     return bound, worst, per_node
 
 
+def theorem_conclusion(market, strategy, x):
+    """(first node whose pre-trade liquidation is below -x, with its
+    position's class and value, or None; the leaf failure messages)."""
+    tree = market.tree
+    keep = 1 - market.fee
+    bond, stock = strategy.bond.values, strategy.stock.values
+    witness, failures = None, []
+    for n in tree.nodes:
+        ask = market.price[n]
+        p = tree.parent[n]
+        held = (_ZERO, _ZERO) if p is None else (bond[p], stock[p])
+        v = liquidate(*held, keep * ask, ask)
+        if v < -x:
+            if witness is None:
+                witness = (n, "long" if held[1] >= 0 else "short", Fraction(v))
+            if not tree.children[n]:
+                failures.append(f"terminal bound fails at leaf {n}: {v} < {-x}")
+    return witness, failures
+
+
 def shadow_decomposition(market, strategy, shadow):
     """(cost, transform, value): cost cumulates each trade's cash flow at
     the shadow price, transform the held stock times the price change."""

@@ -1,7 +1,8 @@
 """The package's linear sweeps against the plain formulas of
 `linear_reference`, on random (market, strategy, price system) triples:
-the same slack, liquidation values, admissibility requirements and shadow
-decomposition, value for value and in the same node order.  And the
+the same slack, liquidation values, admissibility requirements, theorem
+witnesses and shadow decomposition, value for value and in the same node
+order.  And the
 one-step formulas on random processes, densities and price systems: the
 same drifts, probability-sum problems, density problems and
 `verify_cps` violations, value for value and message for message."""
@@ -20,6 +21,7 @@ from spreadlab import (
     Strategy,
     TreeError,
     admissibility_bound,
+    check_admissibility_theorem,
     check_self_financing,
     derive_bond_account,
     liquidation_value,
@@ -36,6 +38,8 @@ F = Fraction
 TRIPLES = 1000
 FEES = [F(0), F(1, 8), F(1, 4), F(1, 2)]
 PLAN = [F(k, 2) for k in range(-4, 5)]
+# x for the theorem's node-wise bound -x, ints among them
+BOUNDS = [-1, 0, F(1, 2), 1, F(3, 2), 2, 4]
 
 
 def price_system(rng, tree, fee):
@@ -98,7 +102,7 @@ def same_values(new: dict, old: dict) -> bool:
 
 def test_sweeps_match_reference():
     rng = random.Random("linear-reference")
-    seen = dict.fromkeys(["idle", "flat", "short", "int", "tilted", "frictionless", "decomposed"], 0)
+    seen = dict.fromkeys(["idle", "flat", "short", "int", "tilted", "frictionless", "decomposed", "witness"], 0)
     for i in range(TRIPLES):
         tree = random_tree(rng)
         fee = FEES[i % len(FEES)]
@@ -118,6 +122,17 @@ def test_sweeps_match_reference():
             assert (report.minimal_bound, report.worst_node) == (bound, worst)
             assert type(report.minimal_bound) is type(bound)
             assert same_values(report.per_node.values, per_node)
+
+        x = rng.choice(BOUNDS)
+        verdict = check_admissibility_theorem(market, strategy, x)
+        witness, failures = linear_reference.theorem_conclusion(market, strategy, x)
+        assert verdict.holds is (witness is None)
+        if witness is not None:
+            found = verdict.witness
+            assert (found.node, found.classification, found.value) == witness
+            assert type(found.value) is Fraction
+            seen["witness"] += 1
+        assert [f for f in verdict.hypothesis_failures if f.startswith("terminal")] == failures
 
         keep = 1 - fee
         for n in tree.nodes:
