@@ -101,7 +101,8 @@ _SCALARS = {str, int, bool, float, type(None)}
 
 @functools.cache  # one per nesting depth a report reaches
 def _encoder(indent: str) -> json.JSONEncoder:
-    """The C encoder, its items apart as indent=2 sets them at ``indent``."""
+    """A C encoder whose item separator is the newline and indent that
+    indent=2 puts between items at ``indent``."""
     return json.JSONEncoder(separators=(",\n" + indent, ": "))
 
 
