@@ -2,10 +2,10 @@
 `linear_reference`, on random (market, strategy, price system) triples:
 the same slack, liquidation values, admissibility requirements, theorem
 witnesses and shadow decomposition, value for value and in the same node
-order.  And the
-one-step formulas on random processes, densities and price systems: the
-same drifts, probability-sum problems, density problems and
-`verify_cps` violations, value for value and message for message."""
+order.  And the one-step formulas on random processes, densities and
+price systems: the same drifts, probability-sum problems, density
+problems and `verify_cps` violations, value for value and message for
+message."""
 
 import random
 from fractions import Fraction
