@@ -17,7 +17,7 @@ from .cps import DEFAULT_EPSILON, ConsistentPriceSystem, _threshold, verify_cps
 from .market import Market, make_market
 from .rationals import format_rational, parse_rational
 from .strategy import Strategy, check_self_financing
-from .tree import AdaptedProcess, EventTree, NodeId
+from .tree import AdaptedProcess, EventTree, NodeId, support_drift
 from .valuation import _liquidate
 
 DETERMINISTIC = "det"
@@ -217,8 +217,8 @@ def stochastic_counterexample(
     market = make_market(tree, AdaptedProcess(price), fee)
 
     # fair bet: the price is a martingale through both phase-one jumps
-    _require(p_up * up_price + p_down * Fraction(1, 2) == 1, "first jump is not fair")
-    _require((top + 1) / 2 == up_price, "second jump is not fair")
+    drift = support_drift(tree, market.price)
+    _require(not drift[0] and not drift[1], f"phase-one jumps are not fair: drift {drift[0]}, {drift[1]}")
 
     sale_factor = 1 - (witness_fee if literal_sale else fee)
     sale_wealth = -1 + up_price * sale_factor

@@ -660,9 +660,12 @@ def verify_cps(
 
     Checks: the density's law by `_density_law` (Z(root) = 1, Z >= 0,
     zero one-step drift), the shadow price present on the support and
-    inside the spread, zero one-step drift of Z * S-tilde, and (when
-    epsilon is given) the leaf floor; the system checked its values per
-    node when it was built.  Returns all violations found, each naming its
+    inside the spread, its drift under Q, E_Q[S-tilde_next | n] -
+    S-tilde(n), zero at every node Q charges, by `support_drift`, and
+    (when epsilon is given) the leaf floor; the system checked its values
+    per node when it was built.  A node the shadow price leaves out is
+    read as 0 there: it weighs Z = 0 in its parent's mean, or is already
+    reported missing.  Returns all violations found, each naming its
     node.  A system bound to another tree raises TreeError; a level
     outside [0, 1) or a negative epsilon raises CpsError.
     """
@@ -676,7 +679,6 @@ def verify_cps(
     keep = 1 - fee
     kn, kd = keep.as_integer_ratio()
     price = market.price.values
-    mass_price: dict[NodeId, Fraction] = {}
     for n in tree.nodes:
         if n in shadow:
             s = shadow[n]
@@ -688,17 +690,14 @@ def verify_cps(
                 violations.append(
                     f"node {n}: shadow price {s} outside spread [{keep * hi}, {hi}]"
                 )
-            zn, zd = z[n].as_integer_ratio()
-            mass_price[n] = Fraction(zn * sn, zd * sd)
-        elif z[n] == 0:
-            mass_price[n] = Fraction(0)
-        else:
+        elif z[n].numerator:
             violations.append(f"node {n}: shadow price missing on support (density {z[n]})")
-            mass_price[n] = Fraction(0)
 
-    for n, drift in support_drift(tree, AdaptedProcess(mass_price)).items():
+    if len(shadow) < len(z):
+        shadow = {n: shadow.get(n, _ZERO) for n in tree.nodes}
+    for n, drift in support_drift(tree, AdaptedProcess(shadow), cps.density).items():
         if drift.numerator:
-            violations.append(f"node {n}: shadow price drift under Q (weighted drift {drift})")
+            violations.append(f"node {n}: shadow price drift under Q {drift} (martingale property fails)")
 
     if epsilon:
         for leaf in tree.leaves:

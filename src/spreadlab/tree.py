@@ -491,23 +491,16 @@ def support_drift(
     out).
 
     This is the package's one drift formula: the martingale tests of a
-    density, of a price system and of a supermartingale all read it.  A
-    zero drift is the shared ``_ZERO``; a Fraction is built only for a
-    nonzero one.
+    density under the reference measure, of a shadow price under the
+    system's measure and of a marked value under it all read it.  The
+    reference measure is the density z = 1.  A zero drift is the shared
+    ``_ZERO``; a Fraction is built only for a nonzero one.
     """
     x, cond, children = process.values, tree.cond_prob, tree.children
+    z = None if density is None else density.values
     drift: dict[NodeId, Fraction] = {}
-    if density is None:
-        for n in tree.internal:
-            # sum p_c x_c - x_n
-            num, den = _step_sum(cond, children[n], x)
-            xn, xd = x[n].as_integer_ratio()
-            num = num * xd - xn * den
-            drift[n] = Fraction(num, den * xd) if num else _ZERO
-        return drift
-    z = density.values
     for n in tree.internal:
-        zn, zd = z[n].as_integer_ratio()
+        zn, zd = (1, 1) if z is None else z[n].as_integer_ratio()
         if zn:
             # (sum p_c z_c x_c - z_n x_n) / z_n
             num, den = _step_sum(cond, children[n], x, z)

@@ -165,11 +165,12 @@ def support_drift(tree, x, z=None):
 
 
 def verify_cps(market, shadow, z, fee, epsilon):
-    """(ok, violations) of `verify_cps` for a density defined at every node."""
+    """(ok, violations) of `verify_cps` for a density defined at every node;
+    the shadow price's drift under Q is `support_drift`'s, with a node the
+    shadow price leaves out read as 0."""
     tree = market.tree
     violations = density_problems(tree, z)
     keep = 1 - fee
-    mass_price = {}
     for n in tree.nodes:
         if n in shadow:
             s = shadow[n]
@@ -177,18 +178,12 @@ def verify_cps(market, shadow, z, fee, epsilon):
             lo = keep * hi
             if not (lo <= s <= hi):
                 violations.append(f"node {n}: shadow price {s} outside spread [{lo}, {hi}]")
-            mass_price[n] = z[n] * s
-        elif z[n] == 0:
-            mass_price[n] = Fraction(0)
-        else:
+        elif z[n] != 0:
             violations.append(f"node {n}: shadow price missing on support (density {z[n]})")
-            mass_price[n] = Fraction(0)
-    for n in tree.internal:
-        y_next = one_step_mean(tree, mass_price, n)
-        if y_next != mass_price[n]:
-            violations.append(
-                f"node {n}: shadow price drift under Q (weighted drift {y_next - mass_price[n]})"
-            )
+    filled = {n: shadow.get(n, Fraction(0)) for n in tree.nodes}
+    for n, drift in support_drift(tree, filled, z).items():
+        if drift != 0:
+            violations.append(f"node {n}: shadow price drift under Q {drift} (martingale property fails)")
     if epsilon:
         for leaf in tree.leaves:
             if z[leaf] < epsilon:
