@@ -47,6 +47,18 @@ from .valuation import NUMERAIRE_BASED, NUMERAIRE_FREE, admissibility_bound
 
 EPSILON_ENV = "SPREADLAB_EPSILON"
 
+# the flags that name a file a command reads
+_INPUT_FLAGS = ("market", "strategy", "cps")
+# the files counterexample writes into --out-dir, beside its report
+_COUNTEREXAMPLE_FILES = ("market.json", "strategy.json", "cps.json")
+# the flags only one counterexample variant reads, by argparse dest
+_VARIANT_FLAGS = {
+    counterexamples.DETERMINISTIC: {"steps": "--steps"},
+    counterexamples.STOCHASTIC: {
+        "witness_fee": "--lambda-prime", "up_price": "--m-tilde", "literal_sale": "--literal-sale",
+    },
+}
+
 # six significant digits over the whole exponent range, for values past a float's
 _APPROX = decimal.Context(prec=6, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
@@ -376,23 +388,29 @@ def _cmd_theorem(args) -> _Outcome:
 
 
 def _cmd_counterexample(args) -> _Outcome:
+    stray = [
+        flag for variant, flags in _VARIANT_FLAGS.items() if variant != args.variant
+        for dest, flag in flags.items() if hasattr(args, dest)
+    ]
+    if stray:
+        raise ValueError(f"--variant {args.variant} takes no {', '.join(stray)}")
+    # the generator's own defaults fill the flags not given
+    options = {dest: getattr(args, dest) for dest in _VARIANT_FLAGS[args.variant] if hasattr(args, dest)}
     if args.variant == counterexamples.DETERMINISTIC:
-        report = counterexamples.deterministic_counterexample(args.fee, args.steps)
+        report = counterexamples.deterministic_counterexample(args.fee, **options)
     else:
-        report = counterexamples.stochastic_counterexample(
-            args.fee, args.witness_fee, args.up_price, literal_sale=args.literal_sale
-        )
+        report = counterexamples.stochastic_counterexample(args.fee, **options)
     out = Path(args.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValueError(f"{out}: cannot create output directory ({exc.strerror or exc})")
-    inputs = {
-        "market.json": market_to_doc(report.market),
-        "strategy.json": strategy_to_doc(report.strategy),
-        "cps.json": cps_to_doc(report.cps_witness, DEFAULT_EPSILON),
-    }
-    written = [_write_report(str(out / name), doc) for name, doc in inputs.items()]
+    docs = (
+        market_to_doc(report.market),
+        strategy_to_doc(report.strategy),
+        cps_to_doc(report.cps_witness, DEFAULT_EPSILON),
+    )
+    written = [_write_report(str(out / name), doc) for name, doc in zip(_COUNTEREXAMPLE_FILES, docs)]
     if args.report is None:  # the default report sits beside the files it describes
         args.report = str(out / "report.json")
     lines = [
@@ -403,6 +421,36 @@ def _cmd_counterexample(args) -> _Outcome:
         f"wrote {', '.join(written)}",
     ]
     return 0, counterexamples.report_to_doc(report), lines
+
+
+def _stat(path: str) -> "os.stat_result | None":
+    try:
+        return os.stat(path)
+    except (OSError, ValueError):  # absent, unreadable, or a NUL in the path
+        return None
+
+
+def _refuse_report_clash(args) -> None:
+    """Refuse a ``--report`` path that names a file the command reads, or
+    one that ``counterexample`` writes, before anything is written.
+
+    An input is read, so it exists: the report clashes with it when both
+    stat as one file, whatever the spelling, link or hard link.  The files
+    ``counterexample`` writes may not exist yet, so their resolved paths
+    are compared."""
+    if args.report is None:  # counterexample's default: report.json in --out-dir
+        return
+    inputs = [(dest, path) for dest in _INPUT_FLAGS if (path := getattr(args, dest, None)) is not None]
+    report = _stat(args.report) if inputs else None
+    for dest, path in inputs:
+        if report is not None and (read := _stat(path)) is not None and os.path.samestat(report, read):
+            raise ValueError(f"--report {args.report} is the --{dest} file {path}, which the report would overwrite")
+    if args.command == "counterexample":
+        target = os.path.realpath(args.report)
+        for name in _COUNTEREXAMPLE_FILES:
+            path = os.path.join(args.out_dir, name)
+            if os.path.realpath(path) == target:
+                raise ValueError(f"--report {args.report} is the generated file {path}, which the report would overwrite")
 
 
 def _rational_flag(text: str) -> Fraction:
@@ -491,15 +539,18 @@ def _build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--lambda", dest="fee", type=_rational_flag, default=Fraction(1, 2),
                    help="market cost level (default 1/2)")
-    p.add_argument("--lambda-prime", dest="witness_fee", type=_rational_flag,
-                   default=Fraction(1, 4), help="witness system level (stochastic variant)")
-    p.add_argument("--m-tilde", dest="up_price", type=_rational_flag, default=Fraction(4),
-                   help="jump size of the fair bet (stochastic variant)")
-    p.add_argument("--steps", type=_int_flag, default=2, help="grid steps (deterministic variant)")
-    p.add_argument("--literal-sale", action="store_true",
-                   help="stochastic variant: price the up-branch sale at 1 - lambda' "
-                        "(breaks self-financing; for comparison only)")
-    p.add_argument("--out-dir", default="counterexample-out")
+    # a variant's own flags are absent unless given, so the other variant can refuse them
+    p.add_argument("--lambda-prime", dest="witness_fee", type=_rational_flag, default=argparse.SUPPRESS,
+                   help="witness system level (stochastic variant only; default 1/4)")
+    p.add_argument("--m-tilde", dest="up_price", type=_rational_flag, default=argparse.SUPPRESS,
+                   help="jump size of the fair bet (stochastic variant only; default 4)")
+    p.add_argument("--steps", type=_int_flag, default=argparse.SUPPRESS,
+                   help="grid steps (deterministic variant only; default 2)")
+    p.add_argument("--literal-sale", action="store_true", default=argparse.SUPPRESS,
+                   help="stochastic variant only: price the up-branch sale at 1 - lambda' "
+                        "(breaks self-financing; for comparison only; default off)")
+    p.add_argument("--out-dir", default="counterexample-out",
+                   help="directory of the generated files (default counterexample-out)")
     common(p, "counterexample", _cmd_counterexample)
     p.set_defaults(report=None)  # the handler puts it at <out-dir>/report.json
 
@@ -518,6 +569,7 @@ def run_command(argv) -> CommandResult:
         if EPSILON_ENV in os.environ:
             raise ValueError(f"{EPSILON_ENV} is set, but no command reads it: unset it,"
                              " and pass --ac for the absolutely continuous mode")
+        _refuse_report_clash(args)
         code, report, lines = args.handler(args)
         path = _write_report(args.report, report)
         summary = "\n".join([*lines, f"report: {path}"])

@@ -121,6 +121,33 @@ class TestCounterexampleCommand:
         assert result.exit_code == 2
         assert "even integer" in result.human_summary
 
+    @pytest.mark.parametrize("variant, flags, named", [
+        ("det", ["--lambda-prime", "1/8"], "--lambda-prime"),
+        ("det", ["--m-tilde", "8"], "--m-tilde"),
+        ("det", ["--literal-sale"], "--literal-sale"),
+        ("det", ["--m-tilde", "8", "--lambda-prime", "1/8", "--literal-sale"],
+         "--lambda-prime, --m-tilde, --literal-sale"),
+        ("stoch", ["--steps", "6"], "--steps"),
+    ], ids=["lambda-prime", "m-tilde", "literal-sale", "all-three", "steps"])
+    def test_flag_of_the_other_variant_refused(self, tmp_path, monkeypatch, variant, flags, named):
+        monkeypatch.chdir(tmp_path)
+        result = run_command(["counterexample", "--variant", variant, *flags, "--out-dir", "cx"])
+        assert result.exit_code == 2
+        assert result.human_summary == f"error: --variant {variant} takes no {named}"
+        assert result.report_path is None
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_states_every_default(self, capsys):
+        assert run_command(["counterexample", "--help"]).exit_code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for flag, default in [
+            ("--lambda FEE", "default 1/2"), ("--lambda-prime WITNESS_FEE", "default 1/4"),
+            ("--m-tilde UP_PRICE", "default 4"), ("--steps STEPS", "default 2"),
+            ("--literal-sale", "default off"), ("--out-dir OUT_DIR", "default counterexample-out"),
+        ]:
+            help_text = text.split(f" {flag} ")[-1]
+            assert help_text.split(")")[0].endswith(default), (flag, help_text)
+
 
 class TestValidate:
     def test_good_market_and_strategy(self, det_files, monkeypatch):
@@ -234,6 +261,35 @@ class TestMalformedShapes:
             assert result.exit_code == 2
             problems = read_json(result.report_path)["market_problems"]
             assert problems == [f"node 1: parent must be an integer id or null, got {parent}"]
+
+    @pytest.mark.parametrize("edit, problems", [
+        (lambda doc: doc["nodes"][1].update(parent=2) or doc["nodes"][2].update(parent=1),
+         ["node 1: unreachable from the root", "node 2: unreachable from the root"]),
+        (lambda doc: doc["nodes"][0].update(prob="1/2"), ["node 0: root probability must be 1 (got 1/2)"]),
+        (lambda doc: doc.update({"lambda": "abc"}),
+         ["lambda: malformed rational 'abc': invalid literal for int() with base 10: 'abc'"]),
+    ], ids=["parents-in-a-cycle", "root-prob", "lambda"])
+    def test_market_problem(self, det_files, edit, problems):
+        doc = read_json(det_files / "market.json")
+        edit(doc)
+        (det_files / "bad.json").write_text(json.dumps(doc))
+        result = run_command(["validate", "--market", "det/bad.json"])
+        assert result.exit_code == 2
+        assert read_json(result.report_path)["market_problems"] == problems
+        result = run_command(["check-strategy", "--market", "det/bad.json", "--strategy", "det/strategy.json"])
+        assert (result.exit_code, result.human_summary) == (2, "error: " + "; ".join(problems))
+
+    @pytest.mark.parametrize("flag, problem", [
+        ("--market", "document must be a JSON object"),
+        ("--strategy", "strategy document must be an object with 'holdings'"),
+        ("--cps", "price-system document must be a JSON object"),
+    ], ids=["market", "strategy", "cps"])
+    def test_document_that_is_an_array(self, det_files, flag, problem):
+        (det_files / "array.json").write_text("[]")
+        argv = {"--market": "det/market.json", "--strategy": "det/strategy.json", "--cps": "det/cps.json"}
+        argv[flag] = "det/array.json"
+        result = run_command(["decompose", *(x for kv in argv.items() for x in kv)])
+        assert (result.exit_code, result.human_summary) == (2, f"error: {problem}")
 
     def test_holdings_node_of_wrong_type_in_validate(self, det_files):
         (det_files / "s.json").write_text(json.dumps(
@@ -953,6 +1009,44 @@ class TestParsing:
         assert result.human_summary.splitlines()[-1] == "report: r.json"
         if command == "counterexample":
             assert {p.name for p in Path("cx").iterdir()} == {"market.json", "strategy.json", "cps.json"}
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, argv in DET_ARGV.items()
+        for flag in argv[::2] if flag in ("--market", "--strategy", "--cps")
+    ])
+    def test_report_over_an_input_refused(self, det_files, command, flag):
+        argv = DET_ARGV[command]
+        path = argv[argv.index(flag) + 1]
+        before = {p.name: p.read_bytes() for p in det_files.iterdir()}
+        report = f"./det/../{path}"  # the same file, spelt otherwise
+        result = run_command([command, *argv, "--report", report])
+        assert result.exit_code == 2
+        assert result.human_summary == (
+            f"error: --report {report} is the {flag} file {path}, which the report would overwrite"
+        )
+        assert result.report_path is None
+        assert {p.name: p.read_bytes() for p in det_files.iterdir()} == before
+        assert sorted(p.name for p in Path().iterdir()) == ["det"]
+
+    def test_report_through_a_link_to_an_input_refused(self, det_files):
+        Path("link.json").symlink_to(det_files / "strategy.json")
+        before = (det_files / "strategy.json").read_bytes()
+        argv = ["check-strategy", *DET_ARGV["check-strategy"], "--report", "link.json"]
+        result = run_command(argv)
+        assert result.exit_code == 2
+        assert "is the --strategy file det/strategy.json" in result.human_summary
+        assert (det_files / "strategy.json").read_bytes() == before
+
+    @pytest.mark.parametrize("name", ["market.json", "strategy.json", "cps.json"])
+    def test_counterexample_report_over_a_generated_file_refused(self, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        report = str(Path("cx", name))
+        result = run_command(["counterexample", "--variant", "det", "--out-dir", "cx", "--report", report])
+        assert result.exit_code == 2
+        assert result.human_summary == (
+            f"error: --report {report} is the generated file {report}, which the report would overwrite"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_counterexample_report_defaults_to_its_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -93,6 +93,9 @@ def test_every_command_exits_with_a_contract_code(seed_documents, data):
             files[name] = str(Path(work, f"{name}.json"))
             Path(files[name]).write_text(json.dumps(doc), encoding="utf-8")
         market, strategy, cps = files["market"], files["strategy"], files["cps"]
+        variant = data.draw(st.sampled_from(["det", "stoch"]))
+        # the deterministic variant refuses the stochastic one's flags
+        stochastic = ["--lambda-prime", data.draw(text), "--m-tilde", data.draw(text)]
         flags = {
             "validate": ["--market", market, "--strategy", strategy],
             "check-strategy": [
@@ -106,13 +109,10 @@ def test_every_command_exits_with_a_contract_code(seed_documents, data):
             + (["--numeraire-free"] if data.draw(st.booleans()) else [])
             + (["--ac"] if data.draw(st.booleans()) else []),
             "counterexample": [
-                "--variant", data.draw(st.sampled_from(["det", "stoch"])),
-                "--lambda", data.draw(text),
-                "--lambda-prime", data.draw(text),
-                "--m-tilde", data.draw(text),
-                "--out-dir", str(Path(work, "cx")),
+                "--variant", variant, "--lambda", data.draw(text), "--out-dir", str(Path(work, "cx")),
             ]
-            + (["--literal-sale"] if data.draw(st.booleans()) else []),
+            + (stochastic if variant == "stoch" else [])
+            + (["--literal-sale"] if variant == "stoch" and data.draw(st.booleans()) else []),
         }
         saved = os.environ.pop(EPSILON_ENV, None)
         if epsilon is not None:

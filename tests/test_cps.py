@@ -31,6 +31,7 @@ from spreadlab import (
     verify_cps,
 )
 from spreadlab import cps as cps_module
+from spreadlab.cps import BruteForceResult
 from spreadlab import simplex
 
 import cps_reference
@@ -434,6 +435,23 @@ class TestBruteForce:
         result = brute_force_cps(market, F(0))
         assert result.feasible
         assert result.margin == F(2, 3)
+        # a floor above the margin: the witness is found but falls short
+        assert brute_force_cps(market, F(0), epsilon=F(3, 4)) == BruteForceResult(False, result.witness, F(2, 3), 8)
+
+    def test_absolutely_continuous_mode(self):
+        # the path 1, 1, 1/2: at level 1/2 the shadow price 1/2 is constant;
+        # at level 0 node 1 is above its only child, so no value is left to
+        # it, and none to the root
+        market = load_market({
+            "times": ["0", "1", "2"],
+            "lambda": "1/2",
+            "nodes": [{"id": 0, "parent": None, "prob": "1", "S": "1"},
+                      {"id": 1, "parent": 0, "prob": "1", "S": "1"},
+                      {"id": 2, "parent": 1, "prob": "1", "S": "1/2"}],
+        })
+        for level, feasible in ((F(1, 2), True), (F(0), False)):
+            assert brute_force_cps(market, level, epsilon=F(0)) == BruteForceResult(feasible, None, None, 8)
+            assert find_cps(market, CpsQuery(level, F(0), ABSOLUTELY_CONTINUOUS)).feasible is feasible
 
     def test_scale_preconditions(self):
         rng = random.Random(83)

@@ -2,7 +2,8 @@
 wraps the functions ``tracing.WRAPPED`` lists, and its self-test, answer
 checker and worker import names from ``spreadlab``.  A rename in the
 package breaks the benchmark, so these tests read those files, without
-running or changing them, and look each name up."""
+running or changing them, and look each name up.  The workload builder
+and the driver must import nothing from the package."""
 
 import ast
 import importlib
@@ -37,15 +38,37 @@ def test_every_traced_function_exists():
     assert [f"{m}.{n}" for m, n in names if not callable(_lookup(m, n))] == []
 
 
-@pytest.mark.parametrize(
-    "script, least", [("selftest.py", 6), ("check.py", 3), ("worker.py", 1)], ids=["selftest.py", "check.py", "worker.py"]
-)
-def test_every_spreadlab_import_exists(script, least):
+def _spreadlab_imports(script):
+    """Every (module, name) that ``script`` imports from ``spreadlab``; a
+    plain ``import spreadlab...`` gives the name ""."""
     names = []
     for node in ast.walk(_parse(script)):
         if isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "spreadlab":
             names.extend((node.module, alias.name) for alias in node.names)
         elif isinstance(node, ast.Import):
             names.extend((alias.name, "") for alias in node.names if alias.name.partition(".")[0] == "spreadlab")
+    return names
+
+
+@pytest.mark.parametrize(
+    "script, least", [("selftest.py", 6), ("check.py", 3), ("worker.py", 1)], ids=["selftest.py", "check.py", "worker.py"]
+)
+def test_every_spreadlab_import_exists(script, least):
+    names = _spreadlab_imports(script)
     assert len(names) >= least
     assert [f"{m}.{n}".rstrip(".") for m, n in names if _lookup(m, n) is None] == []
+
+
+@pytest.mark.parametrize("script", ["workloads.py", "run.py"])
+def test_answer_key_and_driver_import_no_spreadlab(script):
+    """The workloads' expected answers come from the construction, never
+    from the code they check, and the driver only starts workers, so
+    neither file imports the package, by a statement or by name."""
+    assert _spreadlab_imports(script) == []
+    calls = [
+        node for node in ast.walk(_parse(script))
+        if isinstance(node, ast.Call) and any(
+            isinstance(arg, ast.Constant) and str(arg.value).partition(".")[0] == "spreadlab" for arg in node.args
+        )
+    ]
+    assert calls == []

@@ -2,6 +2,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from spreadlab.simplex import (
     EQ,
     GE,
@@ -102,11 +104,32 @@ class TestInfeasibility:
         assert result.certificate.verify(constraints)
 
     def test_certificate_rejects_wrong_sign(self):
+        # flipped, the first row's multiplier breaks its sign rule: positive
+        # on the >= row, or, in the other order, negative on the <= row
+        for constraints in ([con({0: 1}, GE, 2), con({0: 1}, LE, 1)], [con({0: 1}, LE, 1), con({0: 1}, GE, 2)]):
+            result = solve(1, constraints)
+            cert = result.certificate
+            assert cert.verify(constraints)
+            flipped = type(cert)(multipliers=tuple(-m for m in cert.multipliers))
+            assert not flipped.verify(constraints)
+
+    def test_certificate_rejects_wrong_length(self):
         constraints = [con({0: 1}, GE, 2), con({0: 1}, LE, 1)]
-        result = solve(1, constraints)
-        cert = result.certificate
-        flipped = type(cert)(multipliers=tuple(-m for m in cert.multipliers))
-        assert not flipped.verify(constraints)
+        cert = solve(1, constraints).certificate
+        assert not type(cert)(multipliers=cert.multipliers[:1]).verify(constraints)
+        assert not type(cert)(multipliers=(*cert.multipliers, F(0))).verify(constraints)
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("num_vars, constraints, objective, problem", [
+        (1, [con({0: 1}, "<>", 1)], None, "unknown relation '<>'"),
+        (1, [con({1: 1}, LE, 1)], None, "coefficient index 1 out of range for 1 variables"),
+        (1, [con({0: 1}, LE, 1)], {-1: F(1)}, "objective index -1 out of range for 1 variables"),
+    ], ids=["relation", "coefficient", "objective"])
+    def test_refused(self, num_vars, constraints, objective, problem):
+        with pytest.raises(ValueError) as info:
+            solve(num_vars, constraints, objective=objective)
+        assert str(info.value) == problem
 
 
 def _feasible_by_vertex_enumeration(constraints, num_vars):

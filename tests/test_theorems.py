@@ -26,6 +26,7 @@ from spreadlab import (
     find_cps,
     frictionless_check,
     load_market,
+    make_market,
     replay_admissibility_argument,
     shadow_decomposition,
     shadow_values,
@@ -654,6 +655,20 @@ class TestReplay:
             fee=F(0),
         )
         assert replay_admissibility_argument(market, strategy, 0, cps) is None
+
+    def test_short_violation_is_replayed(self):
+        # one share sold short at the bid 1/2 and held into a flat price: at
+        # the level-0 system scaled by 1 - alpha = 7/8 the position is worth
+        # 1/2 - (7/8)^2 < 0, the shadow bound is 1/2 - 7/8 and the terminal
+        # liquidation buys back at the ask
+        tree = chain_tree(1, 1).tree
+        market = make_market(tree, AdaptedProcess.constant(tree, F(1)), F(1, 2))
+        strategy = Strategy(tree, AdaptedProcess.constant(tree, F(1, 2)), AdaptedProcess.constant(tree, F(-1)))
+        cps = ConsistentPriceSystem(tree, dict(market.price.values), unit_density(tree), F(0))
+        assert replay_admissibility_argument(market, strategy, 0, cps) == ReplayResult(
+            node=1, classification=SHORT, modified_value=F(-17, 64), shadow_bound=F(-3, 8),
+            conditional_terminal=F(-1, 2),
+        )
 
     def test_stochastic_violation_is_replayed(self):
         report = stochastic_counterexample(witness_fee=F(1, 16))

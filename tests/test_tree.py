@@ -241,6 +241,14 @@ class TestConditionalExpectation:
             conditional_expectation(tree, proc, density, 2, 2)
         assert info.value.node == 2
 
+    @pytest.mark.parametrize("node, horizon", [(0, 3), (1, 0)], ids=["past-the-leaves", "before-the-node"])
+    def test_horizon_out_of_range_refused(self, node, horizon):
+        tree = chain(2)
+        proc = AdaptedProcess({0: F(0), 1: F(-1), 2: F(5)})
+        with pytest.raises(ValueError) as info:
+            conditional_expectation(tree, proc, None, node, horizon)
+        assert str(info.value) == f"horizon {horizon} out of range [{node}, 2] for node {node}"
+
     def test_tower_property_exhaustive_small_trees(self):
         rng = random.Random(23)
         for _ in range(25):
@@ -275,6 +283,13 @@ class TestDrift:
         assert drift[0] == F(-1, 2)
         assert drift[1] == F(1, 2)
         assert drift[2] == 0
+
+    def test_density_vanishing_at_an_internal_node_raises(self):
+        tree = binary()
+        density = AdaptedProcess({0: F(1), 1: F(3), 2: F(0), 3: F(4), 4: F(2), 5: F(0), 6: F(0)})
+        with pytest.raises(NullEventError) as info:
+            one_step_drift(tree, AdaptedProcess.constant(tree, F(1)), density)
+        assert info.value.node == 2
 
     def test_zero_drift_iff_martingale(self):
         rng = random.Random(37)
