@@ -440,11 +440,13 @@ def _refuse_report_clash(args) -> None:
     are compared."""
     if args.report is None:  # counterexample's default: report.json in --out-dir
         return
-    inputs = [(dest, path) for dest in _INPUT_FLAGS if (path := getattr(args, dest, None)) is not None]
-    report = _stat(args.report) if inputs else None
-    for dest, path in inputs:
-        if report is not None and (read := _stat(path)) is not None and os.path.samestat(report, read):
-            raise ValueError(f"--report {args.report} is the --{dest} file {path}, which the report would overwrite")
+    report = _stat(args.report)
+    if report is not None:
+        for dest in _INPUT_FLAGS:
+            path = getattr(args, dest, None)
+            read = None if path is None else _stat(path)
+            if read is not None and os.path.samestat(report, read):
+                raise ValueError(f"--report {args.report} is the --{dest} file {path}, which the report would overwrite")
     if args.command == "counterexample":
         target = os.path.realpath(args.report)
         for name in _COUNTEREXAMPLE_FILES:

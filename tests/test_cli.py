@@ -266,9 +266,10 @@ class TestMalformedShapes:
         (lambda doc: doc["nodes"][1].update(parent=2) or doc["nodes"][2].update(parent=1),
          ["node 1: unreachable from the root", "node 2: unreachable from the root"]),
         (lambda doc: doc["nodes"][0].update(prob="1/2"), ["node 0: root probability must be 1 (got 1/2)"]),
+        (lambda doc: doc["nodes"][1].pop("id"), ["nodes[1]: each node needs at least an 'id'"]),
         (lambda doc: doc.update({"lambda": "abc"}),
          ["lambda: malformed rational 'abc': invalid literal for int() with base 10: 'abc'"]),
-    ], ids=["parents-in-a-cycle", "root-prob", "lambda"])
+    ], ids=["parents-in-a-cycle", "root-prob", "no-id", "lambda"])
     def test_market_problem(self, det_files, edit, problems):
         doc = read_json(det_files / "market.json")
         edit(doc)

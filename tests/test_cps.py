@@ -8,6 +8,7 @@ from spreadlab import (
     DEFAULT_EPSILON,
     EQUIVALENT,
     AdaptedProcess,
+    BruteForceResult,
     ConsistentPriceSystem,
     CpsError,
     CpsQuery,
@@ -31,7 +32,6 @@ from spreadlab import (
     verify_cps,
 )
 from spreadlab import cps as cps_module
-from spreadlab.cps import BruteForceResult
 from spreadlab import simplex
 
 import cps_reference

@@ -3,7 +3,7 @@ wraps the functions ``tracing.WRAPPED`` lists, and its self-test, answer
 checker and worker import names from ``spreadlab``.  A rename in the
 package breaks the benchmark, so these tests read those files, without
 running or changing them, and look each name up.  The workload builder
-and the driver must import nothing from the package."""
+and the entry point must import nothing from the package."""
 
 import ast
 import importlib
@@ -60,9 +60,9 @@ def test_every_spreadlab_import_exists(script, least):
 
 
 @pytest.mark.parametrize("script", ["workloads.py", "run.py"])
-def test_answer_key_and_driver_import_no_spreadlab(script):
+def test_answer_key_and_entry_point_import_no_spreadlab(script):
     """The workloads' expected answers come from the construction, never
-    from the code they check, and the driver only starts workers, so
+    from the code they check, and the entry point only starts workers, so
     neither file imports the package, by a statement or by name."""
     assert _spreadlab_imports(script) == []
     calls = [
