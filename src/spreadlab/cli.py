@@ -12,6 +12,14 @@ summary only.  A report file holds exactly ``json.dumps(report, indent=2)``
 and a newline; its runs of scalar values go through the C encoder, and a
 long per-node map is written slice by slice, so the whole text is never
 held at once.
+
+`run_command` holds the cyclic garbage collector off while a command
+runs.  Every ``Fraction`` is tracked by it, so each collection walks the
+values a command has built, and a full one walks every value loaded; a
+command makes no reference cycle, so these walks free nothing.  The
+caller's setting is restored on every exit.  ``TestCollectorHold`` in
+``tests/test_cli.py`` checks both: no command leaves a cycle, and the
+setting comes back.
 """
 
 from __future__ import annotations
@@ -19,9 +27,11 @@ from __future__ import annotations
 import argparse
 import decimal
 import functools
+import gc
 import json
 import os
 import sys
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -437,7 +447,9 @@ def _refuse_report_clash(args) -> None:
     An input is read, so it exists: the report clashes with it when both
     stat as one file, whatever the spelling, link or hard link.  The files
     ``counterexample`` writes may not exist yet, so their resolved paths
-    are compared."""
+    are compared.  Nor may a ``counterexample`` report be a directory,
+    the ``--out-dir`` one or another: its files would be written before
+    the report failed."""
     if args.report is None:  # counterexample's default: report.json in --out-dir
         return
     report = _stat(args.report)
@@ -449,6 +461,10 @@ def _refuse_report_clash(args) -> None:
                 raise ValueError(f"--report {args.report} is the --{dest} file {path}, which the report would overwrite")
     if args.command == "counterexample":
         target = os.path.realpath(args.report)
+        if target == os.path.realpath(args.out_dir):
+            raise ValueError(f"--report {args.report} is the --out-dir directory {args.out_dir}, not a file")
+        if os.path.isdir(target):  # resolved first: "cx/../d" names d before cx exists
+            raise ValueError(f"--report {args.report} is a directory, not a file")
         for name in _COUNTEREXAMPLE_FILES:
             path = os.path.join(args.out_dir, name)
             if os.path.realpath(path) == target:
@@ -471,8 +487,26 @@ def _int_flag(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's help formatter, whose sections let go of the formatter
+    and of their items once written.  A section lists its subsections'
+    bound methods, each subsection points back at it, and each section at
+    the formatter: cycles that only the garbage collector frees, and
+    `run_command` holds it off."""
+
+    class _Section(argparse.HelpFormatter._Section):
+        def format_help(self):
+            text = super().format_help()
+            self.formatter, self.items = None, []
+            return text
+
+
 class _Parser(argparse.ArgumentParser):
-    """Usage errors raise ValueError, reported like bad input, instead of exiting."""
+    """Usage errors raise ValueError, reported like bad input, instead of
+    exiting.  Subparsers are of this class, so they share its formatter."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, formatter_class=_HelpFormatter, **kwargs)
 
     def error(self, message):
         raise ValueError(message)
@@ -563,7 +597,20 @@ _PARSER = _build_parser()
 
 
 def run_command(argv) -> CommandResult:
-    """Run one command and write its report; a ValueError exits 2 with its reason."""
+    """Run one command and write its report; a ValueError exits 2 with its reason.
+
+    The cyclic garbage collector is held off while the command runs and
+    restored to the caller's setting on every exit, a raised error or
+    ``--help`` included.  A command builds no reference cycle, so the
+    collector would free nothing: it would only walk the Fractions the
+    command holds, all of them in each full collection.  Its memory is
+    freed by reference counting as before.  The collector is process-wide,
+    so a cycle another thread makes waits for it until the command
+    returns.  ``tests/test_cli.py::TestCollectorHold`` pins both halves:
+    each command leaves no cycle, and the caller's setting comes back.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
     path = None
     try:
         args = _PARSER.parse_args(argv)
@@ -579,6 +626,12 @@ def run_command(argv) -> CommandResult:
         code, summary = exc.code, ""
     except ValueError as exc:
         code, summary = 2, f"error: {exc}"
+        # a frame the error passed may hold an exception it caught, whose
+        # traceback holds that frame (Python 3.10's argparse keeps one)
+        traceback.clear_frames(exc.__traceback__)
+    finally:
+        if collecting:
+            gc.enable()
     return CommandResult(code, path, summary)
 
 

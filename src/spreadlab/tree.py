@@ -176,10 +176,28 @@ class EventTree:
         distinct text is parsed once and its repeats share a Fraction, and
         a float or a bool is a problem.  A parent is an int id or None: a
         bool or a float (``True``, ``1.0``) would hash as node 1 and be
-        written back as ``true`` or ``1.0``.  Raises TreeError listing every
-        violation found, each tagged with the offending node id.  Problems
-        with the times or the rows are raised before the tree's shape is
-        checked, so a refused row's children are not reported as parentless.
+        written back as ``true`` or ``1.0``.
+
+        The rows are read in one pass, which fills ``parent`` and ``cond``
+        in row order.  A row refused for its parent still counts as seen,
+        so a later row with its id is a duplicate.  One walk of ``parent``
+        then collects the roots, finds the missing parents and lists each
+        node's children.  One breadth-first pass from the root, a level at
+        a time, sorts each node's children and each level's ids; it gives
+        the depths, the (depth, id) order, the internal nodes and the
+        leaves, and it sums each node's children probabilities.  When it
+        reaches fewer nodes than there are rows, some are unreachable.
+
+        Raises TreeError listing every violation found, each tagged with
+        the offending node id, at the first of four stages that finds one:
+        - the times and the rows, in their order;
+        - the root, then each missing parent in row order;
+        - each unreachable node, by id;
+        - each leaf off the final depth (by id), the root probability,
+          each probability that is not positive and each sum that is not 1
+          (both in row order), then the times.
+        So a refused row's children are not reported as parentless, and
+        the nodes of a cycle are not reported as misplaced leaves.
         """
         problems: list[str] = []
         read = rational_reader()
@@ -192,84 +210,89 @@ class EventTree:
                 problems.append(f"times[{i}]: {exc}")
         times = tuple(parsed_times)
 
-        seen: set[NodeId] = set()
         parent: dict[NodeId, NodeId | None] = {}
         cond: dict[NodeId, Fraction] = {}
+        nonpositive: list[str] = []  # a problem of the last stage
         for node, par, prob in entries:
-            if not isinstance(node, int) or isinstance(node, bool) or node < 0:
+            # the exact type answers the common case; a bool is an int
+            if type(node) is not int and (not isinstance(node, int) or isinstance(node, bool)) or node < 0:
                 problems.append(f"node {node!r}: ids must be nonnegative integers")
                 continue
-            if node in seen:
+            if node in parent:
                 problems.append(f"node {node}: duplicate id")
                 continue
-            seen.add(node)
-            if par is not None and (not isinstance(par, int) or isinstance(par, bool)):
+            parent[node] = par
+            if par is not None and type(par) is not int and (not isinstance(par, int) or isinstance(par, bool)):
                 problems.append(f"node {node}: parent must be an integer id or null, got {par!r}")
                 continue
-            parent[node] = par
             try:
-                cond[node] = read(prob)
+                q = cond[node] = read(prob)
             except ValueError as exc:
                 problems.append(f"node {node}: {exc}")
+                continue
+            if q.numerator <= 0 and node != 0:
+                nonpositive.append(f"node {node}: transition probability {q} is not positive")
         if problems:
             raise TreeError(problems)
 
-        roots = [n for n, p in parent.items() if p is None]
-        if len(roots) != 1 or (roots and roots[0] != 0):
-            problems.append(
-                f"tree must have exactly one root with id 0 and null parent "
-                f"(found roots {sorted(roots)})"
-            )
-        for n, p in parent.items():
-            if p is not None and p not in parent:
-                problems.append(f"node {n}: parent {p} does not exist")
-        if problems:
-            raise TreeError(problems)
-
+        roots: list[NodeId] = []
         children: dict[NodeId, list[NodeId]] = {n: [] for n in parent}
         for n, p in parent.items():
-            if p is not None:
-                children[p].append(n)
-        for n in children:
-            children[n].sort()
-
-        depth: dict[NodeId, int] = {0: 0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for n in frontier:
-                for c in children[n]:
-                    depth[c] = depth[n] + 1
-                    nxt.append(c)
-            frontier = nxt
-        orphans = sorted(set(parent) - set(depth))
-        for n in orphans:
-            problems.append(f"node {n}: unreachable from the root")
+            kids = children.get(p)  # None, a root's parent, is no id
+            if kids is not None:
+                kids.append(n)
+            elif p is None:
+                roots.append(n)
+            else:
+                problems.append(f"node {n}: parent {p} does not exist")
+        if len(roots) != 1 or roots[0] != 0:
+            problems.insert(
+                0, f"tree must have exactly one root with id 0 and null parent (found roots {sorted(roots)})"
+            )
         if problems:
             raise TreeError(problems)
 
-        horizon = max(depth.values())
-        leaves = sorted(n for n in parent if not children[n])
-        for n in leaves:
-            if depth[n] != horizon:
-                problems.append(
-                    f"node {n}: leaf at depth {depth[n]}, expected common depth {horizon}"
-                )
+        nodes: list[NodeId] = []
+        time_index: dict[NodeId, int] = {}
+        internal: list[NodeId] = []
+        leaves: list[NodeId] = []
+        bad_sums: dict[NodeId, Fraction] = {}
+        level, horizon = [0], 0
+        while True:
+            level.sort()
+            nodes += level
+            time_index.update(dict.fromkeys(level, horizon))
+            below: list[NodeId] = []
+            for n in level:
+                kids = children[n]
+                if kids:
+                    kids.sort()
+                    below += kids
+                    internal.append(n)
+                    num, den = _step_sum(cond, kids)
+                    if num != den:
+                        bad_sums[n] = Fraction(num, den)
+                else:
+                    leaves.append(n)
+            if not below:
+                break
+            level = below
+            horizon += 1
+        if len(nodes) != len(parent):
+            raise TreeError([f"node {n}: unreachable from the root" for n in sorted(parent) if n not in time_index])
 
-        if cond.get(0) != 1:
-            problems.append(f"node 0: root probability must be 1 (got {cond.get(0)})")
-        for n, q in cond.items():
-            if n != 0 and q.numerator <= 0:
-                problems.append(f"node {n}: transition probability {q} is not positive")
-        for n in parent:
-            kids = children[n]
-            if kids:
-                num, den = _step_sum(cond, kids)
-                if num != den:
-                    problems.append(
-                        f"node {n}: children probabilities sum to {Fraction(num, den)}, expected 1"
-                    )
-
+        # the last level is the last of the leaves; any leaf before it is off the final depth
+        problems = [
+            f"node {n}: leaf at depth {time_index[n]}, expected common depth {horizon}"
+            for n in sorted(leaves[: len(leaves) - len(level)])
+        ]
+        if cond[0] != 1:
+            problems.append(f"node 0: root probability must be 1 (got {cond[0]})")
+        problems += nonpositive
+        if bad_sums:
+            problems += [
+                f"node {n}: children probabilities sum to {bad_sums[n]}, expected 1" for n in parent if n in bad_sums
+            ]
         if len(times) != horizon + 1:
             problems.append(
                 f"times has {len(times)} entries, expected {horizon + 1} for depth {horizon}"
@@ -277,21 +300,19 @@ class EventTree:
         for a, b in zip(times, times[1:]):
             if not a < b:
                 problems.append(f"times must be strictly increasing (got {a} before {b})")
-
         if problems:
             raise TreeError(problems)
 
-        order = sorted(parent, key=lambda n: (depth[n], n))
         return EventTree(
             times=times,
-            nodes=tuple(order),
-            parent=dict(parent),
-            children={n: tuple(children[n]) for n in parent},
-            time_index=dict(depth),
-            cond_prob=dict(cond),
+            nodes=tuple(nodes),
+            parent=parent,
+            children={n: tuple(kids) for n, kids in children.items()},
+            time_index=time_index,
+            cond_prob=cond,
             root=0,
             leaves=tuple(leaves),
-            internal=tuple(n for n in order if children[n]),
+            internal=tuple(internal),
             node_set=frozenset(parent),
         )
 

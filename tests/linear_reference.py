@@ -1,6 +1,7 @@
 """The linear sweeps written out plainly: the reference the tests compare
 `spreadlab.strategy`, `spreadlab.valuation`, `spreadlab.theorems`,
-`spreadlab.tree` and `verify_cps` against.
+`spreadlab.tree` and `verify_cps` against, and `build_tree`, the tree
+builder written out pass by pass.
 
 Every value here is built by step-by-step Fraction arithmetic and every
 sign comes from comparing a value with 0; the shadow decomposition's
@@ -12,6 +13,8 @@ message must come out equal, node for node and in the same order.
 """
 
 from fractions import Fraction
+
+from spreadlab.rationals import parse_rational
 
 _ZERO = Fraction(0)
 
@@ -189,3 +192,97 @@ def verify_cps(market, shadow, z, fee, epsilon):
             if z[leaf] < epsilon:
                 violations.append(f"node {leaf}: leaf density {z[leaf]} below floor {epsilon}")
     return not violations, violations
+
+
+def build_tree(times, entries):
+    """`EventTree.build` written out pass by pass: the tree's fields as a
+    dict, or the problem list of the first stage that fails.
+
+    The stages are the rows; the root and the parents; reachability; and
+    the leaves, the probabilities and the times.  Each pass below walks
+    every row or node again, and every value is parsed where it is read.
+    """
+    problems = []
+    parsed_times = []
+    for i, t in enumerate(times):
+        try:
+            parsed_times.append(parse_rational(t))
+        except ValueError as exc:
+            problems.append(f"times[{i}]: {exc}")
+    times = tuple(parsed_times)
+
+    seen, parent, cond = set(), {}, {}
+    for node, par, prob in entries:
+        if not isinstance(node, int) or isinstance(node, bool) or node < 0:
+            problems.append(f"node {node!r}: ids must be nonnegative integers")
+            continue
+        if node in seen:
+            problems.append(f"node {node}: duplicate id")
+            continue
+        seen.add(node)
+        if par is not None and (not isinstance(par, int) or isinstance(par, bool)):
+            problems.append(f"node {node}: parent must be an integer id or null, got {par!r}")
+            continue
+        parent[node] = par
+        try:
+            cond[node] = parse_rational(prob)
+        except ValueError as exc:
+            problems.append(f"node {node}: {exc}")
+    if problems:
+        return problems
+
+    roots = [n for n, p in parent.items() if p is None]
+    if len(roots) != 1 or roots[0] != 0:
+        problems.append(f"tree must have exactly one root with id 0 and null parent (found roots {sorted(roots)})")
+    for n, p in parent.items():
+        if p is not None and p not in parent:
+            problems.append(f"node {n}: parent {p} does not exist")
+    if problems:
+        return problems
+
+    children = {n: [] for n in parent}
+    for n, p in parent.items():
+        if p is not None:
+            children[p].append(n)
+    for kids in children.values():
+        kids.sort()
+    depth, frontier = {0: 0}, [0]
+    while frontier:
+        frontier = [c for n in frontier for c in children[n]]
+        for c in frontier:
+            depth[c] = depth[parent[c]] + 1
+    problems = [f"node {n}: unreachable from the root" for n in sorted(set(parent) - set(depth))]
+    if problems:
+        return problems
+
+    horizon = max(depth.values())
+    leaves = sorted(n for n in parent if not children[n])
+    for n in leaves:
+        if depth[n] != horizon:
+            problems.append(f"node {n}: leaf at depth {depth[n]}, expected common depth {horizon}")
+    if cond[0] != 1:
+        problems.append(f"node 0: root probability must be 1 (got {cond[0]})")
+    for n, q in cond.items():
+        if n != 0 and q <= 0:
+            problems.append(f"node {n}: transition probability {q} is not positive")
+    problems.extend(probability_sum_problems(children, cond))
+    if len(times) != horizon + 1:
+        problems.append(f"times has {len(times)} entries, expected {horizon + 1} for depth {horizon}")
+    for a, b in zip(times, times[1:]):
+        if not a < b:
+            problems.append(f"times must be strictly increasing (got {a} before {b})")
+    if problems:
+        return problems
+
+    nodes = tuple(sorted(parent, key=lambda n: (depth[n], n)))
+    return {
+        "times": times,
+        "nodes": nodes,
+        "parent": parent,
+        "children": {n: tuple(kids) for n, kids in children.items()},
+        "time_index": depth,
+        "cond_prob": cond,
+        "leaves": tuple(leaves),
+        "internal": tuple(n for n in nodes if children[n]),
+        "node_set": frozenset(parent),
+    }

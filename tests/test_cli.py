@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -1049,6 +1050,27 @@ class TestParsing:
         )
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("report, made, reason", [
+        ("cx", False, "is the --out-dir directory cx, not a file"),
+        ("cx", True, "is the --out-dir directory cx, not a file"),
+        ("./cx/", False, "is the --out-dir directory cx, not a file"),
+        ("d", False, "is a directory, not a file"),
+        # resolved: "cx/.." means the working directory before cx exists
+        ("cx/../d", False, "is a directory, not a file"),
+    ], ids=["out-dir", "made-out-dir", "out-dir-spelt-otherwise", "other-dir", "other-dir-through-out-dir"])
+    def test_counterexample_report_over_a_directory_refused(self, tmp_path, monkeypatch, report, made, reason):
+        # the three files used to be written before the report failed
+        monkeypatch.chdir(tmp_path)
+        Path("d").mkdir()
+        if made:
+            Path("cx").mkdir()
+        result = run_command(["counterexample", "--variant", "det", "--out-dir", "cx", "--report", report])
+        assert result.exit_code == 2
+        assert result.human_summary == f"error: --report {report} {reason}"
+        assert result.report_path is None
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["cx", "d"] if made else ["d"])
+        assert [p.name for p in tmp_path.glob("*/*")] == []
+
     def test_counterexample_report_defaults_to_its_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         result = run_command(["counterexample", "--variant", "det", "--out-dir", "cx"])
@@ -1058,6 +1080,54 @@ class TestParsing:
             f"report: {Path('cx', 'report.json')}",
         ]
         assert read_json(result.report_path)["variant"] == "det"
+
+
+# each command of TestParsing, a refused input, a usage error and --help
+HOLD_ARGV = {
+    **{command: [command, *argv, "--report", "r.json"] for command, argv in DET_ARGV.items()},
+    "input-error": ["check-strategy", "--market", "det/cps.json", "--strategy", "det/strategy.json"],
+    "usage-error": ["find-cps", "--market", "det/market.json", "--lambda", "x"],
+    "help": ["theorem", "--help"],
+}
+HOLD_EXIT = {"theorem": 1, "input-error": 2, "usage-error": 2}
+
+
+class TestCollectorHold:
+    """`run_command` holds the cyclic garbage collector off while a command
+    runs.  That frees nothing late only if no command leaves a reference
+    cycle, so ``gc.collect()`` must find none after it, and the caller's
+    setting must come back on every exit, the collector on or off."""
+
+    @pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+    def collecting(self, request):
+        before = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if before else gc.disable)()
+
+    @pytest.mark.parametrize("case", list(HOLD_ARGV))
+    def test_command_leaves_no_cycle_and_restores_the_setting(self, det_files, collecting, case, capsys):
+        gc.collect()
+        result = run_command(HOLD_ARGV[case])
+        assert gc.isenabled() is collecting
+        assert gc.collect() == 0
+        assert result.exit_code == HOLD_EXIT.get(case, 0), result.human_summary
+
+    def test_broken_invariant_leaves_no_cycle_and_restores_the_setting(self, det_files, collecting, monkeypatch):
+        def rising(tree, process, density):
+            return OssmReport(ok=False, violations=((0, F(1, 4)),))
+
+        monkeypatch.setattr(cli_module, "_ossm", rising)
+        gc.collect()
+        # `except ... as` unbinds the error; pytest.raises would keep it in
+        # this frame, which its traceback holds: a cycle of the test's own
+        try:
+            run_command(HOLD_ARGV["decompose"])
+        except RuntimeError as exc:
+            message = str(exc)
+        assert gc.isenabled() is collecting
+        assert gc.collect() == 0
+        assert message == "node 0: marked value has positive drift 1/4 under the system's measure"
 
 
 class TestMain:

@@ -26,16 +26,34 @@ def _lookup(module, dotted):
     return obj
 
 
-def test_every_traced_function_exists():
+def _traced():
+    """Every (module, name) that ``tracing.WRAPPED`` lists."""
     assignments = [
         node for node in _parse("tracing.py").body
         if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["WRAPPED"]
     ]
     assert len(assignments) == 1
     wrapped = ast.literal_eval(assignments[0].value)
-    names = [(f"spreadlab.{module}", name) for module, names in wrapped.items() for name in names]
+    return [(f"spreadlab.{module}", name) for module, names in wrapped.items() for name in names]
+
+
+def test_every_traced_function_exists():
+    names = _traced()
     assert len(names) > 20
     assert [f"{m}.{n}" for m, n in names if not callable(_lookup(m, n))] == []
+
+
+def test_every_traced_method_is_static():
+    """``Tracer.install`` unwraps a "Class.method" name as
+    ``cls.__dict__[attr].__func__`` and puts back a staticmethod, so each
+    must be a staticmethod in its class's own ``__dict__``: a classmethod
+    or a plain function would break only the traced run."""
+    methods = [(m, *n.split(".")) for m, n in _traced() if "." in n]
+    assert methods
+    assert [
+        f"{m}.{cls}.{attr}" for m, cls, attr in methods
+        if not isinstance(vars(_lookup(m, cls)).get(attr), staticmethod)
+    ] == []
 
 
 def _spreadlab_imports(script):

@@ -8,9 +8,13 @@ from hypothesis import strategies as st
 
 from spreadlab import (
     AdaptedProcess,
+    CpsError,
     EventTree,
+    InputError,
+    MarketError,
     NullEventError,
     PredictableProcess,
+    StrategyError,
     TreeError,
     conditional_expectation,
     ensure_adapted,
@@ -152,6 +156,14 @@ class TestBuild:
         again = load_market(json.loads(text))
         assert again.tree == tree
         assert json.dumps(market_to_doc(again)) == text
+
+
+@pytest.mark.parametrize("error", [InputError, TreeError, MarketError, StrategyError, CpsError])
+def test_input_error_takes_one_problem_as_a_string(error):
+    # public API, though no caller in the package passes a string
+    exc = error("one problem")
+    assert exc.problems == ["one problem"]
+    assert str(exc) == "one problem"
 
 
 class TestLoadTree:
