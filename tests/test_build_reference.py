@@ -142,6 +142,13 @@ def test_valid_rows_in_any_order(order):
         assert isinstance(check(times, rows), dict)
 
 
+@pytest.mark.parametrize("times, rows", [
+    (["0"], [(0, None, "1")]), (["0"], []), ([], [(0, None, "1")]),
+], ids=["root-only", "no-rows", "no-times"])
+def test_smallest_inputs(times, rows):
+    check(times, rows)
+
+
 def test_shuffled_binomial_tree_of_2047_nodes():
     rng = random.Random(2047)
     times, rows = tree_rows(rng, 10, [("1/2", "1/2"), ("1/3", "2/3"), ("3/4", "1/4")])
